@@ -147,15 +147,20 @@ class ClosedPoint:
         for e in self.entries:
             if e is None:
                 continue
-            if isinstance(e, (int, Fraction)):
-                numeric *= Fraction(e)
+            value = _numeric_value(e)
+            if value is None:
+                symbols.append(e)
             else:
-                try:
-                    numeric *= Fraction(e)
-                except ValueError:
-                    if e != "1":
-                        symbols.append(e)
+                numeric *= value
         return numeric, tuple(sorted(symbols))
+
+
+def _numeric_value(label: UnitLabel) -> Fraction | None:
+    """The number a unit label denotes, or None for a symbolic label."""
+    try:
+        return Fraction(label)
+    except ValueError:
+        return None
 
 
 def make_base_tuple(
@@ -179,12 +184,22 @@ def make_base_tuple(
 
 
 def make_closed_point(entries) -> ClosedPoint:
-    """Build a closed base point from zero markers and unit labels."""
+    """Build a closed base point from zero markers and unit labels.
+
+    A numeric label must denote a nonzero number: ``"0"`` and ``"1/0"`` are
+    not units.
+    """
     parsed: list[UnitLabel | None] = []
     for e in entries:
         if e is None or e == 0:
             parsed.append(None)
         elif isinstance(e, (str, int, Fraction)):
+            try:
+                value = _numeric_value(e)
+            except ZeroDivisionError:
+                raise InvalidInput(f"unit label {e!r} has a zero denominator") from None
+            if value == 0:
+                raise InvalidInput(f"unit label {e!r} is zero, not a unit")
             parsed.append(e)
         else:
             raise InvalidInput(f"entry {e!r} is neither zero nor a unit label")

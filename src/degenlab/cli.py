@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Subcommands take a scenario file (or ``-`` for stdin) and print JSON by
-default.  Exit codes: 0 for success, 1 when a stability verdict is negative
-or an oracle disagrees (the verdict is still printed), 2 for input errors.
+Every subcommand but ``verify`` takes a scenario file (or ``-`` for stdin),
+and each registers only the options its handler reads.  Exit codes: 0 for
+success, 1 when a stability verdict is negative or an oracle disagrees (the
+verdict is still printed), 2 for input errors and unwritable reports.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
     DegenLabError,
     ParseError,
     RefuseBruteForce,
-    TropicalIncompatibility,
     ValidationError,
 )
 from .limits import associated_pair, flat_limit, unique_stable_subdivision_oracle
@@ -123,7 +123,7 @@ def _cmd_limit(args) -> int:
     return exit_code
 
 
-def _scenario_fibre(sc: Scenario, args):
+def _scenario_fibre(sc: Scenario):
     if sc.height == 0:
         raise ValidationError("height 0 means no degeneration (use --allow-smooth)")
     return build_fibre(sc.normal_form())
@@ -133,7 +133,7 @@ def _cmd_fiber(args) -> int:
     sc = _read_scenario(args)
     if sc.height == 0 and args.allow_smooth:
         return _smooth_report(args)
-    fibre = _scenario_fibre(sc, args)
+    fibre = _scenario_fibre(sc)
     if args.format == "text":
         v, e, f = complex_counts(fibre)
         kinds = {}
@@ -268,7 +268,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_render(args) -> int:
     sc = _read_scenario(args)
-    fibre = _scenario_fibre(sc, args)
+    fibre = _scenario_fibre(sc)
     cfg = place(fibre, sc.points) if sc.points else None
     _emit(args, render_fibre(fibre, cfg, args.render_format))
     return 0
@@ -284,69 +284,57 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+_ARGUMENTS = {
+    "scenario": dict(help="scenario JSON file, or - for stdin"),
+    "render_format": dict(choices=FORMATS),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--render": dict(choices=FORMATS, default=None,
+                     help="also print a diagram in this format"),
+    "--out": dict(default=None, help="write the report here"),
+    "--allow-smooth": dict(action="store_true", help="accept height-0 scenarios"),
+    "--max-k": dict(type=int, default=8, help="height cap for brute-force checks"),
+    "--max-m": dict(type=int, default=4, help="multiplicity cap for brute-force checks"),
+    "--l": dict(type=int, default=None, help="scale factor for the stability test"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, carrying only the arguments its handler reads."""
     parser = argparse.ArgumentParser(
         prog="degenlab",
         description="Combinatorics of expanded degenerations of xyz = t",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", help="scenario JSON file, or - for stdin")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--render", choices=FORMATS, default=None,
-                       help="also print a diagram in this format")
-        p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--allow-smooth", action="store_true",
-                       help="accept height-0 scenarios")
-        p.add_argument("--max-k", type=int, default=8,
-                       help="height cap for brute-force checks")
-        p.add_argument("--max-m", type=int, default=4,
-                       help="multiplicity cap for brute-force checks")
-        p.add_argument("--l", type=int, default=None,
-                       help="scale factor for the stability test")
+    def command(name, help_text, handler, *arguments):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for argument in arguments:
+            p.add_argument(argument, **_ARGUMENTS[argument])
+        return p
 
-    add_common(sub.add_parser("limit", help="flat limit of valued points"))
-    add_common(sub.add_parser("fiber", help="dual complex of a fibre"))
-    add_common(sub.add_parser("stability", help="stability verdicts"))
-    add_common(sub.add_parser("weights", help="weight table for subgroups"))
-    add_common(sub.add_parser("normalize", help="normal form of a presentation"))
-
-    render_p = sub.add_parser("render", help="diagram of a fibre")
-    render_p.add_argument("render_format", choices=FORMATS)
-    add_common(render_p)
-
-    verify_p = sub.add_parser("verify", help="run the invariant suites")
-    verify_p.add_argument("--max-k", type=int, default=4)
-    verify_p.add_argument("--max-m", type=int, default=2)
-
+    command("limit", "flat limit of valued points", _cmd_limit, "scenario",
+            "--format", "--render", "--out", "--allow-smooth", "--max-k", "--max-m")
+    command("fiber", "dual complex of a fibre", _cmd_fiber, "scenario",
+            "--format", "--render", "--out", "--allow-smooth")
+    command("stability", "stability verdicts", _cmd_stability, "scenario",
+            "--format", "--render", "--out")
+    command("weights", "weight table for subgroups", _cmd_weights, "scenario",
+            "--format", "--out", "--l")
+    command("normalize", "normal form of a presentation", _cmd_normalize, "scenario",
+            "--out")
+    command("render", "diagram of a fibre", _cmd_render, "render_format", "scenario",
+            "--out")
+    command("verify", "run the invariant suites", _cmd_verify,
+            "--max-k", "--max-m").set_defaults(max_k=4, max_m=2)
     return parser
 
 
-_HANDLERS = {
-    "limit": _cmd_limit,
-    "fiber": _cmd_fiber,
-    "stability": _cmd_stability,
-    "weights": _cmd_weights,
-    "normalize": _cmd_normalize,
-    "render": _cmd_render,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (ParseError, ValidationError, TropicalIncompatibility) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except DegenLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+        return args.handler(args)
+    except (DegenLabError, OSError) as exc:  # OSError: writing --out
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -156,18 +156,20 @@ def is_admissible(cfg: PointConfiguration) -> bool:
     return all(loc.is_vertex for loc in cfg.placements)
 
 
-def _level_occupied(cfg: PointConfiguration, v: int) -> bool:
-    k = cfg.height
-    return any(p.a == v or p.b == k - v for p in cfg.points)
+def _occupied_values(points: Iterable[SupportPoint], k: int) -> set[int]:
+    """Level values occupied at height k: every ``a`` and every ``k - b``."""
+    return {p.a for p in points} | {k - p.b for p in points}
 
 
 def occupied_level_values(cfg: PointConfiguration) -> tuple[int, ...]:
     """Distinct level values v_j of the presentation that are occupied."""
-    return tuple(sorted({v for v in cfg.level_values() if _level_occupied(cfg, v)}))
+    occupied = _occupied_values(cfg.points, cfg.height)
+    return tuple(sorted(occupied.intersection(cfg.level_values())))
 
 
 def unoccupied_level_values(cfg: PointConfiguration) -> tuple[int, ...]:
-    return tuple(sorted({v for v in cfg.level_values() if not _level_occupied(cfg, v)}))
+    occupied = _occupied_values(cfg.points, cfg.height)
+    return tuple(sorted(set(cfg.level_values()) - occupied))
 
 
 def stabilizer_rank(cfg: PointConfiguration) -> int:
@@ -176,13 +178,8 @@ def stabilizer_rank(cfg: PointConfiguration) -> int:
     One rank for each cut level that no support point touches: the
     corresponding torus factor then acts trivially on the whole support.
     """
-    normalized = normalize_pair(cfg)
-    k = normalized.height
-    rank = 0
-    for s in normalized.fibre.cuts:
-        if not any(p.a == s or p.b == k - s for p in normalized.points):
-            rank += 1
-    return rank
+    occupied = _occupied_values(cfg.points, cfg.height)
+    return sum(1 for s in cfg.fibre.cuts if s not in occupied)
 
 
 def is_lw_stable(cfg: PointConfiguration) -> bool:
@@ -196,7 +193,7 @@ def is_ws_stable(cfg: PointConfiguration) -> bool:
     This is the criterion for the existence of a stabilizing linearization;
     see the weight calculus module for the constructive counterpart.
     """
-    return all(_level_occupied(cfg, v) for v in cfg.level_values())
+    return not unoccupied_level_values(cfg)
 
 
 def is_sws_stable(cfg: PointConfiguration) -> bool:
@@ -213,11 +210,19 @@ def normalize_pair(cfg: PointConfiguration) -> PointConfiguration:
 
 
 def stability_report(cfg: PointConfiguration) -> StabilityReport:
+    """All verdicts from one admissibility test and one occupancy pass.
+
+    The levels strictly inside ``(0, k)`` are the cuts of the fibre, so the
+    unoccupied ones among them give the stabilizer rank.
+    """
+    admissible = is_admissible(cfg)
+    unoccupied = unoccupied_level_values(cfg)
+    rank = sum(1 for v in unoccupied if 0 < v < cfg.height)
     return StabilityReport(
-        admissible=is_admissible(cfg),
-        stabilizer_rank=stabilizer_rank(cfg),
-        lw_stable=is_lw_stable(cfg),
-        ws_stable=is_ws_stable(cfg),
-        sws_stable=is_sws_stable(cfg),
-        unoccupied_levels=unoccupied_level_values(cfg),
+        admissible=admissible,
+        stabilizer_rank=rank,
+        lw_stable=admissible and rank == 0,
+        ws_stable=not unoccupied,
+        sws_stable=admissible and not unoccupied,
+        unoccupied_levels=unoccupied,
     )

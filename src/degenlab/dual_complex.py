@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -28,7 +28,6 @@ from .errors import HeightMismatch, InvalidInput
 __all__ = [
     "VertexKind",
     "TropPosition",
-    "TropPoint",
     "DCVertex",
     "DualComplex",
     "ExpandedFibre",
@@ -70,13 +69,6 @@ class TropPosition(NamedTuple):
     a: int
     b: int
     c: int
-
-
-class TropPoint(NamedTuple):
-    """A tropicalized point together with its primitive ray in the fan."""
-
-    position: TropPosition
-    ray: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -281,16 +273,14 @@ def location_table(nf: NormalForm) -> Mapping[TropPosition, "Location"]:
     return MappingProxyType(table)
 
 
-def tropicalize_point(e, k: int) -> TropPoint:
-    """Position of a valued point in the height-k triangle plus its ray."""
+def tropicalize_point(e, k: int) -> TropPosition:
+    """Position of a valued point in the height-k triangle."""
     e1, e2, e3 = e
     if e1 + e2 + e3 != k:
         raise HeightMismatch(f"valuations {e} sum to {e1 + e2 + e3}, expected {k}")
     if min(e1, e2, e3) < 0:
         raise InvalidInput(f"valuations must be non-negative: {e}")
-    g = gcd(gcd(e1, e2), e3)
-    ray = (e1 // g, e2 // g, e3 // g) if g else (0, 0, 0)
-    return TropPoint(TropPosition(e1, e2, e3), ray)
+    return TropPosition(e1, e2, e3)
 
 
 def locate(f: ExpandedFibre, p: TropPosition | tuple[int, int, int]) -> Location:

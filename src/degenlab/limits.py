@@ -20,7 +20,8 @@ from .base import BaseTuple, NormalForm, canonical_tuple
 from .configurations import (
     PointConfiguration,
     StabilityReport,
-    SupportPoint,
+    _as_points,
+    _occupied_values,
     is_sws_stable,
     place,
     stability_report,
@@ -58,17 +59,6 @@ class LimitReport:
     stability: StabilityReport
 
 
-def _as_point_list(points: Iterable) -> list[SupportPoint]:
-    out = []
-    for item in points:
-        if isinstance(item, SupportPoint):
-            out.append(item)
-        else:
-            val, mult = item
-            out.append(SupportPoint(tuple(val), mult))
-    return out
-
-
 def flat_limit(points: Iterable, k: int) -> LimitReport:
     """Limit fibre and placement for points with valuations summing to k.
 
@@ -81,13 +71,13 @@ def flat_limit(points: Iterable, k: int) -> LimitReport:
     """
     if k < 1:
         raise InvalidInput(f"height must be >= 1, got {k}")
-    pts = _as_point_list(points)
+    pts = _as_points(points)
     for p in pts:
         if sum(p.valuations) != k:
             raise HeightMismatch(
                 f"point {p.valuations} does not have height {k}"
             )
-    powers = sorted({p.a for p in pts} | {k - p.b for p in pts})
+    powers = sorted(_occupied_values(pts, k))
     if powers:
         exponents = [powers[0]]
         exponents += [b - a for a, b in zip(powers, powers[1:])]
@@ -117,7 +107,7 @@ def unique_stable_subdivision_oracle(
         raise RefuseBruteForce(
             f"height {k} exceeds the brute-force cap {max_height}"
         )
-    pts = _as_point_list(points)
+    pts = _as_points(points)
     total = sum(p.multiplicity for p in pts)
     if total > max_multiplicity:
         raise RefuseBruteForce(

@@ -1,9 +1,9 @@
 """Scenario files: the JSON surface shared by the command line and tests.
 
-A scenario describes a fibre (by cut set, base tuple, or vanishing pattern),
-optional support points, and optional weight-calculus inputs.  Heights are
-cross-checked everywhere: every point triple must sum to the height and a
-tuple must be consistent with an explicit height.
+A scenario describes a fibre (by cut set or base tuple), optional support
+points, and optional weight-calculus inputs.  Heights are cross-checked
+everywhere: every point triple must sum to the height and a tuple must be
+consistent with an explicit height.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .base import (
     BaseTuple,
     ClosedPoint,
     NormalForm,
-    VanishingPattern,
     make_base_tuple,
     make_closed_point,
     normal_form,
@@ -32,7 +31,6 @@ __all__ = [
     "parse_scenario",
     "scenario_to_json",
     "normal_form_to_json",
-    "normal_form_from_json",
     "complex_to_json",
     "configuration_to_json",
     "stability_report_to_json",
@@ -47,17 +45,16 @@ class Scenario:
     height: int | None = None
     cuts: tuple[int, ...] | None = None
     tuple_: tuple[int, ...] | None = None
-    pattern: VanishingPattern | None = None
     points: tuple[SupportPoint, ...] = ()
     lin: Linearization | None = None
     s: tuple[int, ...] | None = None
     l: int | None = None
     entries: ClosedPoint | None = None
 
-    def normal_form(self, *, allow_smooth: bool = False) -> NormalForm:
+    def normal_form(self) -> NormalForm:
         """The fibre this scenario describes; requires cuts or a tuple."""
         if self.tuple_ is not None:
-            return normal_form(make_base_tuple(self.tuple_, allow_smooth=allow_smooth))
+            return normal_form(make_base_tuple(self.tuple_))
         if self.height is None:
             raise ValidationError("scenario has no height and no tuple")
         return NormalForm(self.height, self.cuts or ())
@@ -142,21 +139,6 @@ def parse_scenario(text: str) -> Scenario:
                     f"scenario says {list(cuts)}"
                 )
 
-    pattern = None
-    if "pattern" in raw:
-        p = raw["pattern"]
-        if not isinstance(p, dict):
-            raise ValidationError("pattern must be an object")
-        size = _require_int(p.get("size"), "pattern size", 1)
-        vanishing = p.get("vanishing", [])
-        if not isinstance(vanishing, list):
-            raise ValidationError("pattern vanishing must be a list")
-        pattern = VanishingPattern(
-            size, frozenset(_require_int(i, "pattern index", 1) for i in vanishing)
-        )
-        if tuple_ is not None and make_base_tuple(tuple_).vanishing_pattern() != pattern:
-            raise ValidationError("pattern inconsistent with tuple")
-
     raw_points = raw.get("points", [])
     if not isinstance(raw_points, list):
         raise ValidationError("points must be a list")
@@ -216,7 +198,12 @@ def parse_scenario(text: str) -> Scenario:
             if e.get("zero"):
                 parsed.append(None)
             elif "unit" in e:
-                parsed.append(e["unit"])
+                unit = e["unit"]
+                if unit is None or isinstance(unit, bool) or unit == 0:
+                    raise ValidationError(
+                        f"entry unit {json.dumps(unit)} is not a unit label"
+                    )
+                parsed.append(unit)
             else:
                 raise ValidationError(f"entry {e} is neither zero nor a unit")
         entries = make_closed_point(parsed)
@@ -225,7 +212,6 @@ def parse_scenario(text: str) -> Scenario:
         height=height,
         cuts=cuts,
         tuple_=tuple_,
-        pattern=pattern,
         points=tuple(points),
         lin=lin,
         s=s,
@@ -241,10 +227,6 @@ def dumps(payload) -> str:
 
 def normal_form_to_json(nf: NormalForm) -> dict:
     return {"height": nf.height, "cuts": list(nf.cuts)}
-
-
-def normal_form_from_json(raw: dict) -> NormalForm:
-    return NormalForm(raw["height"], tuple(raw["cuts"]))
 
 
 def location_to_json(loc: Location) -> dict:
@@ -339,11 +321,6 @@ def scenario_to_json(sc: Scenario) -> dict:
         out["tuple"] = list(sc.tuple_)
     if sc.cuts is not None:
         out["cuts"] = list(sc.cuts)
-    if sc.pattern is not None:
-        out["pattern"] = {
-            "size": sc.pattern.size,
-            "vanishing": sorted(sc.pattern.vanishing),
-        }
     if sc.points:
         out["points"] = [
             {

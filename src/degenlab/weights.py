@@ -38,7 +38,7 @@ from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .base import VanishingPattern
-from .configurations import PointConfiguration, SupportPoint
+from .configurations import PointConfiguration, SupportPoint, unoccupied_level_values
 from .errors import CriterionViolated, DegenLabError, InvalidInput, InvalidLocalScheme, NoLimit
 
 __all__ = [
@@ -192,8 +192,6 @@ def side_of(point: SupportPoint, chart: Chart, value: int) -> Side:
     coord = point.a if chart is Chart.DELTA1 else point.b
     if coord == value:
         return Side.ON_COMPONENT
-    if chart is Chart.DELTA1:
-        return Side.ZERO_ONE if coord > value else Side.ONE_ZERO
     return Side.ZERO_ONE if coord > value else Side.ONE_ZERO
 
 
@@ -329,24 +327,24 @@ def constructive_linearization(cfg: PointConfiguration) -> Linearization:
     strictly on its (1:0) side, and give the second chart the neutral pair
     (0, 1).  Otherwise a point must sit on the second-family component;
     mirror the construction with m'' the multiplicity on its (1:0) side.
+    Level values never decrease, so the smallest unoccupied value names the
+    first level that fails.
     """
+    unoccupied = unoccupied_level_values(cfg)
+    if unoccupied:
+        raise CriterionViolated(
+            f"no point of the support occupies the level at cut value {unoccupied[0]}"
+        )
     m = cfg.m
     k = cfg.height
     lifts = []
     for v in cfg.level_values():
-        on_first = sum(p.multiplicity for p in cfg.points if p.a == v)
-        if on_first > 0:
+        if any(p.a == v for p in cfg.points):
             m1 = sum(p.multiplicity for p in cfg.points if p.a < v)
             lifts.append(LevelLift(m * (m - m1), m * (m1 + 1), 0, 1))
-            continue
-        w = k - v
-        on_second = sum(p.multiplicity for p in cfg.points if p.b == w)
-        if on_second == 0:
-            raise CriterionViolated(
-                f"no point of the support occupies the level at cut value {v}"
-            )
-        m2 = sum(p.multiplicity for p in cfg.points if p.b < w)
-        lifts.append(LevelLift(0, 1, m * (m - m2), m * (m2 + 1)))
+        else:
+            m2 = sum(p.multiplicity for p in cfg.points if p.b < k - v)
+            lifts.append(LevelLift(0, 1, m * (m - m2), m * (m2 + 1)))
     return Linearization(tuple(lifts))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from degenlab import parse_scenario, ParseError, ValidationError
-from degenlab.cli import main
+from degenlab.cli import build_parser, main
 from degenlab.scenario import (
     dumps,
     parse_scenario as parse,
@@ -92,6 +92,32 @@ class TestExitCodes:
     def test_unknown_render_format_is_two(self):
         result = run_cli("render", "png", str(DATA / "s1_worked_pair.json"))
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("unit", ['"1/0"', '"0"', "null", "true", "0"])
+    def test_closed_point_without_a_unit_is_two(self, tmp_path, unit):
+        scenario = tmp_path / "n.json"
+        scenario.write_text(f'{{"entries":[{{"unit":{unit}}},{{"unit":"2"}}]}}')
+        result = run_cli("normalize", str(scenario))
+        assert result.returncode == 2
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_each_command_takes_only_the_options_it_reads(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        options = {
+            name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert options == {
+            "limit": {"--format", "--render", "--out", "--allow-smooth", "--max-k", "--max-m"},
+            "fiber": {"--format", "--render", "--out", "--allow-smooth"},
+            "stability": {"--format", "--render", "--out"},
+            "weights": {"--format", "--out", "--l"},
+            "normalize": {"--out"},
+            "render": {"--out"},
+            "verify": {"--max-k", "--max-m"},
+        }
+        assert run_cli("normalize", "-", "--format", "text", stdin="{}").returncode == 2
 
 
 class TestGoldens:

@@ -1,20 +1,29 @@
 """Placement and the three stability notions."""
 
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenlab import (
+    BaseTuple,
+    CriterionViolated,
     HeightMismatch,
     NormalForm,
     VertexKind,
+    build_fibre,
+    constructive_linearization,
     is_admissible,
     is_lw_stable,
     is_sws_stable,
     is_ws_stable,
     make_base_tuple,
+    normal_form,
     normalize_pair,
     place,
     stability_report,
     stabilizer_rank,
+    standard_embed,
     unoccupied_level_values,
 )
 
@@ -148,3 +157,68 @@ def test_ws_matches_rank_on_normalized_fibres():
             points = [(pos, 1) for pos in combo]
             cfg = place(nf, points)
             assert is_ws_stable(cfg) == (stabilizer_rank(cfg) == 0)
+
+
+@st.composite
+def presented_configurations(draw):
+    """A zero-free tuple of height <= 30 with unit slots inserted, and up to
+    five weighted points, each on a vertex of the fibre or anywhere."""
+    length = draw(st.integers(min_value=1, max_value=6))
+    exps = draw(st.lists(st.integers(min_value=1, max_value=30 // length),
+                         min_size=length, max_size=length))
+    units = draw(st.integers(min_value=0, max_value=3))
+    slots = draw(st.lists(st.integers(min_value=0, max_value=length + units - 1),
+                          min_size=units, max_size=units, unique=True))
+    presentation = standard_embed(BaseTuple(tuple(exps)), slots)
+    k = presentation.height
+    vertices = [v.position for v in build_fibre(normal_form(presentation)).dual_complex.vertices]
+    anywhere = st.integers(min_value=0, max_value=k).flatmap(
+        lambda a: st.integers(min_value=0, max_value=k - a).map(lambda b: (a, b, k - a - b))
+    )
+    points = draw(st.lists(
+        st.tuples(st.sampled_from(vertices) | anywhere, st.integers(min_value=1, max_value=3)),
+        max_size=5,
+    ))
+    return presentation, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(presented_configurations())
+def test_report_agrees_with_each_verdict_and_with_occupancy(case):
+    presentation, points = case
+    cfg = place(presentation, points)
+    report = stability_report(cfg)
+    assert report.admissible == is_admissible(cfg)
+    assert report.stabilizer_rank == stabilizer_rank(cfg)
+    assert report.lw_stable == is_lw_stable(cfg)
+    assert report.ws_stable == is_ws_stable(cfg)
+    assert report.sws_stable == is_sws_stable(cfg)
+    assert report.unoccupied_levels == unoccupied_level_values(cfg)
+
+    # occupancy and admissibility from the valuations and the partial sums
+    k = presentation.height
+    levels = set(accumulate(presentation.exponents[:-1]))
+    empty = sorted(
+        v for v in levels if not any(a == v or b == k - v for (a, b, _), _ in points)
+    )
+    cuts = sorted(v for v in levels if 0 < v < k)
+    on_lines = [
+        (a in {0, *cuts}) + (b in {0, *(k - s for s in cuts)}) + (c == 0)
+        for (a, b, c), _ in points
+    ]
+    assert report.unoccupied_levels == tuple(empty)
+    assert report.admissible == all(n >= 2 for n in on_lines)
+    assert report.ws_stable == (not empty)
+
+    # the rank as first defined: unoccupied cuts of the normalized pair
+    normalized = normalize_pair(cfg)
+    assert report.stabilizer_rank == sum(
+        1 for s in normalized.fibre.cuts
+        if not any(p.a == s or p.b == k - s for p in normalized.points)
+    )
+
+    if empty:
+        with pytest.raises(CriterionViolated, match=f"cut value {empty[0]}$"):
+            constructive_linearization(cfg)
+    else:
+        assert len(constructive_linearization(cfg)) == len(presentation.exponents) - 1

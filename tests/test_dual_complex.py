@@ -5,6 +5,7 @@ import pytest
 from degenlab import (
     HeightMismatch,
     NormalForm,
+    TropPosition,
     VertexKind,
     build_fibre,
     complex_counts,
@@ -116,10 +117,7 @@ def test_edge_sets_against_arrangement_oracle(k, cuts):
 
 def test_tropicalize_point():
     tp = tropicalize_point((0, 0, 3), 3)
-    assert tuple(tp.position) == (0, 0, 3)
-    assert tp.ray == (0, 0, 1)
-    assert tropicalize_point((1, 2, 0), 3).ray == (1, 2, 0)
-    assert tropicalize_point((2, 2, 2), 6).ray == (1, 1, 1)
+    assert tp == TropPosition(0, 0, 3)
     with pytest.raises(HeightMismatch):
         tropicalize_point((1, 1, 0), 3)
 
