@@ -20,6 +20,8 @@ All values are immutable; every function here is pure.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -140,8 +142,10 @@ class ClosedPoint:
         """Formal product of the non-vanishing entries.
 
         Numeric labels multiply exactly; symbolic labels form a commutative
-        word, returned as a sorted tuple.
+        word, returned as a sorted tuple.  A product too long for ``str``
+        (``sys.get_int_max_str_digits()``) raises InvalidInput at once.
         """
+        limit = sys.get_int_max_str_digits()
         numeric = Fraction(1)
         symbols: list[str] = []
         for e in self.entries:
@@ -150,17 +154,36 @@ class ClosedPoint:
             value = _numeric_value(e)
             if value is None:
                 symbols.append(e)
-            else:
-                numeric *= value
+                continue
+            numeric *= value
+            if limit and max(abs(numeric.numerator), numeric.denominator) >= 10**limit:
+                raise InvalidInput(f"the unit product has more than {limit} digits")
         return numeric, tuple(sorted(symbols))
 
 
+_DIGITS = re.compile(r"\d+")
+
+
 def _numeric_value(label: UnitLabel) -> Fraction | None:
-    """The number a unit label denotes, or None for a symbolic label."""
-    try:
-        return Fraction(label)
-    except ValueError:
-        return None
+    """The number a unit label denotes, or None for a symbolic label.
+
+    A numeric string whose digits plus decimal exponent exceed
+    ``sys.get_int_max_str_digits()`` is refused with InvalidInput before
+    ``Fraction`` expands it, which for ``"1e2000000"`` takes seconds.
+    """
+    if isinstance(label, str):
+        try:  # whether a string is a number depends only on where its digits are
+            Fraction(_DIGITS.sub("1", label))
+        except ValueError:
+            return None
+        mantissa, _, exponent = label.lower().partition("e")
+        exponent = "".join(_DIGITS.findall(exponent)).lstrip("0")
+        digits = sum(map(len, _DIGITS.findall(mantissa)))
+        limit = sys.get_int_max_str_digits()
+        if limit and (len(exponent) > len(str(limit)) or digits + int(exponent or 0) > limit):
+            shown = label if len(label) <= 20 else label[:20] + "..."
+            raise InvalidInput(f"unit label {shown!r} needs more than {limit} digits")
+    return Fraction(label)
 
 
 def make_base_tuple(

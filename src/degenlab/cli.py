@@ -67,6 +67,9 @@ def _emit(args, text: str) -> None:
 
 
 def _smooth_report(args) -> int:
+    """The report for a height-0 scenario, for the commands taking --allow-smooth."""
+    if not args.allow_smooth:
+        raise ValidationError("height 0 means no degeneration (use --allow-smooth)")
     _emit(args, dumps({"height": 0, "smooth": True, "note": "no degeneration"}))
     return 0
 
@@ -74,9 +77,7 @@ def _smooth_report(args) -> int:
 def _cmd_limit(args) -> int:
     sc = _read_scenario(args)
     if sc.height == 0:
-        if args.allow_smooth:
-            return _smooth_report(args)
-        raise ValidationError("height 0 means no degeneration (use --allow-smooth)")
+        return _smooth_report(args)
     if sc.height is None:
         raise ValidationError("limit needs a height")
     points = [(p.valuations, p.multiplicity) for p in sc.points]
@@ -125,13 +126,13 @@ def _cmd_limit(args) -> int:
 
 def _scenario_fibre(sc: Scenario):
     if sc.height == 0:
-        raise ValidationError("height 0 means no degeneration (use --allow-smooth)")
+        raise ValidationError("height 0 means no degeneration")
     return build_fibre(sc.normal_form())
 
 
 def _cmd_fiber(args) -> int:
     sc = _read_scenario(args)
-    if sc.height == 0 and args.allow_smooth:
+    if sc.height == 0:
         return _smooth_report(args)
     fibre = _scenario_fibre(sc)
     if args.format == "text":

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .base import BaseTuple, NormalForm, canonical_tuple, normal_form
-from .dual_complex import ExpandedFibre, Location, TropPosition, build_fibre, locate
-from .errors import HeightMismatch, InvalidInput
+from .dual_complex import ExpandedFibre, Location, locate
+from .errors import InvalidInput
 
 __all__ = [
     "SupportPoint",
@@ -127,13 +127,14 @@ def place(fibre_or_presentation, raw_points: Iterable) -> PointConfiguration:
 
     Accepts an ExpandedFibre, a NormalForm, or a BaseTuple presentation;
     raw points are SupportPoints or ``(valuations, multiplicity)`` pairs.
+    Placement reads only the normal form and never builds the dual complex.
     """
     if isinstance(fibre_or_presentation, BaseTuple):
         presentation = fibre_or_presentation
-        fibre = build_fibre(normal_form(presentation))
+        fibre = ExpandedFibre(normal_form(presentation))
     elif isinstance(fibre_or_presentation, NormalForm):
         presentation = canonical_tuple(fibre_or_presentation)
-        fibre = build_fibre(fibre_or_presentation)
+        fibre = ExpandedFibre(fibre_or_presentation)
     elif isinstance(fibre_or_presentation, ExpandedFibre):
         fibre = fibre_or_presentation
         presentation = canonical_tuple(fibre.nf)
@@ -142,12 +143,7 @@ def place(fibre_or_presentation, raw_points: Iterable) -> PointConfiguration:
             f"cannot place points on {type(fibre_or_presentation).__name__}"
         )
     points = _as_points(raw_points)
-    for p in points:
-        if sum(p.valuations) != fibre.height:
-            raise HeightMismatch(
-                f"point {p.valuations} does not live at height {fibre.height}"
-            )
-    placements = tuple(locate(fibre, TropPosition(*p.valuations)) for p in points)
+    placements = tuple(locate(fibre, p.valuations) for p in points)
     return PointConfiguration(fibre, presentation, points, placements)
 
 

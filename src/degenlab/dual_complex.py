@@ -15,6 +15,7 @@ the exceptional bubbles, and chord crossings the quadric bubbles.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -102,38 +103,18 @@ class Location:
         return self.stratum == "vertex"
 
 
+@dataclass(frozen=True)
 class DualComplex:
     """Vertices, edges and bounded cells of the subdivided triangle."""
 
-    def __init__(
-        self,
-        height: int,
-        cuts: tuple[int, ...],
-        vertices: tuple[DCVertex, ...],
-        edges: tuple[tuple[int, int], ...],
-        cells: tuple[tuple[int, ...], ...],
-    ):
-        self.height = height
-        self.cuts = cuts
-        self.vertices = vertices
-        self.edges = edges
-        self.cells = cells
-
-    @cached_property
-    def vertex_at(self) -> dict[TropPosition, int]:
-        return {v.position: i for i, v in enumerate(self.vertices)}
+    height: int
+    cuts: tuple[int, ...]
+    vertices: tuple[DCVertex, ...]
+    edges: tuple[tuple[int, int], ...]
+    cells: tuple[tuple[int, ...], ...]
 
     def counts(self) -> tuple[int, int, int]:
         return len(self.vertices), len(self.edges), len(self.cells)
-
-    def _key(self):
-        return (self.height, self.cuts, self.vertices, self.edges, self.cells)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DualComplex) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash((self.height, self.cuts))
 
     def __repr__(self) -> str:
         v, e, f = self.counts()
@@ -142,10 +123,13 @@ class DualComplex:
 
 @dataclass(frozen=True)
 class ExpandedFibre:
-    """A normal form together with its dual complex."""
+    """A normal form together with its dual complex, built on first access."""
 
     nf: NormalForm
-    dual_complex: DualComplex
+
+    @cached_property
+    def dual_complex(self) -> DualComplex:
+        return _dual_complex(self.nf)
 
     @property
     def height(self) -> int:
@@ -156,30 +140,20 @@ class ExpandedFibre:
         return self.nf.cuts
 
 
-def _vertex_for(k: int, cuts: tuple[int, ...], a: int, b: int) -> DCVertex:
-    """The vertex at ``(a, b, k - a - b)``; assumes the position is a vertex."""
-    c = k - a - b
-    if a == k:
-        return DCVertex(VertexKind.CORNER_Y1, TropPosition(k, 0, 0))
-    if b == k:
-        return DCVertex(VertexKind.CORNER_Y2, TropPosition(0, k, 0))
-    if a == 0 and b == 0:
-        return DCVertex(VertexKind.CORNER_Y3, TropPosition(0, 0, k))
-    if b == 0:
-        return DCVertex(VertexKind.PURE_DELTA1, TropPosition(a, 0, c), (a,))
-    if a == 0:
-        return DCVertex(VertexKind.PURE_DELTA2, TropPosition(0, b, c), (b,))
-    if c == 0:
-        return DCVertex(VertexKind.MIXED, TropPosition(a, b, 0), (a,))
-    return DCVertex(VertexKind.INTERIOR, TropPosition(a, b, c), (a, b))
-
-
 def build_fibre(nf: NormalForm) -> ExpandedFibre:
+    """The expanded fibre with the given cuts, its dual complex already built."""
+    fibre = ExpandedFibre(nf)
+    fibre.dual_complex  # built here, so timing build_fibre times the construction
+    return fibre
+
+
+def _dual_complex(nf: NormalForm) -> DualComplex:
     """Construct the dual complex of the expanded fibre with the given cuts.
 
     Vertex order: the three corners, then pure first-family bubbles by level,
     pure second-family bubbles by level, mixed bubbles by level, and chord
-    crossings lexicographically.
+    crossings lexicographically.  ``locate`` computes indices from this order
+    and the edge and cell orders below, so the two change together.
     """
     k, cuts = nf.height, nf.cuts
     cocuts = tuple(sorted(k - s for s in cuts))
@@ -245,8 +219,7 @@ def build_fibre(nf: NormalForm) -> ExpandedFibre:
                     (vid(lo_a, lo_b), vid(hi_a, lo_b), vid(hi_a, hi_b), vid(lo_a, hi_b))
                 )
 
-    complex_ = DualComplex(k, cuts, tuple(vertices), tuple(edges), tuple(cells))
-    return ExpandedFibre(nf, complex_)
+    return DualComplex(k, cuts, tuple(vertices), tuple(edges), tuple(cells))
 
 
 def complex_counts(f: ExpandedFibre) -> tuple[int, int, int]:
@@ -263,7 +236,7 @@ def cached_fibre(nf: NormalForm) -> ExpandedFibre:
 @lru_cache(maxsize=None)
 def location_table(nf: NormalForm) -> Mapping[TropPosition, "Location"]:
     """Stratum of every integral point of the fibre's triangle (read-only)."""
-    fibre = cached_fibre(nf)
+    fibre = ExpandedFibre(nf)
     k = nf.height
     table = {}
     for a in range(k + 1):
@@ -283,54 +256,64 @@ def tropicalize_point(e, k: int) -> TropPosition:
     return TropPosition(e1, e2, e3)
 
 
+def _before_row(row: int, first: int) -> int:
+    """Entries ahead of ``row`` in rows of lengths first, first - 1, ..."""
+    return row * first - row * (row - 1) // 2
+
+
 def locate(f: ExpandedFibre, p: TropPosition | tuple[int, int, int]) -> Location:
-    """Exact stratum of the subdivision containing ``p``."""
+    """Exact stratum of the subdivision containing ``p``.
+
+    The subdividing lines are the three sides and the chords ``a = s`` and
+    ``b = k - s``.  Two or more through ``p`` make it a vertex, one an edge
+    and none a cell; the index follows from the strip numbers
+    ``i = #{cuts < a}`` and ``j = #{cuts < k - b}`` in the order
+    ``build_fibre`` lays the complex out.  The complex itself is not built.
+    """
     a, b, c = p
     k, cuts = f.height, f.cuts
     if a + b + c != k:
         raise HeightMismatch(f"point {tuple(p)} does not have height {k}")
     if min(a, b, c) < 0:
         raise InvalidInput(f"point coordinates must be non-negative: {tuple(p)}")
-    dc = f.dual_complex
-    pos = TropPosition(a, b, c)
-    if pos in dc.vertex_at:
-        return Location("vertex", dc.vertex_at[pos])
-
-    cocuts = tuple(k - s for s in cuts)
-    # At most one subdividing line passes through a non-vertex point: any two
-    # lines meet in a vertex.
-    if a == 0 or b == 0 or c == 0 or a in cuts or b in cocuts:
-        def on_line(q: TropPosition) -> bool:
-            if a == 0:
-                return q.a == 0
-            if b == 0:
-                return q.b == 0
-            if c == 0:
-                return q.c == 0
-            if a in cuts:
-                return q.a == a
-            return q.b == b
-
-        for i, (u, v) in enumerate(dc.edges):
-            pu, pv = dc.vertices[u].position, dc.vertices[v].position
-            if on_line(pu) and on_line(pv):
-                lo = tuple(map(min, pu, pv))
-                hi = tuple(map(max, pu, pv))
-                if all(l <= x <= h for l, x, h in zip(lo, pos, hi)):
-                    return Location("edge", i)
-        raise InvalidInput(f"no edge contains {tuple(p)}")  # unreachable
-
-    # Interior of a cell: identify the strip pair.
     n = len(cuts)
-    i = sum(1 for s in cuts if s < a)
-    j = sum(1 for s in cuts if s < k - b)
-    cell_index = 0
-    for ii in range(n + 1):
-        for jj in range(ii, n + 1):
-            if (ii, jj) == (i, j):
-                return Location("cell", cell_index)
-            cell_index += 1
-    raise InvalidInput(f"no cell contains {tuple(p)}")  # unreachable
+    i = bisect_left(cuts, a)
+    j = bisect_left(cuts, k - b)
+    on_first = i < n and cuts[i] == a        # chord a = s
+    on_second = j < n and cuts[j] == k - b   # chord b = k - s
+    lines = (a == 0) + (b == 0) + (c == 0) + on_first + on_second
+    if lines >= 2:
+        if a == k:
+            index = 0
+        elif b == k:
+            index = 1
+        elif c == k:
+            index = 2
+        elif b == 0:  # pure first-family bubble
+            index = 3 + i
+        elif a == 0:  # pure second-family bubble, levels k - s ascending
+            index = 3 + 2 * n - 1 - j
+        elif c == 0:  # mixed bubble
+            index = 3 + 2 * n + i
+        else:  # crossing: chord i meets the chords b = k - s with s > a
+            index = 3 + 3 * n + _before_row(i, n - 1) + n - 1 - j
+        return Location("vertex", index)
+    if lines == 1:
+        # Sides b = 0, c = 0, a = 0 have n + 1 edges each, then come the
+        # chords a = cuts[i] (n - i edges each) and, by ascending b, the
+        # chords b = k - cuts[j] (j + 1 edges each).
+        if b == 0:
+            index = i
+        elif c == 0:
+            index = 2 * n + 1 - j
+        elif a == 0:
+            index = 3 * n + 2 - j
+        elif on_first:
+            index = 3 * (n + 1) + _before_row(i, n) + n - j
+        else:
+            index = 3 * (n + 1) + _before_row(n, n) + _before_row(n - 1 - j, n) + i
+        return Location("edge", index)
+    return Location("cell", _before_row(i, n + 1) + j - i)
 
 
 def refines(fine: NormalForm, coarse: NormalForm) -> bool:

@@ -20,8 +20,9 @@ from .configurations import (
     is_sws_stable,
     is_ws_stable,
     normalize_pair,
+    place,
 )
-from .dual_complex import TropPosition, cached_fibre, complex_counts, location_table
+from .dual_complex import cached_fibre, complex_counts
 from .limits import flat_limit, unique_stable_subdivision_oracle
 from .weights import (
     admissible_sign_vectors,
@@ -154,14 +155,6 @@ def presentations(max_k: int, max_len: int = 4) -> Iterator[BaseTuple]:
                 yield make_base_tuple(list(exps))
 
 
-def _fast_config(presentation: BaseTuple, points: tuple[SupportPoint, ...]) -> PointConfiguration:
-    nf = normal_form(presentation)
-    fibre = cached_fibre(nf)
-    table = location_table(nf)
-    placements = tuple(table[TropPosition(*p.valuations)] for p in points)
-    return PointConfiguration(fibre, presentation, points, placements)
-
-
 def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
     """Brute force agrees with the direct limit construction, uniquely."""
     checked = 0
@@ -206,7 +199,7 @@ def _presentation_configs(
     for presentation in presentations(max_k, max_len):
         k = presentation.height
         for points in weighted_configurations(k, max_m):
-            yield _fast_config(presentation, points)
+            yield place(presentation, points)
 
 
 def check_stability_equivalence(

@@ -1,8 +1,10 @@
 """Command-line behaviour: exit codes, golden outputs, round trips."""
 
+import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +104,40 @@ class TestExitCodes:
         lines = result.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            '{"unit":"1e5000"},{"unit":"2"}',
+            '{"zero":true},{"unit":"1e2000000"}',
+            '{"unit":"1e-5000"}',
+            '{"unit":"1e%s"}' % ("9" * 5000),
+            '{"unit":"1e4000"},{"unit":"1e4000"}',
+        ],
+    )
+    def test_numeric_label_beyond_the_digit_limit_is_two(self, monkeypatch, capsys, entries):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f'{{"entries":[{entries}]}}'))
+        start = time.perf_counter()
+        code = main(["normalize", "-"])
+        elapsed = time.perf_counter() - start
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize(
+        "command,hint",
+        [(["limit"], True), (["fiber"], True), (["render", "svg"], False)],
+    )
+    def test_height_zero_names_the_flag_only_where_it_exists(
+        self, monkeypatch, capsys, command, hint
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"height":0}'))
+        assert main([*command, "-"]) == 2
+        message = "error: height 0 means no degeneration"
+        if hint:
+            message += " (use --allow-smooth)"
+        assert capsys.readouterr().err == message + "\n"
+
     def test_each_command_takes_only_the_options_it_reads(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         options = {
@@ -118,6 +154,60 @@ class TestExitCodes:
             "verify": {"--max-k", "--max-m"},
         }
         assert run_cli("normalize", "-", "--format", "text", stdin="{}").returncode == 2
+
+
+_REPLACEMENTS = [None, True, -1, 0, 2, "1e5000", [], {}]
+_EXTRA_KEYS = {
+    "entries": [{"unit": "2"}, {"unit": "c"}],
+    "tuple": [1, 1],
+    "lin": [[1, 1, 0, 1]],
+    "s": [1],
+    "l": 2,
+}
+
+
+def _mutations(node):
+    """Copies of a JSON value with one key or element dropped, or one value
+    replaced by another type or a small integer."""
+    if isinstance(node, dict):
+        for key in node:
+            yield {k: v for k, v in node.items() if k != key}
+            for child in _mutations(node[key]):
+                yield {**node, key: child}
+    elif isinstance(node, list):
+        for i in range(len(node)):
+            yield node[:i] + node[i + 1:]
+            for child in _mutations(node[i]):
+                yield [*node[:i], child, *node[i + 1:]]
+    for value in _REPLACEMENTS:
+        if type(value) is not type(node) or value != node:
+            yield value
+
+
+def _mutated_scenarios(path):
+    """Mutations of a scenario, and of it with each optional key added."""
+    base = json.loads(path.read_text())
+    texts = {json.dumps(doc) for doc in _mutations(base)}
+    for key, value in _EXTRA_KEYS.items():
+        texts.update(json.dumps({**base, key: v}) for v in [value, *_mutations(value)])
+    return sorted(texts)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
+def test_every_command_is_total_on_mutated_scenarios(path, monkeypatch, capsys):
+    """Exit 0, 1 or 2, one error line on exit 2, and no escaping exception."""
+    for text in _mutated_scenarios(path):
+        for command in (["limit"], ["fiber"], ["stability"], ["weights"],
+                        ["normalize"], ["render", "svg"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            try:
+                code = main([*command, "-"])
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (command, text)
+            if code == 2:
+                assert len(err.splitlines()) == 1, (command, text, err)
 
 
 class TestGoldens:

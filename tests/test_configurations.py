@@ -56,6 +56,15 @@ def test_place_rejects_wrong_height():
         place(NormalForm(3, ()), [((1, 1, 0), 1)])
 
 
+def test_placement_and_verdicts_leave_the_complex_unbuilt():
+    nf = NormalForm(41, tuple(range(1, 41)))
+    cfg = place(nf, [((1, 40, 0), 1), ((20, 0, 21), 2), ((3, 4, 34), 1), ((0, 0, 41), 1)])
+    report = stability_report(cfg)
+    assert [loc.stratum for loc in cfg.placements] == ["vertex"] * 4
+    assert report.admissible and report.stabilizer_rank == 36
+    assert "dual_complex" not in vars(cfg.fibre)
+
+
 def test_admissibility():
     ok = place(NormalForm(3, (1, 2)), [((1, 2, 0), 1), ((2, 0, 1), 1)])
     assert is_admissible(ok)

@@ -1,8 +1,10 @@
 """Dual complexes of expanded fibres against the arrangement oracle."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenlab import (
+    ExpandedFibre,
     HeightMismatch,
     NormalForm,
     TropPosition,
@@ -176,6 +178,55 @@ class TestLocate:
         f = build_fibre(NormalForm(3, ()))
         with pytest.raises(HeightMismatch):
             locate(f, (1, 1, 0))
+
+
+def test_build_fibre_builds_the_complex_and_a_bare_fibre_does_not():
+    nf = NormalForm(5, (2, 3))
+    assert "dual_complex" in vars(build_fibre(nf))
+    bare = ExpandedFibre(nf)
+    assert "dual_complex" not in vars(bare)
+    assert bare.dual_complex == build_fibre(nf).dual_complex
+    assert bare == build_fibre(nf)
+
+
+@st.composite
+def normal_forms(draw):
+    k = draw(st.integers(min_value=1, max_value=60))
+    cuts = draw(st.lists(st.integers(min_value=1, max_value=max(k - 1, 1)),
+                         max_size=min(15, k - 1), unique=True))
+    return NormalForm(k, tuple(sorted(cuts)))
+
+
+def _cross(o, p, q):
+    """Orientation of q against the directed line o -> p, in (a, b) coordinates."""
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(normal_forms())
+def test_locate_agrees_with_the_geometry_of_the_complex(nf):
+    """Every integral point lands in a stratum whose geometry contains it."""
+    k, cuts = nf.height, nf.cuts
+    bare = ExpandedFibre(nf)
+    points = [(a, b, k - a - b) for a in range(k + 1) for b in range(k + 1 - a)]
+    located = [(p, locate(bare, p)) for p in points]
+    assert "dual_complex" not in vars(bare)
+    dc = build_fibre(nf).dual_complex
+    position = [tuple(v.position) for v in dc.vertices]
+    for p, loc in located:
+        a, b, c = p
+        lines = (a == 0) + (b == 0) + (c == 0) + (a in cuts) + (k - b in cuts)
+        assert loc.stratum == ("vertex" if lines >= 2 else "edge" if lines == 1 else "cell")
+        if loc.stratum == "vertex":
+            assert position[loc.index] == p
+        elif loc.stratum == "edge":
+            u, v = (position[i] for i in dc.edges[loc.index])
+            assert _cross(u, v, p) == 0
+            assert sum((x - y) * (z - x) for x, y, z in zip(p, u, v)) > 0
+        else:
+            polygon = [position[i] for i in dc.cells[loc.index]]
+            turns = [_cross(o, q, p) for o, q in zip(polygon, polygon[1:] + polygon[:1])]
+            assert all(t > 0 for t in turns) or all(t < 0 for t in turns)
 
 
 class TestRefines:
