@@ -34,7 +34,6 @@ from .configurations import (
     is_sws_stable,
     is_ws_stable,
     normalize_pair,
-    occupied_level_values,
     place,
     stability_report,
     stabilizer_rank,

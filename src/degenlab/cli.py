@@ -181,12 +181,13 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    if args.l is not None and args.l < 1:
+        raise ValidationError(f"l must be >= 1, got {args.l}")
     sc = _read_scenario(args)
     presentation = sc.presentation()
     base = presentation if presentation is not None else sc.normal_form()
     cfg = place(base, sc.points)
-    m = cfg.m
-    scale = args.l or sc.l or default_scale(m)
+    scale = args.l or sc.l or default_scale(cfg.m)
     if sc.lin is not None:
         lin = sc.lin
         lin_source = "scenario"

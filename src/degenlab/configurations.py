@@ -36,7 +36,6 @@ __all__ = [
     "StabilityReport",
     "place",
     "is_admissible",
-    "occupied_level_values",
     "unoccupied_level_values",
     "stabilizer_rank",
     "is_lw_stable",
@@ -155,12 +154,6 @@ def is_admissible(cfg: PointConfiguration) -> bool:
 def _occupied_values(points: Iterable[SupportPoint], k: int) -> set[int]:
     """Level values occupied at height k: every ``a`` and every ``k - b``."""
     return {p.a for p in points} | {k - p.b for p in points}
-
-
-def occupied_level_values(cfg: PointConfiguration) -> tuple[int, ...]:
-    """Distinct level values v_j of the presentation that are occupied."""
-    occupied = _occupied_values(cfg.points, cfg.height)
-    return tuple(sorted(occupied.intersection(cfg.level_values())))
 
 
 def unoccupied_level_values(cfg: PointConfiguration) -> tuple[int, ...]:

@@ -100,7 +100,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario from JSON text."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scenario must be a JSON object")

@@ -25,8 +25,9 @@ from .configurations import (
 from .dual_complex import cached_fibre, complex_counts
 from .limits import flat_limit, unique_stable_subdivision_oracle
 from .weights import (
+    _lift_table,
+    _terms,
     admissible_sign_vectors,
-    combinatorial_level_terms,
     constructive_linearization,
     exists_stabilizing_linearization,
 )
@@ -231,16 +232,16 @@ def check_stability_equivalence(
 
 
 def check_positivity(max_k: int = 5, max_m: int = 3, max_len: int = 4) -> SuiteResult:
-    """Per-level terms of the constructive weight are positive off zero."""
+    """Per-level terms of the constructive weight are positive off zero,
+    read per sign vector from the configuration's one combinatorial table."""
     checked = 0
     for cfg in _presentation_configs(max_k, max_m, max_len):
         if not is_ws_stable(cfg) or cfg.m == 0:
             continue
-        lin = constructive_linearization(cfg)
+        table = _lift_table(cfg, constructive_linearization(cfg))
         pattern = cfg.presentation.vanishing_pattern()
         for s in admissible_sign_vectors(pattern):
-            terms = combinatorial_level_terms(cfg, s, lin)
-            for j, term in enumerate(terms):
+            for j, term in enumerate(_terms(table, s)):
                 if term < 0 or (term == 0) != (s[j] == 0):
                     return SuiteResult(
                         "positivity",

@@ -22,7 +22,11 @@ where the combinatorial part sums the lift weights of the line bundle over
 the limit positions (per unit of multiplicity: ``-a_j s_j`` at ``(1:0)`` and
 ``+b_j s_j`` at ``(0:1)`` for the first family, ``+c_j s_j`` and ``-d_j s_j``
 for the second), while the bounded part comes from the local monomial
-structure and satisfies ``|b_j| <= 2 m^2`` regardless of the lift.
+structure and satisfies ``|b_j| <= 2 m^2`` regardless of the lift.  Level j
+of the flow reads only the sign of ``s_j``, so ``total(s)`` is the sum of
+``s_j (b_j + l c_j)`` with both coefficients read at ``sign(s_j)``: every
+weight function reads a per-level sign table of coefficients at ``s_j = -1``
+and ``s_j = +1``, built (and the local schemes validated) once per call.
 
 Stability for a fixed lift and scale factor means a strictly positive
 invariant for every admissible nonzero subgroup; by piecewise linearity it
@@ -132,51 +136,22 @@ class LocalMonomialScheme:
     def of(monomials: Sequence[Mapping | Monomial]) -> LocalMonomialScheme:
         return LocalMonomialScheme(tuple(_normalize_monomial(m) for m in monomials))
 
-    @property
-    def size(self) -> int:
-        return len(self.monomials)
-
-    def validate_for(self, point: SupportPoint) -> None:
-        if self.size != point.multiplicity:
-            raise InvalidLocalScheme(
-                f"scheme has {self.size} monomials but the point has "
-                f"multiplicity {point.multiplicity}"
-            )
-        if not any(len(m) == 0 for m in self.monomials):
-            raise InvalidLocalScheme("the constant monomial is required")
-        for m in self.monomials:
-            if sum(e for _, e in m) > point.multiplicity:
-                raise InvalidLocalScheme(
-                    f"monomial degree exceeds the multiplicity: {m}"
-                )
-
 
 def admissible_1ps(pattern: VanishingPattern, s: Sequence[int]) -> bool:
     """Does the subgroup have a limit over a point with this vanishing set?
 
-    The chain ``0 >= s_1 >= ... >= s_n >= 0`` is enforced inequality by
-    inequality, each one active exactly when its basis direction is nonzero.
+    Inequality i of the chain ``0 >= s_1 >= ... >= s_n >= 0`` is enforced
+    exactly when basis direction i is nonzero.
     """
     n = pattern.size - 1
     if len(s) != n:
         raise InvalidInput(f"expected {n} weights for size {pattern.size}, got {len(s)}")
-    invertible = [i not in pattern.vanishing for i in range(1, pattern.size + 1)]
     chain = (0, *s, 0)
-    # Inequality i says chain[i-1] >= chain[i] except the closing one, which
-    # says s_n >= 0.
-    for i in range(1, pattern.size + 1):
-        if not invertible[i - 1]:
-            continue
-        if i == 1:
-            if not 0 >= chain[1]:
-                return False
-        elif i == pattern.size:
-            if not chain[i - 1] >= 0:
-                return False
-        else:
-            if not chain[i - 1] >= chain[i]:
-                return False
-    return True
+    return all(
+        chain[i - 1] >= chain[i]
+        for i in range(1, pattern.size + 1)
+        if i not in pattern.vanishing
+    )
 
 
 def admissible_sign_vectors(pattern: VanishingPattern) -> Iterator[tuple[int, ...]]:
@@ -203,51 +178,103 @@ def _resolve(side: Side, chart: Chart, s_j: int) -> Side:
     return Side.ONE_ZERO if s_j > 0 else Side.ZERO_ONE
 
 
+def _check_limit(cfg: PointConfiguration, s: Sequence[int]) -> None:
+    if not admissible_1ps(cfg.presentation.vanishing_pattern(), s):
+        raise NoLimit(f"subgroup {tuple(s)} has no limit over {cfg.presentation.exponents}")
+
+
 def flow_limit(
     cfg: PointConfiguration, s: Sequence[int]
 ) -> list[list[tuple[Side, Side]]]:
     """Resolved (first-family, second-family) sides per point and level."""
-    pattern = cfg.presentation.vanishing_pattern()
-    if not admissible_1ps(pattern, s):
-        raise NoLimit(f"subgroup {tuple(s)} has no limit over {cfg.presentation.exponents}")
+    _check_limit(cfg, s)
+    k = cfg.height
+    return [
+        [(_resolve(side_of(p, Chart.DELTA1, v), Chart.DELTA1, s_j),
+          _resolve(side_of(p, Chart.DELTA2, k - v), Chart.DELTA2, s_j))
+         for v, s_j in zip(cfg.level_values(), s)]
+        for p in cfg.points
+    ]
+
+
+def _terms(table: Sequence[Sequence[int]], s: Sequence[int]) -> list[int]:
+    """Per-level terms ``s_j * table[j][sign(s_j)]``, zero where s_j is."""
+    return [s_j * pair[s_j > 0] for pair, s_j in zip(table, s)]
+
+
+def _lift_table(cfg: PointConfiguration, lin: Linearization) -> list[list[int]]:
+    """Combinatorial sign table, from one walk of the flow; reads no scheme."""
+    n = len(cfg.level_values())
+    if len(lin) != n:
+        raise InvalidInput(f"linearization has {len(lin)} levels, presentation needs {n}")
+    table = [[0, 0] for _ in range(n)]
+    # the flow at s = 0 (always admissible) leaves every side unresolved
+    for p, row in zip(cfg.points, flow_limit(cfg, (0,) * n)):
+        for j, (side1, side2) in enumerate(row):
+            lift = lin.levels[j]
+            for i, sign in enumerate((-1, 1)):
+                first = _resolve(side1, Chart.DELTA1, sign)
+                second = _resolve(side2, Chart.DELTA2, sign)
+                weight = -lift.a if first is Side.ONE_ZERO else lift.b
+                weight += lift.c if second is Side.ONE_ZERO else -lift.d
+                table[j][i] += p.multiplicity * weight
+    return table
+
+
+def _scheme_table(cfg: PointConfiguration) -> list[tuple[int, int]]:
+    """Sign table of the bounded weight; the one place schemes are validated.
+
+    A nontrivial scheme sits at a vertex and uses only charts through its
+    point, which flows to the side where the chart coordinate has weight
+    sign(s_j): each exponent at level j adds sign(s_j) to b_j.
+    """
     k = cfg.height
     values = cfg.level_values()
-    out = []
-    for p in cfg.points:
-        row = []
-        for j, v in enumerate(values):
-            s1 = _resolve(side_of(p, Chart.DELTA1, v), Chart.DELTA1, s[j])
-            s2 = _resolve(side_of(p, Chart.DELTA2, k - v), Chart.DELTA2, s[j])
-            row.append((s1, s2))
-        out.append(row)
-    return out
+    degrees = [0] * len(values)
+    for p, loc in zip(cfg.points, cfg.placements):
+        scheme = p.scheme
+        if scheme is None:
+            continue
+        if not isinstance(scheme, LocalMonomialScheme):
+            raise InvalidLocalScheme(f"unsupported local scheme {scheme!r}")
+        monomials = scheme.monomials
+        if len(monomials) != p.multiplicity:
+            raise InvalidLocalScheme(
+                f"scheme has {len(monomials)} monomials but the point has "
+                f"multiplicity {p.multiplicity}"
+            )
+        if () not in monomials:
+            raise InvalidLocalScheme("the constant monomial is required")
+        for mono in monomials:
+            if sum(e for _, e in mono) > p.multiplicity:
+                raise InvalidLocalScheme(f"monomial degree exceeds the multiplicity: {mono}")
+        if any(monomials) and not loc.is_vertex:
+            raise InvalidLocalScheme("a nontrivial local scheme must sit at a torus fixpoint")
+        for mono in monomials:
+            for (level, chart), exp in mono:
+                if not 1 <= level <= len(values):
+                    raise InvalidLocalScheme(f"level {level} out of range")
+                j = level - 1
+                cut_value = values[j] if chart is Chart.DELTA1 else k - values[j]
+                if side_of(p, chart, cut_value) is not Side.ON_COMPONENT:
+                    raise InvalidLocalScheme(
+                        f"monomial uses chart ({level}, {chart.value}) but the "
+                        f"point {p.valuations} is not on that component"
+                    )
+                degrees[j] += exp
+    return [(-d, d) for d in degrees]
 
 
 def combinatorial_level_terms(
     cfg: PointConfiguration, s: Sequence[int], lin: Linearization
 ) -> list[int]:
-    """Per-level summands of the combinatorial weight (the values c_j s_j)."""
-    if len(lin) != len(cfg.level_values()):
-        raise InvalidInput(
-            f"linearization has {len(lin)} levels, presentation needs "
-            f"{len(cfg.level_values())}"
-        )
-    flowed = flow_limit(cfg, s)
-    terms = [0] * len(lin)
-    for p, row in zip(cfg.points, flowed):
-        for j, (side1, side2) in enumerate(row):
-            lift = lin.levels[j]
-            term = 0
-            if side1 is Side.ONE_ZERO:
-                term -= lift.a * s[j]
-            elif side1 is Side.ZERO_ONE:
-                term += lift.b * s[j]
-            if side2 is Side.ONE_ZERO:
-                term += lift.c * s[j]
-            elif side2 is Side.ZERO_ONE:
-                term -= lift.d * s[j]
-            terms[j] += p.multiplicity * term
-    return terms
+    """Per-level summands of the combinatorial weight (the values c_j s_j).
+
+    A lift of the wrong length is refused before a subgroup without a limit.
+    """
+    table = _lift_table(cfg, lin)
+    _check_limit(cfg, s)
+    return _terms(table, s)
 
 
 def combinatorial_weight(
@@ -262,56 +289,27 @@ def bounded_weight(
 ) -> tuple[int, tuple[int, ...]]:
     """Scheme-structure part of the invariant, with its level coefficients.
 
-    Every point carrying a nontrivial local scheme must sit at a vertex, and
-    its monomials may only use charts actually passing through the point.
-    Returns ``(value, (b_1, ..., b_n))`` with ``value = sum b_j s_j``.
+    Returns ``(value, (b_1, ..., b_n))`` with ``value = sum b_j s_j``; b_j is
+    zero where s_j is.
     """
-    flowed = flow_limit(cfg, s)
-    k = cfg.height
-    values = cfg.level_values()
-    coeffs = [0] * len(values)
-    for idx, (p, row) in enumerate(zip(cfg.points, flowed)):
-        scheme = p.scheme
-        if scheme is None:
-            continue
-        if not isinstance(scheme, LocalMonomialScheme):
-            raise InvalidLocalScheme(f"unsupported local scheme {scheme!r}")
-        scheme.validate_for(p)
-        if any(len(m) > 0 for m in scheme.monomials) and not cfg.placements[idx].is_vertex:
-            raise InvalidLocalScheme(
-                "a nontrivial local scheme must sit at a torus fixpoint"
-            )
-        for mono in scheme.monomials:
-            for (level, chart), exp in mono:
-                if not 1 <= level <= len(values):
-                    raise InvalidLocalScheme(f"level {level} out of range")
-                j = level - 1
-                cut_value = values[j] if chart is Chart.DELTA1 else k - values[j]
-                if side_of(p, chart, cut_value) is not Side.ON_COMPONENT:
-                    raise InvalidLocalScheme(
-                        f"monomial uses chart ({level}, {chart.value}) but the "
-                        f"point {p.valuations} is not on that component"
-                    )
-                if s[j] == 0:
-                    continue
-                side = row[j][0 if chart is Chart.DELTA1 else 1]
-                if chart is Chart.DELTA1:
-                    coeffs[j] += exp if side is Side.ZERO_ONE else -exp
-                else:
-                    coeffs[j] += exp if side is Side.ONE_ZERO else -exp
-    value = sum(b * sj for b, sj in zip(coeffs, s))
-    return value, tuple(coeffs)
+    _check_limit(cfg, s)
+    coeffs = tuple(
+        pair[s_j > 0] if s_j else 0 for pair, s_j in zip(_scheme_table(cfg), s)
+    )
+    return sum(b * s_j for b, s_j in zip(coeffs, s)), coeffs
 
 
 def hm_invariant(
     cfg: PointConfiguration, s: Sequence[int], lin: Linearization, l: int
 ) -> int:
-    """Full invariant ``bounded + l * combinatorial`` at scale factor l."""
+    """Full invariant ``bounded + l * combinatorial`` at scale factor l.
+
+    Checks run in order: the scale, the subgroup, the local schemes, the lift.
+    """
     if l < 1:
         raise InvalidInput(f"scale factor must be >= 1, got {l}")
-    mu_b, _ = bounded_weight(cfg, s)
-    mu_c = combinatorial_weight(cfg, s, lin)
-    return mu_b + l * mu_c
+    _check_limit(cfg, s)
+    return sum(_terms(_scheme_table(cfg), s)) + l * sum(_terms(_lift_table(cfg, lin), s))
 
 
 def default_scale(m: int) -> int:
@@ -353,13 +351,17 @@ def is_git_stable(cfg: PointConfiguration, lin: Linearization, l: int) -> bool:
 
     Exact for all integer subgroups: the invariant is linear on each sign
     orthant of the admissible cone, whose extreme rays have entries in
-    {-1, 0, 1}.
+    {-1, 0, 1}.  The sign table is built (and the local schemes validated)
+    once, even when no sign vector is admissible.
     """
+    if l < 1:
+        raise InvalidInput(f"scale factor must be >= 1, got {l}")
+    table = [
+        (b_neg + l * c_neg, b_pos + l * c_pos)
+        for (b_neg, b_pos), (c_neg, c_pos) in zip(_scheme_table(cfg), _lift_table(cfg, lin))
+    ]
     pattern = cfg.presentation.vanishing_pattern()
-    for s in admissible_sign_vectors(pattern):
-        if hm_invariant(cfg, s, lin, l) <= 0:
-            return False
-    return True
+    return all(sum(_terms(table, s)) > 0 for s in admissible_sign_vectors(pattern))
 
 
 def exists_stabilizing_linearization(

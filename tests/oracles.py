@@ -5,12 +5,17 @@ rules of the library: it is handed bare segments, computes intersections
 with exact rational arithmetic, and extracts faces by rotating around
 vertices.  Counts and edge sets derived here cross-check the constructive
 dual complex.
+
+The stability invariant is rebuilt the same way, from its definition on
+plain data: each point's side of each chart, resolved by the sign of the
+subgroup's entry, with its own admissibility and local-scheme checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
@@ -167,4 +172,140 @@ def arrangement_edge_positions(k: int, cuts: tuple[int, ...]) -> set[frozenset]:
             a, b = int(x), int(y)
             pts.append((a, b, k - a - b))
         out.add(frozenset(pts))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The stability invariant, from its definition.
+#
+# Plain data only: a presentation is its tuple of vanishing orders, a point is
+# ``(valuations, multiplicity, scheme)`` with ``scheme`` None or a list of
+# monomials, each a dict ``{(level, "delta1" | "delta2"): exponent}`` with
+# positive exponents, and a lift is an ``(a, b, c, d)`` tuple.  A refused
+# input raises ``Refused`` carrying the name of the library's exception.
+
+
+class Refused(Exception):
+    """The reference rejects the input; ``args[0]`` names the error class."""
+
+
+def _levels(exponents) -> list[int]:
+    return [sum(exponents[: j + 1]) for j in range(len(exponents) - 1)]
+
+
+def check_subgroup(exponents, s) -> None:
+    """The chain 0 >= s_1 >= ... >= s_n >= 0, at each invertible direction."""
+    if len(s) != len(exponents) - 1:
+        raise Refused("InvalidInput")
+    chain = [0, *s, 0]
+    for i, g in enumerate(exponents):
+        if g == 0 and chain[i] < chain[i + 1]:
+            raise Refused("NoLimit")
+
+
+def check_lifts(exponents, lifts) -> None:
+    if len(lifts) != len(exponents) - 1:
+        raise Refused("InvalidInput")
+
+
+def _lines_through(k, cuts, a, b) -> int:
+    """Sides a = 0, b = 0, c = 0 and chords a = v, b = k - v through (a, b)."""
+    return (
+        (a == 0) + (b == 0) + (a + b == k)
+        + sum(a == v for v in cuts) + sum(b == k - v for v in cuts)
+    )
+
+
+def check_schemes(exponents, points) -> None:
+    """A length-r scheme: r monomials of degree <= r, one of them constant,
+    nontrivial only at a vertex, using only charts through its point."""
+    k = sum(exponents)
+    levels = _levels(exponents)
+    cuts = sorted({v for v in levels if 0 < v < k})
+    for (a, b, _), mult, scheme in points:
+        if scheme is None:
+            continue
+        if len(scheme) != mult or {} not in scheme:
+            raise Refused("InvalidLocalScheme")
+        if any(sum(mono.values()) > mult for mono in scheme):
+            raise Refused("InvalidLocalScheme")
+        if any(scheme) and _lines_through(k, cuts, a, b) < 2:
+            raise Refused("InvalidLocalScheme")
+        for mono in scheme:
+            for level, chart in mono:
+                if not 1 <= level <= len(levels):
+                    raise Refused("InvalidLocalScheme")
+                v = levels[level - 1]
+                on_component = a == v if chart == "delta1" else b == k - v
+                if not on_component:
+                    raise Refused("InvalidLocalScheme")
+
+
+def _limit_side(coord, value, s_j, chart) -> str:
+    """(1:0) below the chart's cut value, (0:1) above it; on the component
+    the flow sends a point to (0:1) of a first-family chart and to (1:0) of
+    a second-family one when s_j > 0, the other way when s_j < 0."""
+    if coord < value:
+        return "1:0"
+    if coord > value:
+        return "0:1"
+    if s_j == 0:
+        return "on"
+    return "0:1" if (s_j > 0) == (chart == "delta1") else "1:0"
+
+
+def bounded_terms(exponents, points, s) -> list[int]:
+    """Per-level b_j of the monomial part at the limit (zero where s_j is)."""
+    k = sum(exponents)
+    levels = _levels(exponents)
+    coeffs = [0] * len(levels)
+    for (a, b, _), _mult, scheme in points:
+        for mono in scheme or []:
+            for (level, chart), e in mono.items():
+                j = level - 1
+                if s[j] == 0:
+                    continue
+                # the chart coordinate has weight +1 on the (0:1) side of a
+                # first-family chart and on the (1:0) side of a second one
+                if chart == "delta1":
+                    positive = _limit_side(a, levels[j], s[j], chart) == "0:1"
+                else:
+                    positive = _limit_side(b, k - levels[j], s[j], chart) == "1:0"
+                coeffs[j] += e if positive else -e
+    return coeffs
+
+
+def combinatorial_terms(exponents, points, s, lifts) -> list[int]:
+    """Per-level lift weights c_j s_j summed over the limit positions."""
+    k = sum(exponents)
+    terms = []
+    for j, v in enumerate(_levels(exponents)):
+        la, lb, lc, ld = lifts[j]
+        total = 0
+        for (a, b, _), mult, _scheme in points:
+            first = _limit_side(a, v, s[j], "delta1")
+            second = _limit_side(b, k - v, s[j], "delta2")
+            weight = {"1:0": -la, "0:1": lb, "on": 0}[first]
+            weight += {"1:0": lc, "0:1": -ld, "on": 0}[second]
+            total += mult * weight * s[j]
+        terms.append(total)
+    return terms
+
+
+def invariant(exponents, points, s, lifts, l) -> int:
+    """bounded + l * combinatorial, for an admissible s and valid data."""
+    bounded = sum(b * s_j for b, s_j in zip(bounded_terms(exponents, points, s), s))
+    return bounded + l * sum(combinatorial_terms(exponents, points, s, lifts))
+
+
+def sign_vectors(exponents) -> list[tuple[int, ...]]:
+    """Every nonzero admissible vector with entries in {-1, 0, 1}."""
+    out = []
+    for v in product((-1, 0, 1), repeat=len(exponents) - 1):
+        try:
+            check_subgroup(exponents, v)
+        except Refused:
+            continue
+        if any(v):
+            out.append(v)
     return out

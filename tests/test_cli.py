@@ -125,6 +125,28 @@ class TestExitCodes:
         assert elapsed < 0.5
 
     @pytest.mark.parametrize(
+        "scenario,options",
+        [
+            # no torus level: the scheme is still checked (no constant
+            # monomial, wrong size, level 1 of 0)
+            ('{"tuple":[2],"points":[{"val":[1,1,0],"mult":2,'
+             '"scheme":[[[1,"delta1",1]]]}]}', []),
+            ('{"height":2,"cuts":[1],"points":[{"val":[1,0,1],"mult":1}]}', ["--l", "0"]),
+            ('{"height":2,"cuts":[1],"points":[{"val":[1,0,1],"mult":1}]}', ["--l", "-3"]),
+        ],
+        ids=["scheme-without-torus", "l-zero", "l-negative"],
+    )
+    def test_weights_refuses_invalid_input_with_one_line(
+        self, monkeypatch, capsys, scenario, options
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+        assert main(["weights", "-", *options]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
         "command,hint",
         [(["limit"], True), (["fiber"], True), (["render", "svg"], False)],
     )
@@ -156,7 +178,10 @@ class TestExitCodes:
         assert run_cli("normalize", "-", "--format", "text", stdin="{}").returncode == 2
 
 
-_REPLACEMENTS = [None, True, -1, 0, 2, "1e5000", [], {}]
+# A JSON integer past the interpreter's int-str digit limit; json.dumps cannot
+# write one, so it stands in as this string and is unquoted after dumping.
+_HUGE_INTEGER = "1" * 5000
+_REPLACEMENTS = [None, True, -1, 0, 2, "1e5000", [], {}, _HUGE_INTEGER]
 _EXTRA_KEYS = {
     "entries": [{"unit": "2"}, {"unit": "c"}],
     "tuple": [1, 1],
@@ -186,10 +211,13 @@ def _mutations(node):
 
 def _mutated_scenarios(path):
     """Mutations of a scenario, and of it with each optional key added."""
+    def dump(doc):
+        return json.dumps(doc).replace(f'"{_HUGE_INTEGER}"', _HUGE_INTEGER)
+
     base = json.loads(path.read_text())
-    texts = {json.dumps(doc) for doc in _mutations(base)}
+    texts = {dump(doc) for doc in _mutations(base)}
     for key, value in _EXTRA_KEYS.items():
-        texts.update(json.dumps({**base, key: v}) for v in [value, *_mutations(value)])
+        texts.update(dump({**base, key: v}) for v in [value, *_mutations(value)])
     return sorted(texts)
 
 

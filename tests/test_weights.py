@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from degenlab import (
     Chart,
     CriterionViolated,
+    DegenLabError,
     InvalidLocalScheme,
     LevelLift,
     Linearization,
@@ -374,3 +377,107 @@ class TestExistence:
                     break
             constructive = exists_stabilizing_linearization(cfg)
             assert (found is not None) == (constructive is not None)
+
+
+@st.composite
+def weight_cases(draw):
+    """Plain-data inputs: a presentation with unit slots, fat points with
+    valid and invalid local schemes, a lift whose length may be wrong, an
+    integer subgroup whose length may be wrong, and a scale factor."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 3, 0]))
+    marks = sorted(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
+    exponents = tuple(b - a for a, b in zip([0, *marks], [*marks, k]))
+    levels = [sum(exponents[: j + 1]) for j in range(n)]
+    points = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, k))
+        b = draw(st.integers(0, k - a))
+        mult = draw(st.integers(1, 3))
+        through = [(j, "delta1") for j, v in enumerate(levels, 1) if a == v]
+        through += [(j, "delta2") for j, v in enumerate(levels, 1) if b == k - v]
+        anywhere = st.tuples(st.integers(0, n + 1), st.sampled_from(["delta1", "delta2"]))
+        keys = st.sampled_from(through) if through and draw(st.booleans()) else anywhere
+        monomials = st.dictionaries(keys, st.integers(1, mult), max_size=2)
+        shape = draw(st.sampled_from(["reduced", "fat", "fat", "any"]))
+        scheme = None
+        if shape == "fat":
+            scheme = [{}, *draw(st.lists(monomials, min_size=mult - 1, max_size=mult - 1))]
+        elif shape == "any":
+            scheme = draw(st.lists(monomials, min_size=1, max_size=4))
+        points.append(((a, b, k - a - b), mult, scheme))
+    lift = st.tuples(*[st.integers(0, 3)] * 4).filter(
+        lambda x: x[0] + x[1] >= 1 and x[2] + x[3] >= 1
+    )
+    # one draw in five gives the lift or the subgroup a wrong length
+    wrong = st.sampled_from([False, False, False, False, True])
+    lift_count = draw(st.sampled_from([max(n - 1, 0), n + 1])) if draw(wrong) else n
+    lifts = draw(st.lists(lift, min_size=lift_count, max_size=lift_count))
+    s_count = n + 1 if draw(wrong) else n
+    s = draw(st.lists(st.integers(-3, 3), min_size=s_count, max_size=s_count))
+    return exponents, points, tuple(lifts), tuple(s), draw(st.sampled_from([1, 2, 5, 9, 12, 0]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenLabError as exc:
+        return type(exc).__name__
+
+
+def _expect(*steps):
+    """The value of the last step, or the error the first refusal names."""
+    try:
+        for step in steps[:-1]:
+            step()
+        return steps[-1]()
+    except oracles.Refused as exc:
+        return exc.args[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(weight_cases())
+def test_weight_functions_match_the_definition(case):
+    """Value and error class of each weight function against the reference,
+    with each function's order of checks."""
+    exponents, points, lifts, s, l = case
+    cfg = place(make_base_tuple(list(exponents)), [
+        SupportPoint(val, mult, None if scheme is None else LocalMonomialScheme.of(
+            [{(level, Chart(chart)): e for (level, chart), e in m.items()} for m in scheme]
+        ))
+        for val, mult, scheme in points
+    ])
+    lin = Linearization(tuple(LevelLift(*x) for x in lifts))
+
+    def scale():
+        if l < 1:
+            raise oracles.Refused("InvalidInput")
+
+    def subgroup():
+        oracles.check_subgroup(exponents, s)
+
+    def schemes():
+        oracles.check_schemes(exponents, points)
+
+    def lift_length():
+        oracles.check_lifts(exponents, lifts)
+
+    def bounded():
+        coeffs = tuple(oracles.bounded_terms(exponents, points, s))
+        return sum(b * s_j for b, s_j in zip(coeffs, s)), coeffs
+
+    def stable():
+        return all(
+            oracles.invariant(exponents, points, v, lifts, l) > 0
+            for v in oracles.sign_vectors(exponents)
+        )
+
+    assert _outcome(bounded_weight, cfg, s) == _expect(subgroup, schemes, bounded)
+    assert _outcome(combinatorial_level_terms, cfg, s, lin) == _expect(
+        lift_length, subgroup, lambda: oracles.combinatorial_terms(exponents, points, s, lifts)
+    )
+    assert _outcome(hm_invariant, cfg, s, lin, l) == _expect(
+        scale, subgroup, schemes, lift_length,
+        lambda: oracles.invariant(exponents, points, s, lifts, l),
+    )
+    assert _outcome(is_git_stable, cfg, lin, l) == _expect(scale, schemes, lift_length, stable)
