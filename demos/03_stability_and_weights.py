@@ -5,18 +5,15 @@ Run with:  python3 demos/03_stability_and_weights.py
 
 from degenlab import (
     NormalForm,
-    admissible_sign_vectors,
-    bounded_weight,
-    combinatorial_weight,
     constructive_linearization,
     default_scale,
     exists_stabilizing_linearization,
-    hm_invariant,
     is_git_stable,
     make_base_tuple,
     normalize_pair,
     place,
     stability_report,
+    weight_rows,
 )
 
 # A configuration on the two-cut fibre: one point on the mixed bubble, one
@@ -29,12 +26,9 @@ print("report:", stability_report(cfg))
 lin = constructive_linearization(cfg)
 print("lift exponents:", [tuple(x) for x in lin.levels])
 scale = default_scale(cfg.m)
-pattern = cfg.presentation.vanishing_pattern()
 print(f"{'s':<10} {'bounded':>8} {'combinatorial':>14} {'total':>6}")
-for s in admissible_sign_vectors(pattern):
-    mu_b, _ = bounded_weight(cfg, s)
-    mu_c = combinatorial_weight(cfg, s, lin)
-    print(f"{str(list(s)):<10} {mu_b:>8} {mu_c:>14} {hm_invariant(cfg, s, lin, scale):>6}")
+for s, mu_b, mu_c in weight_rows(cfg, lin):
+    print(f"{str(list(s)):<10} {mu_b:>8} {mu_c:>14} {mu_b + scale * mu_c:>6}")
 print("stable at scale", scale, ":", is_git_stable(cfg, lin, scale))
 
 # A configuration missing a level admits no stabilizing lift at all.

@@ -87,7 +87,6 @@ from .weights import (
     admissible_sign_vectors,
     bounded_weight,
     combinatorial_level_terms,
-    combinatorial_weight,
     constructive_linearization,
     default_scale,
     exists_stabilizing_linearization,
@@ -95,6 +94,7 @@ from .weights import (
     hm_invariant,
     is_git_stable,
     side_of,
+    weight_rows,
 )
 
 __version__ = "0.1.0"

@@ -35,14 +35,7 @@ from .scenario import (
     stability_report_to_json,
 )
 from .verify import run_all
-from .weights import (
-    admissible_sign_vectors,
-    bounded_weight,
-    combinatorial_weight,
-    constructive_linearization,
-    default_scale,
-    is_git_stable,
-)
+from .weights import constructive_linearization, default_scale, is_git_stable, weight_rows
 
 __all__ = ["main"]
 
@@ -202,17 +195,10 @@ def _cmd_weights(args) -> int:
             }
             _emit(args, dumps(payload))
             return 1
-    subgroups = [sc.s] if sc.s is not None else list(
-        admissible_sign_vectors(cfg.presentation.vanishing_pattern())
-    )
-    rows = []
-    for s in subgroups:
-        mu_b, _ = bounded_weight(cfg, s)
-        mu_c = combinatorial_weight(cfg, s, lin)
-        rows.append(
-            {"s": list(s), "bounded": mu_b, "combinatorial": mu_c,
-             "total": mu_b + scale * mu_c}
-        )
+    rows = [
+        {"s": list(s), "bounded": b, "combinatorial": c, "total": b + scale * c}
+        for s, b, c in weight_rows(cfg, lin, None if sc.s is None else [sc.s])
+    ]
     stable = is_git_stable(cfg, lin, scale)
     payload = {
         "lin": [list(lift) for lift in lin.levels],
@@ -277,6 +263,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for option, cap in (("max-k", args.max_k), ("max-m", args.max_m)):
+        if cap < 1:
+            raise ValidationError(f"{option} must be >= 1, got {cap}")
     results = run_all(max_k=args.max_k, max_m=args.max_m)
     ok = True
     for r in results:
@@ -332,8 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (DegenLabError, OSError) as exc:  # OSError: writing --out

@@ -22,7 +22,7 @@ from .base import (
 )
 from .configurations import PointConfiguration, StabilityReport, SupportPoint
 from .dual_complex import ExpandedFibre, Location
-from .errors import ParseError, ValidationError
+from .errors import InvalidInput, ParseError, ValidationError
 from .limits import LimitReport
 from .weights import Chart, LevelLift, Linearization, LocalMonomialScheme
 
@@ -174,7 +174,7 @@ def parse_scenario(text: str) -> Scenario:
             lifts.append(LevelLift(*(_require_int(x, "lift exponent", 0) for x in row)))
         try:
             lin = Linearization(tuple(lifts))
-        except Exception as exc:
+        except InvalidInput as exc:
             raise ValidationError(str(exc)) from exc
 
     s = None

@@ -56,7 +56,7 @@ __all__ = [
     "side_of",
     "flow_limit",
     "combinatorial_level_terms",
-    "combinatorial_weight",
+    "weight_rows",
     "bounded_weight",
     "hm_invariant",
     "constructive_linearization",
@@ -277,13 +277,6 @@ def combinatorial_level_terms(
     return _terms(table, s)
 
 
-def combinatorial_weight(
-    cfg: PointConfiguration, s: Sequence[int], lin: Linearization
-) -> int:
-    """Lift-weight part of the invariant for the given subgroup."""
-    return sum(combinatorial_level_terms(cfg, s, lin))
-
-
 def bounded_weight(
     cfg: PointConfiguration, s: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
@@ -299,6 +292,23 @@ def bounded_weight(
     return sum(b * s_j for b, s_j in zip(coeffs, s)), coeffs
 
 
+def weight_rows(
+    cfg: PointConfiguration, lin: Linearization, subgroups: Sequence[Sequence[int]] | None = None
+) -> list[tuple[Sequence[int], int, int]]:
+    """``(s, bounded, combinatorial)`` per subgroup, read from one sign table.
+
+    Subgroups default to every admissible sign vector.  Checks run in order:
+    the subgroups, the local schemes, the lift.
+    """
+    if subgroups is None:
+        subgroups = list(admissible_sign_vectors(cfg.presentation.vanishing_pattern()))
+    else:
+        for s in subgroups:
+            _check_limit(cfg, s)
+    schemes, lifts = _scheme_table(cfg), _lift_table(cfg, lin)
+    return [(s, sum(_terms(schemes, s)), sum(_terms(lifts, s))) for s in subgroups]
+
+
 def hm_invariant(
     cfg: PointConfiguration, s: Sequence[int], lin: Linearization, l: int
 ) -> int:
@@ -308,8 +318,8 @@ def hm_invariant(
     """
     if l < 1:
         raise InvalidInput(f"scale factor must be >= 1, got {l}")
-    _check_limit(cfg, s)
-    return sum(_terms(_scheme_table(cfg), s)) + l * sum(_terms(_lift_table(cfg, lin), s))
+    [(_, bounded, combinatorial)] = weight_rows(cfg, lin, [s])
+    return bounded + l * combinatorial
 
 
 def default_scale(m: int) -> int:

@@ -146,6 +146,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("caps", [["--max-k", "0"], ["--max-m", "0"]])
+    def test_verify_refuses_caps_below_one_with_one_line(self, capsys, caps):
+        assert main(["verify", *caps]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     @pytest.mark.parametrize(
         "command,hint",
         [(["limit"], True), (["fiber"], True), (["render", "svg"], False)],
@@ -291,6 +299,24 @@ class TestCommands:
         for row in payload["rows"]:
             assert row["total"] == row["bounded"] + payload["l"] * row["combinatorial"]
         assert result.returncode == 0
+
+    def test_weights_reads_its_rows_from_one_table(self, monkeypatch, capsys):
+        """242 admissible sign vectors on five zero-free levels: one lift table
+        for the rows and one for the verdict."""
+        from degenlab import weights
+
+        built = []
+        lift_table = weights._lift_table
+        monkeypatch.setattr(
+            weights, "_lift_table", lambda *args: built.append(args) or lift_table(*args)
+        )
+        points = ",".join(f'{{"val":[{v},0,{6 - v}]}}' for v in range(1, 6))
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(f'{{"tuple":[1,1,1,1,1,1],"points":[{points}]}}')
+        )
+        assert main(["weights", "-"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 242
+        assert len(built) <= 2
 
     def test_weights_explicit_subgroup(self, tmp_path):
         scenario = tmp_path / "w.json"

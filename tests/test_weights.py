@@ -23,7 +23,6 @@ from degenlab import (
     admissible_sign_vectors,
     bounded_weight,
     combinatorial_level_terms,
-    combinatorial_weight,
     constructive_linearization,
     default_scale,
     exists_stabilizing_linearization,
@@ -32,6 +31,7 @@ from degenlab import (
     is_git_stable,
     make_base_tuple,
     place,
+    weight_rows,
 )
 
 
@@ -117,26 +117,26 @@ class TestCombinatorialWeight:
     def test_worked_example(self):
         cfg = pd1_config()
         lin = Linearization((LevelLift(1, 1, 0, 1),))
-        assert combinatorial_weight(cfg, (1,), lin) == 1
-        assert combinatorial_weight(cfg, (-1,), lin) == 1
-        assert combinatorial_weight(cfg, (0,), lin) == 0
+        assert sum(combinatorial_level_terms(cfg, (1,), lin)) == 1
+        assert sum(combinatorial_level_terms(cfg, (-1,), lin)) == 1
+        assert sum(combinatorial_level_terms(cfg, (0,), lin)) == 0
 
     def test_additive_over_points(self):
         nf = NormalForm(3, (1, 2))
         lin = Linearization((LevelLift(2, 1, 0, 1), LevelLift(1, 3, 0, 1)))
         p1, p2 = ((1, 2, 0), 1), ((2, 0, 1), 2)
         for s in [(1, 1), (1, -1), (0, 1), (-1, -1)]:
-            both = combinatorial_weight(place(nf, [p1, p2]), s, lin)
-            one = combinatorial_weight(place(nf, [p1]), s, lin)
-            two = combinatorial_weight(place(nf, [p2]), s, lin)
+            both = sum(combinatorial_level_terms(place(nf, [p1, p2]), s, lin))
+            one = sum(combinatorial_level_terms(place(nf, [p1]), s, lin))
+            two = sum(combinatorial_level_terms(place(nf, [p2]), s, lin))
             assert both == one + two
 
     def test_linear_in_s_within_orthant(self):
         cfg = place(NormalForm(3, (1, 2)), [((1, 2, 0), 1), ((2, 0, 1), 1)])
         lin = constructive_linearization(cfg)
         for s in [(1, 1), (1, 0), (0, 1)]:
-            w1 = combinatorial_weight(cfg, s, lin)
-            w3 = combinatorial_weight(cfg, tuple(3 * x for x in s), lin)
+            w1 = sum(combinatorial_level_terms(cfg, s, lin))
+            w3 = sum(combinatorial_level_terms(cfg, tuple(3 * x for x in s), lin))
             assert w3 == 3 * w1
 
 
@@ -466,6 +466,13 @@ def test_weight_functions_match_the_definition(case):
         coeffs = tuple(oracles.bounded_terms(exponents, points, s))
         return sum(b * s_j for b, s_j in zip(coeffs, s)), coeffs
 
+    def rows(subgroups):
+        return [
+            (v, sum(b * v_j for b, v_j in zip(oracles.bounded_terms(exponents, points, v), v)),
+             sum(oracles.combinatorial_terms(exponents, points, v, lifts)))
+            for v in subgroups
+        ]
+
     def stable():
         return all(
             oracles.invariant(exponents, points, v, lifts, l) > 0
@@ -481,3 +488,9 @@ def test_weight_functions_match_the_definition(case):
         lambda: oracles.invariant(exponents, points, s, lifts, l),
     )
     assert _outcome(is_git_stable, cfg, lin, l) == _expect(scale, schemes, lift_length, stable)
+    assert _outcome(weight_rows, cfg, lin, [s]) == _expect(
+        subgroup, schemes, lift_length, lambda: rows([s])
+    )
+    assert _outcome(weight_rows, cfg, lin) == _expect(
+        schemes, lift_length, lambda: rows(oracles.sign_vectors(exponents))
+    )
