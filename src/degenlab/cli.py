@@ -263,9 +263,11 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for option, cap in (("max-k", args.max_k), ("max-m", args.max_m)):
+    for option, cap, largest in (("max-k", args.max_k, 5), ("max-m", args.max_m, 3)):
         if cap < 1:
             raise ValidationError(f"{option} must be >= 1, got {cap}")
+        if cap > largest:  # the acceptance sizes; one step up is millions of cases
+            raise ValidationError(f"{option} must be <= {largest}, got {cap}")
     results = run_all(max_k=args.max_k, max_m=args.max_m)
     ok = True
     for r in results:

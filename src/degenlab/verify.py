@@ -4,12 +4,19 @@ Each check sweeps a finite family and returns a result record; the command
 line prints one line per suite and the test suite asserts on them.  The
 enumerations here are deliberately brute force so they can serve as oracles
 for the constructive algorithms.
+
+The three configuration suites sweep presentations in the outer loop.  The
+weighted point multisets are listed once per height; per presentation, the
+normal form and the location of every triangle position are computed once
+(by one ``place`` call), and positivity lists the admissible sign vectors
+once.  Every configuration still goes through the verdict functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
+from operator import attrgetter
 from typing import Iterator
 
 from .base import BaseTuple, NormalForm, make_base_tuple, normal_form, tau_move
@@ -196,11 +203,28 @@ def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
 
 def _presentation_configs(
     max_k: int, max_m: int, max_len: int
+) -> Iterator[tuple[BaseTuple, Iterator[PointConfiguration]]]:
+    """Every presentation with the lazy stream of its configurations.
+
+    Per height, the weighted multisets are listed once.  Per presentation,
+    ``place`` locates every triangle position once, and each multiset's
+    configuration reads its locations from that one placement, so it equals
+    ``place(presentation, points)``.
+    """
+    for k, group in groupby(presentations(max_k, max_len), key=attrgetter("height")):
+        multisets = tuple(weighted_configurations(k, max_m))
+        every_position = [(pos, 1) for pos in triangle_positions(k)]
+        for presentation in group:
+            yield presentation, _configs(place(presentation, every_position), multisets)
+
+
+def _configs(
+    placed: PointConfiguration, multisets: tuple[tuple[SupportPoint, ...], ...]
 ) -> Iterator[PointConfiguration]:
-    for presentation in presentations(max_k, max_len):
-        k = presentation.height
-        for points in weighted_configurations(k, max_m):
-            yield place(presentation, points)
+    where = dict(zip((p.valuations for p in placed.points), placed.placements))
+    for points in multisets:
+        placements = tuple(where[p.valuations] for p in points)
+        yield PointConfiguration(placed.fibre, placed.presentation, points, placements)
 
 
 def check_stability_equivalence(
@@ -212,18 +236,19 @@ def check_stability_equivalence(
     ``exists_stabilizing_linearization``.
     """
     checked = 0
-    for cfg in _presentation_configs(max_k, max_m, max_len):
-        occupied = is_ws_stable(cfg)
-        lin = exists_stabilizing_linearization(cfg)
-        if (lin is not None) != occupied:
-            return SuiteResult(
-                "stability-equivalence",
-                False,
-                f"presentation {cfg.presentation.exponents} points "
-                f"{[p.valuations for p in cfg.points]}: occupancy {occupied} "
-                f"but linearization {'found' if lin else 'missing'}",
-            )
-        checked += 1
+    for _, configs in _presentation_configs(max_k, max_m, max_len):
+        for cfg in configs:
+            occupied = is_ws_stable(cfg)
+            lin = exists_stabilizing_linearization(cfg)
+            if (lin is not None) != occupied:
+                return SuiteResult(
+                    "stability-equivalence",
+                    False,
+                    f"presentation {cfg.presentation.exponents} points "
+                    f"{[p.valuations for p in cfg.points]}: occupancy {occupied} "
+                    f"but linearization {'found' if lin else 'missing'}",
+                )
+            checked += 1
     return SuiteResult(
         "stability-equivalence",
         True,
@@ -233,24 +258,26 @@ def check_stability_equivalence(
 
 def check_positivity(max_k: int = 5, max_m: int = 3, max_len: int = 4) -> SuiteResult:
     """Per-level terms of the constructive weight are positive off zero,
-    read per sign vector from the configuration's one combinatorial table."""
+    read per sign vector from the configuration's one combinatorial table.
+    The admissible sign vectors are listed once per presentation."""
     checked = 0
-    for cfg in _presentation_configs(max_k, max_m, max_len):
-        if not is_ws_stable(cfg) or cfg.m == 0:
-            continue
-        table = _lift_table(cfg, constructive_linearization(cfg))
-        pattern = cfg.presentation.vanishing_pattern()
-        for s in admissible_sign_vectors(pattern):
-            for j, term in enumerate(_terms(table, s)):
-                if term < 0 or (term == 0) != (s[j] == 0):
-                    return SuiteResult(
-                        "positivity",
-                        False,
-                        f"presentation {cfg.presentation.exponents} points "
-                        f"{[p.valuations for p in cfg.points]} s={s}: "
-                        f"level {j + 1} term {term}",
-                    )
-            checked += 1
+    for presentation, configs in _presentation_configs(max_k, max_m, max_len):
+        signs = list(admissible_sign_vectors(presentation.vanishing_pattern()))
+        for cfg in configs:
+            if not is_ws_stable(cfg) or cfg.m == 0:
+                continue
+            table = _lift_table(cfg, constructive_linearization(cfg))
+            for s in signs:
+                for j, term in enumerate(_terms(table, s)):
+                    if term < 0 or (term == 0) != (s[j] == 0):
+                        return SuiteResult(
+                            "positivity",
+                            False,
+                            f"presentation {presentation.exponents} points "
+                            f"{[p.valuations for p in cfg.points]} s={s}: "
+                            f"level {j + 1} term {term}",
+                        )
+                checked += 1
     return SuiteResult("positivity", True, f"{checked} (configuration, s) pairs")
 
 
@@ -267,24 +294,25 @@ def check_bijection(max_k: int = 5, max_m: int = 3, max_len: int = 4) -> SuiteRe
         return SuiteResult(
             "bijection", False, f"classes without a unique zero-free presentation: {bad}"
         )
-    for cfg in _presentation_configs(max_k, max_m, max_len):
-        lw = is_lw_stable(cfg)
-        sws_normalized = is_sws_stable(normalize_pair(cfg))
-        if lw != sws_normalized:
-            return SuiteResult(
-                "bijection",
-                False,
-                f"presentation {cfg.presentation.exponents} points "
-                f"{[p.valuations for p in cfg.points]}: lw={lw} "
-                f"normalized sws={sws_normalized}",
-            )
-        if is_sws_stable(cfg) and not lw:
-            return SuiteResult(
-                "bijection",
-                False,
-                f"sws without lw at {cfg.presentation.exponents}",
-            )
-        checked += 1
+    for _, configs in _presentation_configs(max_k, max_m, max_len):
+        for cfg in configs:
+            lw = is_lw_stable(cfg)
+            sws_normalized = is_sws_stable(normalize_pair(cfg))
+            if lw != sws_normalized:
+                return SuiteResult(
+                    "bijection",
+                    False,
+                    f"presentation {cfg.presentation.exponents} points "
+                    f"{[p.valuations for p in cfg.points]}: lw={lw} "
+                    f"normalized sws={sws_normalized}",
+                )
+            if is_sws_stable(cfg) and not lw:
+                return SuiteResult(
+                    "bijection",
+                    False,
+                    f"sws without lw at {cfg.presentation.exponents}",
+                )
+            checked += 1
     return SuiteResult(
         "bijection",
         True,

@@ -115,6 +115,7 @@ def test_criterion_4_stability_criterion_equivalence():
     result = check_stability_equivalence(max_k=5, max_m=3, max_len=4)
     elapsed = time.perf_counter() - start
     assert result.ok, result.detail
+    assert result.detail == "227602 configurations, k <= 5, m <= 3"
     assert elapsed < 120.0
     report(4, "stability criterion equivalence", result.detail, elapsed)
 
@@ -124,6 +125,7 @@ def test_criterion_5_positivity():
     result = check_positivity(max_k=5, max_m=3, max_len=4)
     elapsed = time.perf_counter() - start
     assert result.ok, result.detail
+    assert result.detail == "720300 (configuration, s) pairs"
     report(5, "positivity", result.detail, elapsed)
 
 
@@ -144,6 +146,7 @@ def test_criterion_7_lw_sws_bijection():
     result = check_bijection(max_k=5, max_m=3, max_len=4)
     elapsed = time.perf_counter() - start
     assert result.ok, result.detail
+    assert result.detail == "227602 configurations over 30 classes"
     report(7, "LW/SWS bijection", result.detail, elapsed)
 
 

@@ -146,13 +146,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(lines) == 1 and lines[0].startswith("error:")
 
-    @pytest.mark.parametrize("caps", [["--max-k", "0"], ["--max-m", "0"]])
-    def test_verify_refuses_caps_below_one_with_one_line(self, capsys, caps):
+    @pytest.mark.parametrize(
+        "caps,message",
+        [
+            (["--max-k", "0"], "error: max-k must be >= 1, got 0"),
+            (["--max-m", "0"], "error: max-m must be >= 1, got 0"),
+            (["--max-k", "6"], "error: max-k must be <= 5, got 6"),
+            (["--max-m", "4"], "error: max-m must be <= 3, got 4"),
+        ],
+        ids=["k0", "m0", "k6", "m4"],
+    )
+    def test_verify_refuses_caps_out_of_range_with_one_line(self, capsys, caps, message):
         assert main(["verify", *caps]) == 2
         captured = capsys.readouterr()
-        lines = captured.err.splitlines()
         assert captured.out == ""
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert captured.err == message + "\n"
 
     @pytest.mark.parametrize(
         "command,hint",
