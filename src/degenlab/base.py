@@ -24,6 +24,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 from .errors import InvalidComparison, InvalidInput
@@ -45,7 +47,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BaseTuple:
-    """Vanishing orders of the basis directions at a valued base point."""
+    """Vanishing orders of the basis directions at a valued base point.
+
+    The level values and the vanishing pattern depend only on the exponents,
+    so each is computed on first access and kept; equality, hashing and the
+    ``repr`` read the exponents alone.
+    """
 
     exponents: tuple[int, ...]
 
@@ -57,8 +64,17 @@ class BaseTuple:
     def length(self) -> int:
         return len(self.exponents)
 
+    @cached_property
+    def level_values(self) -> tuple[int, ...]:
+        """Partial sums v_1..v_n of the exponents (one per torus factor)."""
+        return tuple(accumulate(self.exponents[:-1]))
+
     def vanishing_pattern(self) -> VanishingPattern:
         """Which basis directions vanish (1-based indices)."""
+        return self._vanishing_pattern
+
+    @cached_property
+    def _vanishing_pattern(self) -> VanishingPattern:
         vanishing = frozenset(i + 1 for i, g in enumerate(self.exponents) if g > 0)
         return VanishingPattern(size=self.length, vanishing=vanishing)
 

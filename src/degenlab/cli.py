@@ -39,6 +39,13 @@ from .weights import constructive_linearization, default_scale, is_git_stable, w
 
 __all__ = ["main"]
 
+# The oracle of `limit` walks 2^(k-1) cut sets, and `location_table` keeps
+# every one: height 14 took 7 s and 220 MB, height 16 took 29 s and 1 GB.
+LIMIT_MAX_K = 12
+# The dual complex has about n^2 / 2 crossings for n cuts: 200 cuts took
+# 0.9 s and 91 MB and wrote 6.7 MB of JSON, and memory grows as n^2.
+MAX_COMPLEX_CUTS = 100
+
 
 def _read_scenario(args) -> Scenario:
     if args.scenario == "-":
@@ -59,6 +66,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _check_complex_size(fibre_or_nf) -> None:
+    """Refuse a dual complex with more cuts than ``MAX_COMPLEX_CUTS``."""
+    n = len(fibre_or_nf.cuts)
+    if n > MAX_COMPLEX_CUTS:
+        raise ValidationError(
+            f"a dual complex of {n} cuts is too large (at most {MAX_COMPLEX_CUTS})"
+        )
+
+
 def _smooth_report(args) -> int:
     """The report for a height-0 scenario, for the commands taking --allow-smooth."""
     if not args.allow_smooth:
@@ -68,6 +84,8 @@ def _smooth_report(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    if args.max_k > LIMIT_MAX_K:
+        raise ValidationError(f"max-k must be <= {LIMIT_MAX_K}, got {args.max_k}")
     sc = _read_scenario(args)
     if sc.height == 0:
         return _smooth_report(args)
@@ -78,6 +96,8 @@ def _cmd_limit(args) -> int:
         report = associated_pair(points, sc.height, sc.normal_form())
     else:
         report = flat_limit(points, sc.height)
+    if args.render:
+        _check_complex_size(report.fibre)
     payload = limit_report_to_json(report)
     exit_code = 0
     m = report.configuration.m
@@ -120,7 +140,9 @@ def _cmd_limit(args) -> int:
 def _scenario_fibre(sc: Scenario):
     if sc.height == 0:
         raise ValidationError("height 0 means no degeneration")
-    return build_fibre(sc.normal_form())
+    nf = sc.normal_form()
+    _check_complex_size(nf)
+    return build_fibre(nf)
 
 
 def _cmd_fiber(args) -> int:
@@ -151,6 +173,8 @@ def _cmd_stability(args) -> int:
     presentation = sc.presentation()
     base = presentation if presentation is not None else sc.normal_form()
     cfg = place(base, sc.points)
+    if args.render:
+        _check_complex_size(cfg.fibre)
     report = stability_report(cfg)
     payload = {
         "configuration": configuration_to_json(cfg),

@@ -23,10 +23,10 @@ selects the ``a = 0`` and ``b = 0`` boundary sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
-from .base import BaseTuple, NormalForm, canonical_tuple, normal_form
+from .base import BaseTuple, NormalForm, normal_form
 from .dual_complex import ExpandedFibre, Location, locate
 from .errors import InvalidInput
 
@@ -92,12 +92,7 @@ class PointConfiguration:
 
     def level_values(self) -> tuple[int, ...]:
         """Partial sums v_1..v_n of the presentation (one per torus factor)."""
-        acc = 0
-        out = []
-        for g in self.presentation.exponents[:-1]:
-            acc += g
-            out.append(acc)
-        return tuple(out)
+        return self.presentation.level_values
 
 
 @dataclass(frozen=True)
@@ -132,11 +127,11 @@ def place(fibre_or_presentation, raw_points: Iterable) -> PointConfiguration:
         presentation = fibre_or_presentation
         fibre = ExpandedFibre(normal_form(presentation))
     elif isinstance(fibre_or_presentation, NormalForm):
-        presentation = canonical_tuple(fibre_or_presentation)
         fibre = ExpandedFibre(fibre_or_presentation)
+        presentation = fibre.canonical_tuple
     elif isinstance(fibre_or_presentation, ExpandedFibre):
         fibre = fibre_or_presentation
-        presentation = canonical_tuple(fibre.nf)
+        presentation = fibre.canonical_tuple
     else:
         raise InvalidInput(
             f"cannot place points on {type(fibre_or_presentation).__name__}"
@@ -192,10 +187,10 @@ def is_sws_stable(cfg: PointConfiguration) -> bool:
 
 def normalize_pair(cfg: PointConfiguration) -> PointConfiguration:
     """Replace the presentation by the zero-free one; points are unchanged."""
-    canonical = canonical_tuple(cfg.fibre.nf)
+    canonical = cfg.fibre.canonical_tuple
     if canonical == cfg.presentation:
         return cfg
-    return replace(cfg, presentation=canonical)
+    return PointConfiguration(cfg.fibre, canonical, cfg.points, cfg.placements)
 
 
 def stability_report(cfg: PointConfiguration) -> StabilityReport:

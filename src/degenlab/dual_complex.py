@@ -23,7 +23,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .base import NormalForm
+from .base import BaseTuple, NormalForm, canonical_tuple
 from .errors import HeightMismatch, InvalidInput
 
 __all__ = [
@@ -123,13 +123,19 @@ class DualComplex:
 
 @dataclass(frozen=True)
 class ExpandedFibre:
-    """A normal form together with its dual complex, built on first access."""
+    """A normal form with its dual complex and its zero-free presentation,
+    each built on first access."""
 
     nf: NormalForm
 
     @cached_property
     def dual_complex(self) -> DualComplex:
         return _dual_complex(self.nf)
+
+    @cached_property
+    def canonical_tuple(self) -> BaseTuple:
+        """The zero-free presentation of the normal form, computed once."""
+        return canonical_tuple(self.nf)
 
     @property
     def height(self) -> int:

@@ -9,7 +9,11 @@ The three configuration suites sweep presentations in the outer loop.  The
 weighted point multisets are listed once per height; per presentation, the
 normal form and the location of every triangle position are computed once
 (by one ``place`` call), and positivity lists the admissible sign vectors
-once.  Every configuration still goes through the verdict functions.
+once.  The configurations of a presentation share its ``BaseTuple`` and its
+fibre, so the level values and the vanishing pattern (kept on the tuple)
+and the zero-free tuple that ``normalize_pair`` reads (kept on the fibre)
+are also computed once per presentation.  Every configuration still goes
+through the verdict functions.
 """
 
 from __future__ import annotations

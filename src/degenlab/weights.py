@@ -27,6 +27,9 @@ of the flow reads only the sign of ``s_j``, so ``total(s)`` is the sum of
 ``s_j (b_j + l c_j)`` with both coefficients read at ``sign(s_j)``: every
 weight function reads a per-level sign table of coefficients at ``s_j = -1``
 and ``s_j = +1``, built (and the local schemes validated) once per call.
+``flow_limit`` is the definition of the flow; the combinatorial table reads
+each point's limit sides from integer comparisons of its valuations with
+the cut values, which is what the flow resolves to.
 
 Stability for a fixed lift and scale factor means a strictly positive
 invariant for every admissible nonzero subgroup; by piecewise linearity it
@@ -202,22 +205,32 @@ def _terms(table: Sequence[Sequence[int]], s: Sequence[int]) -> list[int]:
     return [s_j * pair[s_j > 0] for pair, s_j in zip(table, s)]
 
 
-def _lift_table(cfg: PointConfiguration, lin: Linearization) -> list[list[int]]:
-    """Combinatorial sign table, from one walk of the flow; reads no scheme."""
-    n = len(cfg.level_values())
-    if len(lin) != n:
-        raise InvalidInput(f"linearization has {len(lin)} levels, presentation needs {n}")
-    table = [[0, 0] for _ in range(n)]
-    # the flow at s = 0 (always admissible) leaves every side unresolved
-    for p, row in zip(cfg.points, flow_limit(cfg, (0,) * n)):
-        for j, (side1, side2) in enumerate(row):
-            lift = lin.levels[j]
-            for i, sign in enumerate((-1, 1)):
-                first = _resolve(side1, Chart.DELTA1, sign)
-                second = _resolve(side2, Chart.DELTA2, sign)
-                weight = -lift.a if first is Side.ONE_ZERO else lift.b
-                weight += lift.c if second is Side.ONE_ZERO else -lift.d
-                table[j][i] += p.multiplicity * weight
+def _lift_table(cfg: PointConfiguration, lin: Linearization) -> list[tuple[int, int]]:
+    """Combinatorial sign table ``(c_j at s_j = -1, c_j at s_j = +1)``.
+
+    ``flow_limit`` is the definition: level j sends a point to a fixpoint of
+    each chart by its side and the sign of s_j.  The sides are read here by
+    comparison.  At cut value v and w = k - v, the first-family chart is at
+    (1:0) when ``a <= v`` for s_j = -1 and when ``a < v`` for s_j = +1; the
+    second-family chart is at (1:0) when ``b < w`` and when ``b <= w``.
+    Reads no scheme.
+    """
+    values = cfg.level_values()
+    if len(lin) != len(values):
+        raise InvalidInput(
+            f"linearization has {len(lin)} levels, presentation needs {len(values)}"
+        )
+    k = cfg.height
+    table = []
+    for v, (lift_a, lift_b, lift_c, lift_d) in zip(values, lin.levels):
+        w = k - v
+        neg = pos = 0
+        for p in cfg.points:
+            a, b, _ = p.valuations
+            m = p.multiplicity
+            neg += m * ((-lift_a if a <= v else lift_b) + (lift_c if b < w else -lift_d))
+            pos += m * ((-lift_a if a < v else lift_b) + (lift_c if b <= w else -lift_d))
+        table.append((neg, pos))
     return table
 
 

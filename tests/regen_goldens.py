@@ -7,11 +7,13 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).parent
+SRC = HERE.resolve().parent / "src"
 DATA = HERE / "data"
 GOLDENS = HERE / "goldens"
 
@@ -35,13 +37,18 @@ CASES = [
 
 def main() -> int:
     GOLDENS.mkdir(exist_ok=True)
+    # the subprocesses import degenlab from this checkout, installed or not
+    pythonpath = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     for scenario, command, suffix in CASES:
         result = subprocess.run(
             [sys.executable, "-m", "degenlab.cli", *command,
              str(DATA / f"{scenario}.json")],
-            capture_output=True,
+            capture_output=True, env=env,
         )
-        if result.returncode not in (0, 1):
+        # exit 1 is a negative verdict, printed on stdout; a failure to run
+        # (also exit 1 for an import error) writes to stderr
+        if result.returncode not in (0, 1) or result.stderr:
             raise SystemExit(
                 f"{scenario} {command}: exit {result.returncode}: "
                 f"{result.stderr.decode()}"

@@ -5,6 +5,7 @@ Each test prints a single pass line with its measured runtime; run with
 exact integer equalities.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -177,12 +178,16 @@ GOLDEN_CASES = [
 
 
 def test_criterion_9_cli_golden_files():
+    # the subprocesses import degenlab from this checkout, installed or not
+    pythonpath = [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     start = time.perf_counter()
     for scenario, command, suffix in GOLDEN_CASES:
         result = subprocess.run(
             [sys.executable, "-m", "degenlab.cli", *command,
              str(DATA / f"{scenario}.json")],
-            capture_output=True,
+            capture_output=True, env=env,
         )
         assert result.returncode in (0, 1), (scenario, command, result.stderr)
         golden = (GOLDENS / f"{scenario}.{suffix}").read_bytes()

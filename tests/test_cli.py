@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -21,13 +22,17 @@ from degenlab.scenario import (
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, stdin: str | None = None):
+    """The command in a subprocess that imports degenlab from this checkout."""
+    pythonpath = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "degenlab.cli", *args],
         capture_output=True,
         input=stdin.encode() if stdin else None,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
     )
 
 
@@ -161,6 +166,48 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message + "\n"
+
+    def test_limit_refuses_an_oracle_cap_above_the_ceiling(self, monkeypatch, capsys):
+        scenario = '{"height":13,"points":[{"val":[1,0,12],"mult":1}]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+        assert main(["limit", "-", "--max-k", "13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max-k must be <= 12, got 13\n"
+        # at the ceiling, a height above the cap still skips the oracle
+        monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+        assert main(["limit", "-", "--max-k", "12"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"] == "skipped"
+
+    @pytest.mark.parametrize(
+        "command,scenario",
+        [
+            (["fiber"], {"height": 202, "cuts": list(range(1, 102))}),
+            (["render", "svg"], {"height": 202, "cuts": list(range(1, 102))}),
+            (["fiber", "--render", "dot"], {"height": 202, "cuts": list(range(1, 102))}),
+            (["stability", "--render", "svg"], {
+                "height": 202, "cuts": list(range(1, 102)),
+                "points": [{"val": [1, 0, 201], "mult": 1}]}),
+            (["limit", "--render", "tikz"], {
+                "height": 202,
+                "points": [{"val": [a, 202 - a, 0], "mult": 1} for a in range(1, 102)]}),
+        ],
+        ids=["fiber", "render", "fiber-render", "stability-render", "limit-render"],
+    )
+    def test_dual_complex_above_the_cut_bound_is_refused(
+        self, monkeypatch, capsys, command, scenario
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(scenario)))
+        assert main([*command, "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a dual complex of 101 cuts is too large (at most 100)\n"
+
+    def test_dual_complex_at_the_cut_bound_is_built(self, monkeypatch, capsys):
+        scenario = {"height": 202, "cuts": list(range(1, 101))}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(scenario)))
+        assert main(["fiber", "-", "--format", "text"]) == 0
+        assert "V=5253 E=10403 F=5151" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "command,hint",

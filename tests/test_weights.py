@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from degenlab import (
+    BaseTuple,
     Chart,
     CriterionViolated,
     DegenLabError,
+    InvalidInput,
     InvalidLocalScheme,
     LevelLift,
     Linearization,
@@ -33,6 +35,7 @@ from degenlab import (
     place,
     weight_rows,
 )
+from degenlab.weights import _lift_table, _resolve
 
 
 class TestLinearizationValidation:
@@ -494,3 +497,68 @@ def test_weight_functions_match_the_definition(case):
     assert _outcome(weight_rows, cfg, lin) == _expect(
         schemes, lift_length, lambda: rows(oracles.sign_vectors(exponents))
     )
+
+
+def _lift_table_by_flow(cfg, lin):
+    """The combinatorial sign table from one walk of the flow: the sides at
+    s = 0 (always admissible), resolved at s_j = -1 and at s_j = +1."""
+    n = len(cfg.level_values())
+    if len(lin) != n:
+        raise InvalidInput(f"linearization has {len(lin)} levels, presentation needs {n}")
+    table = [[0, 0] for _ in range(n)]
+    for p, row in zip(cfg.points, flow_limit(cfg, (0,) * n)):
+        for j, (side1, side2) in enumerate(row):
+            lift = lin.levels[j]
+            for i, sign in enumerate((-1, 1)):
+                first = _resolve(side1, Chart.DELTA1, sign)
+                second = _resolve(side2, Chart.DELTA2, sign)
+                weight = -lift.a if first is Side.ONE_ZERO else lift.b
+                weight += lift.c if second is Side.ONE_ZERO else -lift.d
+                table[j][i] += p.multiplicity * weight
+    return [tuple(pair) for pair in table]
+
+
+@st.composite
+def lift_table_cases(draw):
+    """A presentation with unit slots, points anywhere in the triangle (most
+    off the vertices) of multiplicity up to 3, and a lift whose length is
+    wrong in one draw in five."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 4))
+    marks = sorted(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
+    exponents = tuple(b - a for a, b in zip([0, *marks], [*marks, k]))
+    points = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(st.integers(0, k))
+        b = draw(st.integers(0, k - a))
+        points.append(((a, b, k - a - b), draw(st.integers(1, 3))))
+    lift = st.tuples(*[st.integers(0, 3)] * 4).filter(
+        lambda x: x[0] + x[1] >= 1 and x[2] + x[3] >= 1
+    )
+    wrong = draw(st.sampled_from([False, False, False, False, True]))
+    lift_count = draw(st.sampled_from([max(n - 1, 0), n + 1])) if wrong else n
+    lifts = draw(st.lists(lift, min_size=lift_count, max_size=lift_count))
+    return exponents, points, tuple(lifts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lift_table_cases())
+def test_lift_table_reads_the_sides_the_flow_resolves(case):
+    """The table read by comparison equals the flow walk, value or error;
+    reading a presentation's cached facts leaves its value semantics alone."""
+    exponents, points, lifts = case
+    presentation = make_base_tuple(list(exponents))
+    cfg = place(presentation, points)
+    lin = Linearization(tuple(LevelLift(*x) for x in lifts))
+
+    def outcome(fn):
+        try:
+            return fn(cfg, lin)
+        except InvalidInput as exc:
+            return str(exc)
+
+    assert outcome(_lift_table) == outcome(_lift_table_by_flow)
+    presentation.vanishing_pattern()
+    fresh = BaseTuple(exponents)
+    assert presentation == fresh and hash(presentation) == hash(fresh)
+    assert repr(presentation) == repr(fresh) == f"BaseTuple(exponents={exponents!r})"
