@@ -158,11 +158,12 @@ def _dual_complex(nf: NormalForm) -> DualComplex:
 
     Vertex order: the three corners, then pure first-family bubbles by level,
     pure second-family bubbles by level, mixed bubbles by level, and chord
-    crossings lexicographically.  ``locate`` computes indices from this order
-    and the edge and cell orders below, so the two change together.
+    crossings lexicographically.  Edges and cells name their ends by
+    ``_vertex_index``, the arithmetic form of this order, which ``locate``
+    reads too.
     """
     k, cuts = nf.height, nf.cuts
-    cocuts = tuple(sorted(k - s for s in cuts))
+    n, top = len(cuts), len(cuts) + 1
 
     vertices: list[DCVertex] = [
         DCVertex(VertexKind.CORNER_Y1, TropPosition(k, 0, 0)),
@@ -171,59 +172,46 @@ def _dual_complex(nf: NormalForm) -> DualComplex:
     ]
     for s in cuts:
         vertices.append(DCVertex(VertexKind.PURE_DELTA1, TropPosition(s, 0, k - s), (s,)))
-    for w in cocuts:
-        vertices.append(DCVertex(VertexKind.PURE_DELTA2, TropPosition(0, w, k - w), (w,)))
+    for s in reversed(cuts):
+        vertices.append(DCVertex(VertexKind.PURE_DELTA2, TropPosition(0, k - s, s), (k - s,)))
     for s in cuts:
         vertices.append(DCVertex(VertexKind.MIXED, TropPosition(s, k - s, 0), (s,)))
-    for v in cuts:
-        for w in cocuts:
-            if v + w < k:  # crossing happens only when the chords meet inside
-                vertices.append(
-                    DCVertex(VertexKind.INTERIOR, TropPosition(v, w, k - v - w), (v, w))
-                )
-
-    index = {vx.position: i for i, vx in enumerate(vertices)}
-
-    def vid(a: int, b: int) -> int:
-        return index[TropPosition(a, b, k - a - b)]
+    for p, v in enumerate(cuts):
+        for s in reversed(cuts[p + 1:]):  # the chords b = k - s meet a = v inside
+            vertices.append(
+                DCVertex(VertexKind.INTERIOR, TropPosition(v, k - s, s - v), (v, k - s))
+            )
 
     edges: list[tuple[int, int]] = []
 
     def chain(points: list[int]) -> None:
-        for u, v in zip(points, points[1:]):
-            edges.append((u, v))
+        edges.extend(zip(points, points[1:]))
 
     # Boundary sides, each subdivided by the chord endpoints.
-    chain([vid(a, 0) for a in (0, *cuts, k)])                      # side b = 0
-    chain([vid(k - b, b) for b in (0, *cocuts, k)])                # side c = 0
-    chain([vid(0, b) for b in (0, *cocuts, k)])                    # side a = 0
+    chain([_vertex_index(p, top, n) for p in range(top + 1)])       # side b = 0
+    chain([_vertex_index(p, p, n) for p in range(top, -1, -1)])     # side c = 0
+    chain([_vertex_index(0, q, n) for q in range(top, -1, -1)])     # side a = 0
     # First-family chords: from the pure bubble through the crossings to the
     # mixed vertex, ordered by increasing b.
-    for s in cuts:
-        bs = [0] + [w for w in cocuts if w < k - s] + [k - s]
-        chain([vid(s, b) for b in bs])
-    # Second-family chords, symmetric, ordered by increasing a.
-    for w in cocuts:
-        As = [0] + [s for s in cuts if s < k - w] + [k - w]
-        chain([vid(a, w) for a in As])
+    for p in range(1, top):
+        chain([_vertex_index(p, q, n) for q in range(top, p - 1, -1)])
+    # Second-family chords by increasing level, each by increasing a.
+    for q in range(n, 0, -1):
+        chain([_vertex_index(p, q, n) for p in range(q + 1)])
 
     # Bounded cells, indexed by the strip pair (i, j) with i <= j.  Strip i
     # is a in [s_i, s_{i+1}], strip j is b in [k - s_{j+1}, k - s_j], with
     # s_0 = 0 and s_{n+1} = k.  The diagonal cells are triangles clipped by
     # the c = 0 side; all others are quadrilaterals.
-    levels = (0, *cuts, k)
-    n = len(cuts)
     cells: list[tuple[int, ...]] = []
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            lo_a, hi_a = levels[i], levels[i + 1]
-            lo_b, hi_b = k - levels[j + 1], k - levels[j]
+    for i in range(top):
+        for j in range(i, top):
+            lo_lo, hi_lo = _vertex_index(i, j + 1, n), _vertex_index(i + 1, j + 1, n)
+            lo_hi = _vertex_index(i, j, n)
             if i == j:
-                cells.append((vid(lo_a, lo_b), vid(hi_a, lo_b), vid(lo_a, hi_b)))
+                cells.append((lo_lo, hi_lo, lo_hi))
             else:
-                cells.append(
-                    (vid(lo_a, lo_b), vid(hi_a, lo_b), vid(hi_a, hi_b), vid(lo_a, hi_b))
-                )
+                cells.append((lo_lo, hi_lo, _vertex_index(i + 1, j, n), lo_hi))
 
     return DualComplex(k, cuts, tuple(vertices), tuple(edges), tuple(cells))
 
@@ -267,14 +255,32 @@ def _before_row(row: int, first: int) -> int:
     return row * first - row * (row - 1) // 2
 
 
+def _vertex_index(p: int, q: int, n: int) -> int:
+    """Index of the vertex at ``a = levels[p]``, ``k - b = levels[q]``.
+
+    ``levels`` is ``(0, *cuts, k)`` for ``n`` cuts and ``p <= q``; this is
+    the vertex order of ``_dual_complex``, written down once.
+    """
+    if p == q:  # the c = 0 side: second corner, mixed bubbles, first corner
+        return 1 if p == 0 else 0 if p == n + 1 else 2 + 2 * n + p
+    if q == n + 1:  # the b = 0 side: third corner, pure first-family bubbles
+        return 2 if p == 0 else 2 + p
+    if p == 0:  # the a = 0 side: pure second-family bubbles, levels k - s ascending
+        return 3 + 2 * n - q
+    # crossing: chord p meets the chords b = k - s with s > a
+    return 3 + 3 * n + _before_row(p - 1, n - 1) + n - q
+
+
 def locate(f: ExpandedFibre, p: TropPosition | tuple[int, int, int]) -> Location:
     """Exact stratum of the subdivision containing ``p``.
 
     The subdividing lines are the three sides and the chords ``a = s`` and
     ``b = k - s``.  Two or more through ``p`` make it a vertex, one an edge
     and none a cell; the index follows from the strip numbers
-    ``i = #{cuts < a}`` and ``j = #{cuts < k - b}`` in the order
-    ``build_fibre`` lays the complex out.  The complex itself is not built.
+    ``i = #{cuts < a}`` and ``j = #{cuts < k - b}``.  A vertex's index comes
+    from ``_vertex_index``, the rule ``_dual_complex`` builds by, and edges
+    and cells follow its edge and cell orders.  The complex itself is not
+    built.
     """
     a, b, c = p
     k, cuts = f.height, f.cuts
@@ -288,22 +294,11 @@ def locate(f: ExpandedFibre, p: TropPosition | tuple[int, int, int]) -> Location
     on_first = i < n and cuts[i] == a        # chord a = s
     on_second = j < n and cuts[j] == k - b   # chord b = k - s
     lines = (a == 0) + (b == 0) + (c == 0) + on_first + on_second
-    if lines >= 2:
-        if a == k:
-            index = 0
-        elif b == k:
-            index = 1
-        elif c == k:
-            index = 2
-        elif b == 0:  # pure first-family bubble
-            index = 3 + i
-        elif a == 0:  # pure second-family bubble, levels k - s ascending
-            index = 3 + 2 * n - 1 - j
-        elif c == 0:  # mixed bubble
-            index = 3 + 2 * n + i
-        else:  # crossing: chord i meets the chords b = k - s with s > a
-            index = 3 + 3 * n + _before_row(i, n - 1) + n - 1 - j
-        return Location("vertex", index)
+    if lines >= 2:  # a and k - b are both levels here
+        return Location(
+            "vertex",
+            _vertex_index(i + (on_first or a == k), j + (on_second or b == 0), n),
+        )
     if lines == 1:
         # Sides b = 0, c = 0, a = 0 have n + 1 edges each, then come the
         # chords a = cuts[i] (n - i edges each) and, by ascending b, the

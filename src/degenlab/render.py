@@ -52,16 +52,15 @@ def _xy(position, k: int) -> tuple[int, int]:
     return x, y
 
 
-def _label_offset(v: DCVertex) -> tuple[int, int]:
-    if v.kind in (VertexKind.CORNER_Y1, VertexKind.PURE_DELTA1):
-        return -14, 18
-    if v.kind in (VertexKind.CORNER_Y2, VertexKind.MIXED):
-        return 10, 14
-    if v.kind is VertexKind.CORNER_Y3:
-        return 10, -8
-    if v.kind is VertexKind.PURE_DELTA2:
-        return 10, -8
-    return 8, -8
+_OFFSET = {  # label offset from the vertex in the SVG
+    VertexKind.CORNER_Y1: (-14, 18),
+    VertexKind.CORNER_Y2: (10, 14),
+    VertexKind.CORNER_Y3: (10, -8),
+    VertexKind.PURE_DELTA1: (-14, 18),
+    VertexKind.PURE_DELTA2: (10, -8),
+    VertexKind.MIXED: (10, 14),
+    VertexKind.INTERIOR: (8, -8),
+}
 
 
 def _to_svg(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
@@ -76,18 +75,17 @@ def _to_svg(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
         f'<!-- height {k}, cuts {list(fibre.cuts)} -->',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
+    xy = [_xy(v.position, k) for v in dc.vertices]
     for u, v in dc.edges:
-        x1, y1 = _xy(dc.vertices[u].position, k)
-        x2, y2 = _xy(dc.vertices[v].position, k)
+        (x1, y1), (x2, y2) = xy[u], xy[v]
         out.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             f'stroke="#707070" stroke-width="2"/>'
         )
-    for v in dc.vertices:
-        x, y = _xy(v.position, k)
+    for v, (x, y) in zip(dc.vertices, xy):
         fill = _FILL[v.surface_kind]
         out.append(f'<circle cx="{x}" cy="{y}" r="6" fill="{fill}"/>')
-        dx, dy = _label_offset(v)
+        dx, dy = _OFFSET[v.kind]
         out.append(
             f'<text x="{x + dx}" y="{y + dy}" font-family="monospace" '
             f'font-size="13" fill="{fill}">{_label(v, k)}</text>'
@@ -154,17 +152,12 @@ def _to_tikz(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
         y = c * 2598 // k
         return f"({_milli(x)},{_milli(y)})"
 
+    at = [coord(v.position) for v in dc.vertices]
     for u, v in dc.edges:
-        out.append(
-            f"\\draw[gray] {coord(dc.vertices[u].position)} -- "
-            f"{coord(dc.vertices[v].position)};"
-        )
-    for v in dc.vertices:
-        out.append(f"\\filldraw {coord(v.position)} circle (2pt);")
-        out.append(
-            f"\\node[anchor=south west, font=\\tiny] at {coord(v.position)} "
-            f"{{{_label(v, k)}}};"
-        )
+        out.append(f"\\draw[gray] {at[u]} -- {at[v]};")
+    for v, pos in zip(dc.vertices, at):
+        out.append(f"\\filldraw {pos} circle (2pt);")
+        out.append(f"\\node[anchor=south west, font=\\tiny] at {pos} {{{_label(v, k)}}};")
     if cfg is not None:
         for p in cfg.points:
             out.append(

@@ -53,16 +53,18 @@ class Scenario:
 
     def normal_form(self) -> NormalForm:
         """The fibre this scenario describes; requires cuts or a tuple."""
-        if self.tuple_ is not None:
-            return normal_form(make_base_tuple(self.tuple_))
+        presentation = self.presentation()
+        if presentation is not None:
+            return normal_form(presentation)
         if self.height is None:
             raise ValidationError("scenario has no height and no tuple")
         return NormalForm(self.height, self.cuts or ())
 
     def presentation(self) -> BaseTuple | None:
-        if self.tuple_ is not None:
-            return make_base_tuple(self.tuple_)
-        return None
+        """The tuple this scenario gives, if any; refuses height 0."""
+        if self.height == 0:
+            raise ValidationError("height 0 means no degeneration")
+        return None if self.tuple_ is None else make_base_tuple(self.tuple_)
 
 
 def _require_int(value, name: str, minimum: int | None = None) -> int:
@@ -131,7 +133,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(
                 f"cuts {list(cuts)} must increase strictly inside (0, {height})"
             )
-        if tuple_ is not None:
+        if tuple_ is not None and height:  # at height 0 both have no cuts
             derived = normal_form(make_base_tuple(tuple_))
             if derived.cuts != cuts:
                 raise ValidationError(

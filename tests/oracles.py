@@ -4,7 +4,7 @@ The planar arrangement enumerator knows nothing about the chord adjacency
 rules of the library: it is handed bare segments, computes intersections
 with exact rational arithmetic, and extracts faces by rotating around
 vertices.  Counts and edge sets derived here cross-check the constructive
-dual complex.
+dual complex, and a position-lookup construction pins its order.
 
 The stability invariant is rebuilt the same way, from its definition on
 plain data: each point's side of each chart, resolved by the sign of the
@@ -173,6 +173,50 @@ def arrangement_edge_positions(k: int, cuts: tuple[int, ...]) -> set[frozenset]:
             pts.append((a, b, k - a - b))
         out.add(frozenset(pts))
     return out
+
+
+def reference_dual_complex(k: int, cuts: tuple[int, ...]):
+    """The dual complex in the library's order, found by position lookup.
+
+    Vertices are ``(kind, (a, b, c), levels)`` with ``kind`` the
+    ``VertexKind`` value; every edge and cell end is looked up by its
+    position in the vertex list.  Returns ``(vertices, edges, cells)``.
+    """
+    cocuts = sorted(k - s for s in cuts)
+    vertices = [("corner_y1", (k, 0, 0), ()), ("corner_y2", (0, k, 0), ()),
+                ("corner_y3", (0, 0, k), ())]
+    vertices += [("pure_delta1", (s, 0, k - s), (s,)) for s in cuts]
+    vertices += [("pure_delta2", (0, w, k - w), (w,)) for w in cocuts]
+    vertices += [("mixed", (s, k - s, 0), (s,)) for s in cuts]
+    vertices += [("interior", (v, w, k - v - w), (v, w))
+                 for v in cuts for w in cocuts if v + w < k]
+    index = {position: i for i, (_, position, _) in enumerate(vertices)}
+
+    def vid(a, b):
+        return index[(a, b, k - a - b)]
+
+    def chain(points):
+        return list(zip(points, points[1:]))
+
+    edges = chain([vid(a, 0) for a in (0, *cuts, k)])            # side b = 0
+    edges += chain([vid(k - b, b) for b in (0, *cocuts, k)])     # side c = 0
+    edges += chain([vid(0, b) for b in (0, *cocuts, k)])         # side a = 0
+    for s in cuts:  # first-family chords, by increasing b
+        edges += chain([vid(s, b) for b in [0, *(w for w in cocuts if w < k - s), k - s]])
+    for w in cocuts:  # second-family chords, by increasing a
+        edges += chain([vid(a, w) for a in [0, *(s for s in cuts if s < k - w), k - w]])
+
+    levels = (0, *cuts, k)
+    cells = []
+    for i in range(len(cuts) + 1):  # strip pairs i <= j
+        for j in range(i, len(cuts) + 1):
+            lo_a, hi_a = levels[i], levels[i + 1]
+            lo_b, hi_b = k - levels[j + 1], k - levels[j]
+            corners = [(lo_a, lo_b), (hi_a, lo_b), (hi_a, hi_b), (lo_a, hi_b)]
+            if i == j:  # clipped by the c = 0 side
+                del corners[2]
+            cells.append(tuple(vid(a, b) for a, b in corners))
+    return vertices, edges, cells
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,10 @@ CASES = [
     ("s5_quadric_config", ["limit"], "limit.json"),
     ("s5_quadric_config", ["stability"], "stability.json"),
     ("s5_quadric_config", ["render", "svg"], "render.svg"),
+    ("s1_worked_pair", ["render", "dot"], "render.dot"),
+    ("s1_worked_pair", ["render", "tikz"], "render.tikz"),
+    ("s5_quadric_config", ["render", "dot"], "render.dot"),
+    ("s5_quadric_config", ["render", "tikz"], "render.tikz"),
 ]
 
 

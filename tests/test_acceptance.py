@@ -29,6 +29,7 @@ from degenlab.verify import (
 )
 
 from oracles import arrangement_counts
+from regen_goldens import CASES
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -159,31 +160,13 @@ def test_criterion_8_tau_fixpoint_freeness():
     report(8, "tau fixpoint freeness", result.detail, elapsed)
 
 
-GOLDEN_CASES = [
-    ("s1_worked_pair", ("limit",), "limit.json"),
-    ("s1_worked_pair", ("stability",), "stability.json"),
-    ("s1_worked_pair", ("render", "svg"), "render.svg"),
-    ("s2_corner_point", ("limit",), "limit.json"),
-    ("s2_corner_point", ("stability",), "stability.json"),
-    ("s2_corner_point", ("render", "svg"), "render.svg"),
-    ("s3_mixed_point", ("limit",), "limit.json"),
-    ("s3_mixed_point", ("stability",), "stability.json"),
-    ("s3_mixed_point", ("render", "svg"), "render.svg"),
-    ("s4_unstable_corner", ("stability",), "stability.json"),
-    ("s4_unstable_corner", ("render", "svg"), "render.svg"),
-    ("s5_quadric_config", ("limit",), "limit.json"),
-    ("s5_quadric_config", ("stability",), "stability.json"),
-    ("s5_quadric_config", ("render", "svg"), "render.svg"),
-]
-
-
 def test_criterion_9_cli_golden_files():
     # the subprocesses import degenlab from this checkout, installed or not
     pythonpath = [str(Path(__file__).resolve().parent.parent / "src"),
                   os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     start = time.perf_counter()
-    for scenario, command, suffix in GOLDEN_CASES:
+    for scenario, command, suffix in CASES:
         result = subprocess.run(
             [sys.executable, "-m", "degenlab.cli", *command,
              str(DATA / f"{scenario}.json")],
@@ -196,6 +179,6 @@ def test_criterion_9_cli_golden_files():
     report(
         9,
         "CLI golden files",
-        f"{len(GOLDEN_CASES)} outputs byte-identical over 5 scenarios",
+        f"{len(CASES)} outputs byte-identical over 5 scenarios",
         elapsed,
     )

@@ -20,6 +20,8 @@ from degenlab.scenario import (
     stability_report_to_json,
 )
 
+from regen_goldens import CASES
+
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -211,17 +213,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command,hint",
-        [(["limit"], True), (["fiber"], True), (["render", "svg"], False)],
+        [(["limit"], True), (["fiber"], True), (["render", "svg"], False),
+         (["stability"], False), (["weights"], False), (["normalize"], False)],
     )
     def test_height_zero_names_the_flag_only_where_it_exists(
         self, monkeypatch, capsys, command, hint
     ):
-        monkeypatch.setattr("sys.stdin", io.StringIO('{"height":0}'))
-        assert main([*command, "-"]) == 2
         message = "error: height 0 means no degeneration"
         if hint:
             message += " (use --allow-smooth)"
-        assert capsys.readouterr().err == message + "\n"
+        for scenario in ('{"height":0}', '{"tuple":[0]}', '{"tuple":[0,0],"cuts":[]}'):
+            monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+            assert main([*command, "-"]) == 2, scenario
+            assert capsys.readouterr().err == message + "\n", scenario
 
     def test_each_command_takes_only_the_options_it_reads(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -302,25 +306,7 @@ def test_every_command_is_total_on_mutated_scenarios(path, monkeypatch, capsys):
 
 
 class TestGoldens:
-    @pytest.mark.parametrize(
-        "scenario,command,suffix",
-        [
-            ("s1_worked_pair", ("limit",), "limit.json"),
-            ("s1_worked_pair", ("stability",), "stability.json"),
-            ("s1_worked_pair", ("render", "svg"), "render.svg"),
-            ("s2_corner_point", ("limit",), "limit.json"),
-            ("s2_corner_point", ("stability",), "stability.json"),
-            ("s2_corner_point", ("render", "svg"), "render.svg"),
-            ("s3_mixed_point", ("limit",), "limit.json"),
-            ("s3_mixed_point", ("stability",), "stability.json"),
-            ("s3_mixed_point", ("render", "svg"), "render.svg"),
-            ("s4_unstable_corner", ("stability",), "stability.json"),
-            ("s4_unstable_corner", ("render", "svg"), "render.svg"),
-            ("s5_quadric_config", ("limit",), "limit.json"),
-            ("s5_quadric_config", ("stability",), "stability.json"),
-            ("s5_quadric_config", ("render", "svg"), "render.svg"),
-        ],
-    )
+    @pytest.mark.parametrize("scenario,command,suffix", CASES)
     def test_byte_identical(self, scenario, command, suffix):
         result = run_cli(*command, str(DATA / f"{scenario}.json"))
         assert result.returncode in (0, 1)

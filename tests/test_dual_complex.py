@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from degenlab import (
     ExpandedFibre,
     HeightMismatch,
+    Location,
     NormalForm,
     TropPosition,
     VertexKind,
@@ -16,7 +17,11 @@ from degenlab import (
     tropicalize_point,
 )
 
-from oracles import arrangement_counts, arrangement_edge_positions
+from oracles import (
+    arrangement_counts,
+    arrangement_edge_positions,
+    reference_dual_complex,
+)
 
 
 def kinds_of(fibre):
@@ -227,6 +232,22 @@ def test_locate_agrees_with_the_geometry_of_the_complex(nf):
             polygon = [position[i] for i in dc.cells[loc.index]]
             turns = [_cross(o, q, p) for o, q in zip(polygon, polygon[1:] + polygon[:1])]
             assert all(t > 0 for t in turns) or all(t < 0 for t in turns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_forms())
+def test_order_matches_the_position_lookup_reference(nf):
+    """Vertices, edges and cells in the reference's order, and ``locate``
+    sends every vertex position to its own index."""
+    fibre = build_fibre(nf)
+    dc = fibre.dual_complex
+    vertices, edges, cells = reference_dual_complex(nf.height, nf.cuts)
+    assert [(v.kind.value, tuple(v.position), v.levels) for v in dc.vertices] == vertices
+    assert list(dc.edges) == edges
+    assert list(dc.cells) == cells
+    bare = ExpandedFibre(nf)
+    for i, v in enumerate(dc.vertices):
+        assert locate(bare, v.position) == Location("vertex", i)
 
 
 class TestRefines:
