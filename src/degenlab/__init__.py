@@ -84,7 +84,6 @@ from .weights import (
     LocalMonomialScheme,
     Side,
     admissible_1ps,
-    admissible_sign_vectors,
     bounded_weight,
     combinatorial_level_terms,
     constructive_linearization,

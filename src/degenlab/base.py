@@ -69,6 +69,13 @@ class BaseTuple:
         """Partial sums v_1..v_n of the exponents (one per torus factor)."""
         return tuple(accumulate(self.exponents[:-1]))
 
+    @cached_property
+    def level_bits(self) -> int:
+        """One bit per level value, at its rank among ``{0, k} | level_values``:
+        the levels ``(0, *cuts, k)`` of the presented fibre."""
+        extended = sorted({0, self.height, *self.level_values})
+        return sum(1 << extended.index(v) for v in set(self.level_values))
+
     def vanishing_pattern(self) -> VanishingPattern:
         """Which basis directions vanish (1-based indices)."""
         return self._vanishing_pattern
@@ -126,6 +133,23 @@ class VanishingPattern:
     @property
     def base_codimension(self) -> int:
         return len(self.vanishing)
+
+    @cached_property
+    def sign_vectors(self) -> tuple[tuple[int, ...], ...]:
+        """The admissible nonzero vectors in {-1, 0, 1}^(size - 1), in
+        ``product`` order, listed once per pattern object.
+
+        Inequality i of the chain ``0 >= s_1 >= ... >= s_n >= 0`` holds
+        wherever direction i is nonzero (``weights.admissible_1ps``).  It
+        links only chain entries i - 1 and i, so the chains grow entry by
+        entry from the leading 0, keeping the admitted prefixes.
+        """
+        chains = [(0,)]
+        for i in range(1, self.size + 1):
+            steps = (-1, 0, 1) if i < self.size else (0,)  # the trailing 0
+            free = i in self.vanishing
+            chains = [c + (x,) for c in chains for x in steps if free or c[-1] >= x]
+        return tuple(c[1:-1] for c in chains if any(c))
 
 
 UnitLabel = str | int | Fraction

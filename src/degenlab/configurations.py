@@ -19,6 +19,10 @@ Occupancy of a level with cut value v means some point has first coordinate
 corresponding torus factor acts through a unit chart coordinate.  Degenerate
 levels (``v = 0`` or ``v = k``) are covered by the same rule, which then
 selects the ``a = 0`` and ``b = 0`` boundary sides.
+
+Occupancy is read off the placement: each ``Location`` keeps as bits the
+levels ``(0, *cuts, k)`` its point lies on, each presentation the bits of
+its level values, and a verdict ORs the placements' bits.
 """
 
 from __future__ import annotations
@@ -151,9 +155,18 @@ def _occupied_values(points: Iterable[SupportPoint], k: int) -> set[int]:
     return {p.a for p in points} | {k - p.b for p in points}
 
 
+def _occupied_bits(cfg: PointConfiguration) -> int:
+    """Bits of the levels ``(0, *cuts, k)`` that some point occupies."""
+    bits = 0
+    for loc in cfg.placements:
+        bits |= loc.level_bits
+    return bits
+
+
 def unoccupied_level_values(cfg: PointConfiguration) -> tuple[int, ...]:
-    occupied = _occupied_values(cfg.points, cfg.height)
-    return tuple(sorted(set(cfg.level_values()) - occupied))
+    bits = cfg.presentation.level_bits & ~_occupied_bits(cfg)
+    levels = (0, *cfg.fibre.cuts, cfg.height)
+    return tuple(v for p, v in enumerate(levels) if bits >> p & 1)
 
 
 def stabilizer_rank(cfg: PointConfiguration) -> int:
@@ -162,8 +175,8 @@ def stabilizer_rank(cfg: PointConfiguration) -> int:
     One rank for each cut level that no support point touches: the
     corresponding torus factor then acts trivially on the whole support.
     """
-    occupied = _occupied_values(cfg.points, cfg.height)
-    return sum(1 for s in cfg.fibre.cuts if s not in occupied)
+    cut_bits = (1 << len(cfg.fibre.cuts) + 1) - 2  # bits 1..n of (0, *cuts, k)
+    return (cut_bits & ~_occupied_bits(cfg)).bit_count()
 
 
 def is_lw_stable(cfg: PointConfiguration) -> bool:
@@ -177,7 +190,7 @@ def is_ws_stable(cfg: PointConfiguration) -> bool:
     This is the criterion for the existence of a stabilizing linearization;
     see the weight calculus module for the constructive counterpart.
     """
-    return not unoccupied_level_values(cfg)
+    return not cfg.presentation.level_bits & ~_occupied_bits(cfg)
 
 
 def is_sws_stable(cfg: PointConfiguration) -> bool:

@@ -93,10 +93,15 @@ class DCVertex:
 
 @dataclass(frozen=True)
 class Location:
-    """Stratum of the subdivision containing a point."""
+    """Stratum of the subdivision containing a point.
+
+    ``level_bits`` has bit p set when ``a`` or ``k - b`` equals
+    ``levels[p]`` of ``(0, *cuts, k)``: the levels the point occupies.
+    """
 
     stratum: str  # "vertex" | "edge" | "cell"
     index: int
+    level_bits: int
 
     @property
     def is_vertex(self) -> bool:
@@ -158,9 +163,9 @@ def _dual_complex(nf: NormalForm) -> DualComplex:
 
     Vertex order: the three corners, then pure first-family bubbles by level,
     pure second-family bubbles by level, mixed bubbles by level, and chord
-    crossings lexicographically.  Edges and cells name their ends by
-    ``_vertex_index``, the arithmetic form of this order, which ``locate``
-    reads too.
+    crossings lexicographically.  Vertices, edges and cells are numbered by
+    ``_vertex_index``, ``_edge_index`` and ``_cell_index``, the rules that
+    ``locate`` reads too.
     """
     k, cuts = nf.height, nf.cuts
     n, top = len(cuts), len(cuts) + 1
@@ -182,36 +187,27 @@ def _dual_complex(nf: NormalForm) -> DualComplex:
                 DCVertex(VertexKind.INTERIOR, TropPosition(v, k - s, s - v), (v, k - s))
             )
 
-    edges: list[tuple[int, int]] = []
-
-    def chain(points: list[int]) -> None:
-        edges.extend(zip(points, points[1:]))
-
-    # Boundary sides, each subdivided by the chord endpoints.
-    chain([_vertex_index(p, top, n) for p in range(top + 1)])       # side b = 0
-    chain([_vertex_index(p, p, n) for p in range(top, -1, -1)])     # side c = 0
-    chain([_vertex_index(0, q, n) for q in range(top, -1, -1)])     # side a = 0
-    # First-family chords: from the pure bubble through the crossings to the
-    # mixed vertex, ordered by increasing b.
-    for p in range(1, top):
-        chain([_vertex_index(p, q, n) for q in range(top, p - 1, -1)])
-    # Second-family chords by increasing level, each by increasing a.
-    for q in range(n, 0, -1):
-        chain([_vertex_index(p, q, n) for p in range(q + 1)])
-
-    # Bounded cells, indexed by the strip pair (i, j) with i <= j.  Strip i
-    # is a in [s_i, s_{i+1}], strip j is b in [k - s_{j+1}, k - s_j], with
-    # s_0 = 0 and s_{n+1} = k.  The diagonal cells are triangles clipped by
-    # the c = 0 side; all others are quadrilaterals.
-    cells: list[tuple[int, ...]] = []
+    # at[p][q] is the vertex at a = levels[p], k - b = levels[q], p <= q.
+    # Every edge starts at a vertex: along a to (p + 1, q), along b to
+    # (p, q - 1), and on the c = 0 side from (p, p) to (p - 1, p - 1).
+    # Every cell is a strip pair (i, j), i <= j; the diagonal ones are
+    # triangles clipped by the c = 0 side, all others quadrilaterals.
+    at = [
+        [None] * p + [_vertex_index(p, q, n) for q in range(p, top + 1)]
+        for p in range(top + 1)
+    ]
+    edges: list[tuple[int, int]] = [None] * (top * (top + 2))
+    cells: list[tuple[int, ...]] = [None] * (top * (top + 1) // 2)
+    for p in range(top + 1):
+        for q in range(p + 1, top + 1):
+            edges[_edge_index(2 * p + 1, 2 * q, n)] = (at[p][q], at[p + 1][q])
+            edges[_edge_index(2 * p, 2 * q - 1, n)] = (at[p][q], at[p][q - 1])
+        if p:
+            edges[_edge_index(2 * p - 1, 2 * p - 1, n)] = (at[p][p], at[p - 1][p - 1])
     for i in range(top):
-        for j in range(i, top):
-            lo_lo, hi_lo = _vertex_index(i, j + 1, n), _vertex_index(i + 1, j + 1, n)
-            lo_hi = _vertex_index(i, j, n)
-            if i == j:
-                cells.append((lo_lo, hi_lo, lo_hi))
-            else:
-                cells.append((lo_lo, hi_lo, _vertex_index(i + 1, j, n), lo_hi))
+        cells[_cell_index(i, i, n)] = (at[i][i + 1], at[i + 1][i + 1], at[i][i])
+        for j in range(i + 1, top):
+            cells[_cell_index(i, j, n)] = (at[i][j + 1], at[i + 1][j + 1], at[i + 1][j], at[i][j])
 
     return DualComplex(k, cuts, tuple(vertices), tuple(edges), tuple(cells))
 
@@ -271,16 +267,44 @@ def _vertex_index(p: int, q: int, n: int) -> int:
     return 3 + 3 * n + _before_row(p - 1, n - 1) + n - q
 
 
+def _edge_index(x: int, y: int, n: int) -> int:
+    """Index of the edge whose points have ``a`` at ``x`` and ``k - b`` at ``y``.
+
+    Both are half-level coordinates: ``2p`` is ``levels[p]`` and ``2p + 1``
+    the open strip between ``levels[p]`` and ``levels[p + 1]``.  The sides
+    b = 0, c = 0 and a = 0 come first with n + 1 edges each, then the chords
+    a = s by level (from the pure bubble towards c = 0), then the chords
+    b = k - s by ascending b (from the a = 0 side); this is the edge order of
+    ``_dual_complex``, written down once.
+    """
+    top = n + 1
+    p, q = x // 2, y // 2
+    if x % 2 and y % 2:  # the c = 0 side, from the first corner
+        return top + n - p
+    if x % 2:  # along a, at k - b = levels[q]
+        if q == top:  # the b = 0 side
+            return p
+        return 3 * top + _before_row(n, n) + _before_row(n - q, n) + p
+    if p == 0:  # along b on the a = 0 side, from the third corner
+        return 2 * top + n - q
+    return 3 * top + _before_row(p - 1, n) + n - q  # along the chord a = levels[p]
+
+
+def _cell_index(i: int, j: int, n: int) -> int:
+    """Index of the cell on strip i of ``a`` and strip j of ``k - b``, ``i <= j``;
+    cells are ordered by i, then j."""
+    return _before_row(i, n + 1) + j - i
+
+
 def locate(f: ExpandedFibre, p: TropPosition | tuple[int, int, int]) -> Location:
     """Exact stratum of the subdivision containing ``p``.
 
     The subdividing lines are the three sides and the chords ``a = s`` and
     ``b = k - s``.  Two or more through ``p`` make it a vertex, one an edge
-    and none a cell; the index follows from the strip numbers
-    ``i = #{cuts < a}`` and ``j = #{cuts < k - b}``.  A vertex's index comes
-    from ``_vertex_index``, the rule ``_dual_complex`` builds by, and edges
-    and cells follow its edge and cell orders.  The complex itself is not
-    built.
+    and none a cell.  The index follows from where ``a`` and ``k - b`` fall
+    among the levels ``(0, *cuts, k)``, by the rules ``_dual_complex``
+    builds by; the same answer gives the levels the point lies on.  The
+    complex itself is not built.
     """
     a, b, c = p
     k, cuts = f.height, f.cuts
@@ -293,28 +317,16 @@ def locate(f: ExpandedFibre, p: TropPosition | tuple[int, int, int]) -> Location
     j = bisect_left(cuts, k - b)
     on_first = i < n and cuts[i] == a        # chord a = s
     on_second = j < n and cuts[j] == k - b   # chord b = k - s
+    # half-level coordinates of a and k - b (see _edge_index)
+    x = 2 * i + 1 + (on_first or a == k) - (a == 0)
+    y = 2 * j + 1 + (on_second or b == 0) - (b == k)
+    level_bits = (not x % 2) << x // 2 | (not y % 2) << y // 2
     lines = (a == 0) + (b == 0) + (c == 0) + on_first + on_second
     if lines >= 2:  # a and k - b are both levels here
-        return Location(
-            "vertex",
-            _vertex_index(i + (on_first or a == k), j + (on_second or b == 0), n),
-        )
+        return Location("vertex", _vertex_index(x // 2, y // 2, n), level_bits)
     if lines == 1:
-        # Sides b = 0, c = 0, a = 0 have n + 1 edges each, then come the
-        # chords a = cuts[i] (n - i edges each) and, by ascending b, the
-        # chords b = k - cuts[j] (j + 1 edges each).
-        if b == 0:
-            index = i
-        elif c == 0:
-            index = 2 * n + 1 - j
-        elif a == 0:
-            index = 3 * n + 2 - j
-        elif on_first:
-            index = 3 * (n + 1) + _before_row(i, n) + n - j
-        else:
-            index = 3 * (n + 1) + _before_row(n, n) + _before_row(n - 1 - j, n) + i
-        return Location("edge", index)
-    return Location("cell", _before_row(i, n + 1) + j - i)
+        return Location("edge", _edge_index(x, y, n), level_bits)
+    return Location("cell", _cell_index(i, j, n), 0)
 
 
 def refines(fine: NormalForm, coarse: NormalForm) -> bool:

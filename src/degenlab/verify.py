@@ -6,14 +6,15 @@ enumerations here are deliberately brute force so they can serve as oracles
 for the constructive algorithms.
 
 The three configuration suites sweep presentations in the outer loop.  The
-weighted point multisets are listed once per height; per presentation, the
-normal form and the location of every triangle position are computed once
-(by one ``place`` call), and positivity lists the admissible sign vectors
-once.  The configurations of a presentation share its ``BaseTuple`` and its
-fibre, so the level values and the vanishing pattern (kept on the tuple)
-and the zero-free tuple that ``normalize_pair`` reads (kept on the fibre)
-are also computed once per presentation.  Every configuration still goes
-through the verdict functions.
+weighted point multisets are listed once per height.  Per presentation, one
+``place`` call computes the normal form and the location of every triangle
+position, with the levels each position occupies.  The configurations of a
+presentation share its ``BaseTuple`` and its fibre, so what is kept on them
+is also computed once per presentation: the level values and their bits,
+the vanishing pattern with its admissible sign vectors (read by the
+stability test and by positivity) and the zero-free tuple that
+``normalize_pair`` reads.  Every configuration still goes through the
+verdict functions; its occupancy is an OR over its shared locations.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .limits import flat_limit, unique_stable_subdivision_oracle
 from .weights import (
     _lift_table,
     _terms,
-    admissible_sign_vectors,
     constructive_linearization,
     exists_stabilizing_linearization,
 )
@@ -262,11 +262,10 @@ def check_stability_equivalence(
 
 def check_positivity(max_k: int = 5, max_m: int = 3, max_len: int = 4) -> SuiteResult:
     """Per-level terms of the constructive weight are positive off zero,
-    read per sign vector from the configuration's one combinatorial table.
-    The admissible sign vectors are listed once per presentation."""
+    read per sign vector from the configuration's one combinatorial table."""
     checked = 0
     for presentation, configs in _presentation_configs(max_k, max_m, max_len):
-        signs = list(admissible_sign_vectors(presentation.vanishing_pattern()))
+        signs = presentation.vanishing_pattern().sign_vectors
         for cfg in configs:
             if not is_ws_stable(cfg) or cfg.m == 0:
                 continue

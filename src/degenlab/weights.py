@@ -41,8 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .base import VanishingPattern
 from .configurations import PointConfiguration, SupportPoint, unoccupied_level_values
@@ -55,7 +54,6 @@ __all__ = [
     "Linearization",
     "LocalMonomialScheme",
     "admissible_1ps",
-    "admissible_sign_vectors",
     "side_of",
     "flow_limit",
     "combinatorial_level_terms",
@@ -155,14 +153,6 @@ def admissible_1ps(pattern: VanishingPattern, s: Sequence[int]) -> bool:
         for i in range(1, pattern.size + 1)
         if i not in pattern.vanishing
     )
-
-
-def admissible_sign_vectors(pattern: VanishingPattern) -> Iterator[tuple[int, ...]]:
-    """All nonzero admissible vectors with entries in {-1, 0, 1}."""
-    n = pattern.size - 1
-    for s in product((-1, 0, 1), repeat=n):
-        if any(s) and admissible_1ps(pattern, s):
-            yield s
 
 
 def side_of(point: SupportPoint, chart: Chart, value: int) -> Side:
@@ -314,7 +304,7 @@ def weight_rows(
     the subgroups, the local schemes, the lift.
     """
     if subgroups is None:
-        subgroups = list(admissible_sign_vectors(cfg.presentation.vanishing_pattern()))
+        subgroups = cfg.presentation.vanishing_pattern().sign_vectors
     else:
         for s in subgroups:
             _check_limit(cfg, s)
@@ -375,7 +365,8 @@ def is_git_stable(cfg: PointConfiguration, lin: Linearization, l: int) -> bool:
     Exact for all integer subgroups: the invariant is linear on each sign
     orthant of the admissible cone, whose extreme rays have entries in
     {-1, 0, 1}.  The sign table is built (and the local schemes validated)
-    once, even when no sign vector is admissible.
+    once, even when no sign vector is admissible; the sign vectors are kept
+    on the presentation's vanishing pattern.
     """
     if l < 1:
         raise InvalidInput(f"scale factor must be >= 1, got {l}")
@@ -383,8 +374,8 @@ def is_git_stable(cfg: PointConfiguration, lin: Linearization, l: int) -> bool:
         (b_neg + l * c_neg, b_pos + l * c_pos)
         for (b_neg, b_pos), (c_neg, c_pos) in zip(_scheme_table(cfg), _lift_table(cfg, lin))
     ]
-    pattern = cfg.presentation.vanishing_pattern()
-    return all(sum(_terms(table, s)) > 0 for s in admissible_sign_vectors(pattern))
+    signs = cfg.presentation.vanishing_pattern().sign_vectors
+    return all(sum(_terms(table, s)) > 0 for s in signs)
 
 
 def exists_stabilizing_linearization(

@@ -246,8 +246,11 @@ def test_order_matches_the_position_lookup_reference(nf):
     assert list(dc.edges) == edges
     assert list(dc.cells) == cells
     bare = ExpandedFibre(nf)
+    levels = (0, *nf.cuts, nf.height)
     for i, v in enumerate(dc.vertices):
-        assert locate(bare, v.position) == Location("vertex", i)
+        a, b, _ = v.position
+        on = (1 << levels.index(a)) | (1 << levels.index(nf.height - b))
+        assert locate(bare, v.position) == Location("vertex", i, on)
 
 
 class TestRefines:

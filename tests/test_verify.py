@@ -7,7 +7,7 @@ import pytest
 
 from degenlab import verify
 from degenlab.base import BaseTuple
-from degenlab.configurations import place
+from degenlab.configurations import place, stabilizer_rank, unoccupied_level_values
 from degenlab.verify import presentations, weighted_configurations
 
 
@@ -24,6 +24,25 @@ def test_presentation_configs_are_the_placed_configurations():
             for points in weighted_configurations(presentation.height, 2)
         ]
         assert configs == expected, presentation.exponents
+
+
+def test_occupancy_on_the_shared_locations_is_the_valuation_rule():
+    """Unit slots give the level values 0 and k, occupied by a = 0, b = k
+    and by a = k, b = 0."""
+    boundary_levels = set()
+    for presentation, configs in verify._presentation_configs(4, 2, 4):
+        k = presentation.height
+        values = presentation.level_values
+        boundary_levels |= {v for v in values if v in (0, k)}
+        for cfg in configs:
+            def occupied(v):
+                return any(p.a == v or p.b == k - v for p in cfg.points)
+
+            expected = tuple(sorted(v for v in set(values) if not occupied(v)))
+            assert unoccupied_level_values(cfg) == expected, (values, cfg.points)
+            cuts = cfg.fibre.cuts
+            assert stabilizer_rank(cfg) == sum(1 for s in cuts if not occupied(s))
+    assert boundary_levels == {0, 1, 2, 3, 4}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,12 @@
 """One-parameter subgroup admissibility, flows, and the weight calculus."""
 
+import io
+import json
 import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +28,6 @@ from degenlab import (
     SupportPoint,
     VanishingPattern,
     admissible_1ps,
-    admissible_sign_vectors,
     bounded_weight,
     combinatorial_level_terms,
     constructive_linearization,
@@ -35,6 +40,8 @@ from degenlab import (
     place,
     weight_rows,
 )
+from degenlab.cli import main
+from degenlab.verify import check_stability_equivalence, presentations
 from degenlab.weights import _lift_table, _resolve
 
 
@@ -87,6 +94,61 @@ class TestAdmissible1PS:
         pattern = make_base_tuple([0, 2]).vanishing_pattern()
         assert admissible_1ps(pattern, (-1,))
         assert not admissible_1ps(pattern, (1,))
+
+
+def test_sign_vectors_are_the_chain_rule_in_product_order():
+    """Every vanishing pattern of size <= 6, read off a presentation."""
+    for size in range(1, 7):
+        for exponents in product((0, 1), repeat=size):
+            presentation = BaseTuple(exponents)
+            pattern = presentation.vanishing_pattern()
+
+            def admitted(s):
+                chain = (0, *s, 0)
+                return all(
+                    chain[i] >= chain[i + 1] for i in range(size) if exponents[i] == 0
+                )
+
+            expected = tuple(
+                s for s in product((-1, 0, 1), repeat=size - 1) if any(s) and admitted(s)
+            )
+            assert pattern.sign_vectors == expected, exponents
+            assert presentation.vanishing_pattern().sign_vectors is pattern.sign_vectors
+
+
+@contextmanager
+def calls_by_name(*names):
+    """Count the calls of the functions with these names while the block runs."""
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in names:
+            counts[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(None)
+
+
+def test_stability_sweep_lists_sign_vectors_once_per_presentation():
+    """At k <= 3 every presentation has an occupied configuration with
+    m <= 2, so each one's sign vectors are listed, and listed once; no
+    configuration evaluates the chain rule."""
+    with calls_by_name("sign_vectors", "admissible_1ps") as counts:
+        assert check_stability_equivalence(max_k=3, max_m=2).ok
+    assert counts == {"sign_vectors": len(list(presentations(3, 4)))}
+
+
+def test_weights_command_lists_sign_vectors_once(monkeypatch, capsys):
+    points = [{"val": [s, 6 - s, 0], "mult": 1} for s in range(1, 6)]
+    scenario = {"height": 6, "cuts": [1, 2, 3, 4, 5], "points": points}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(scenario)))
+    with calls_by_name("sign_vectors", "admissible_1ps") as counts:
+        assert main(["weights", "-"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 3**5 - 1
+    assert counts == {"sign_vectors": 1}
 
 
 def pd1_config():
@@ -228,7 +290,7 @@ def _random_bound_case(rng: random.Random, max_m: int) -> None:
         points.append(SupportPoint(pos, size, LocalMonomialScheme.of(monomials)))
     cfg = place(nf, points)
     pattern = cfg.presentation.vanishing_pattern()
-    svecs = list(admissible_sign_vectors(pattern)) or [(0,) * len(levels)]
+    svecs = list(pattern.sign_vectors) or [(0,) * len(levels)]
     s = rng.choice(svecs)
     _, coeffs = bounded_weight(cfg, s)
     total = sum(p.multiplicity for p in points)
