@@ -52,7 +52,6 @@ from .dual_complex import (
     locate,
     location_table,
     refines,
-    tropicalize_point,
 )
 from .errors import (
     CriterionViolated,

@@ -70,11 +70,16 @@ class BaseTuple:
         return tuple(accumulate(self.exponents[:-1]))
 
     @cached_property
+    def level_coords(self) -> tuple[int, ...]:
+        """Each level value's half-level coordinate ``2p``, where p is its
+        rank among the levels ``(0, *cuts, k)`` of the presented fibre."""
+        levels = sorted({0, self.height, *self.level_values})
+        return tuple(2 * levels.index(v) for v in self.level_values)
+
+    @cached_property
     def level_bits(self) -> int:
-        """One bit per level value, at its rank among ``{0, k} | level_values``:
-        the levels ``(0, *cuts, k)`` of the presented fibre."""
-        extended = sorted({0, self.height, *self.level_values})
-        return sum(1 << extended.index(v) for v in set(self.level_values))
+        """Bit c set for each level coordinate c."""
+        return sum(1 << c for c in set(self.level_coords))
 
     def vanishing_pattern(self) -> VanishingPattern:
         """Which basis directions vanish (1-based indices)."""

@@ -20,9 +20,10 @@ corresponding torus factor acts through a unit chart coordinate.  Degenerate
 levels (``v = 0`` or ``v = k``) are covered by the same rule, which then
 selects the ``a = 0`` and ``b = 0`` boundary sides.
 
-Occupancy is read off the placement: each ``Location`` keeps as bits the
-levels ``(0, *cuts, k)`` its point lies on, each presentation the bits of
-its level values, and a verdict ORs the placements' bits.
+Occupancy is read off the placement: each ``Location`` keeps the
+half-level coordinates of ``a`` and ``k - b`` among the levels
+``(0, *cuts, k)``, each presentation the coordinate ``2p`` of each level
+value, and a level is occupied when some point has a coordinate equal to it.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ class PointConfiguration:
     def height(self) -> int:
         return self.fibre.height
 
-    def level_values(self) -> tuple[int, ...]:
-        """Partial sums v_1..v_n of the presentation (one per torus factor)."""
-        return self.presentation.level_values
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -150,23 +147,21 @@ def is_admissible(cfg: PointConfiguration) -> bool:
     return all(loc.is_vertex for loc in cfg.placements)
 
 
-def _occupied_values(points: Iterable[SupportPoint], k: int) -> set[int]:
-    """Level values occupied at height k: every ``a`` and every ``k - b``."""
-    return {p.a for p in points} | {k - p.b for p in points}
-
-
 def _occupied_bits(cfg: PointConfiguration) -> int:
-    """Bits of the levels ``(0, *cuts, k)`` that some point occupies."""
+    """Bit c set for each half-level coordinate c of some point's a or k - b."""
     bits = 0
     for loc in cfg.placements:
-        bits |= loc.level_bits
+        bits |= 1 << loc.x | 1 << loc.y
     return bits
 
 
 def unoccupied_level_values(cfg: PointConfiguration) -> tuple[int, ...]:
-    bits = cfg.presentation.level_bits & ~_occupied_bits(cfg)
-    levels = (0, *cfg.fibre.cuts, cfg.height)
-    return tuple(v for p, v in enumerate(levels) if bits >> p & 1)
+    presentation = cfg.presentation
+    occupied = _occupied_bits(cfg)
+    if not presentation.level_bits & ~occupied:
+        return ()
+    pairs = zip(presentation.level_values, presentation.level_coords)
+    return tuple(dict.fromkeys(v for v, c in pairs if not occupied >> c & 1))
 
 
 def stabilizer_rank(cfg: PointConfiguration) -> int:
@@ -174,9 +169,9 @@ def stabilizer_rank(cfg: PointConfiguration) -> int:
 
     One rank for each cut level that no support point touches: the
     corresponding torus factor then acts trivially on the whole support.
+    The cuts are the level values of the zero-free presentation.
     """
-    cut_bits = (1 << len(cfg.fibre.cuts) + 1) - 2  # bits 1..n of (0, *cuts, k)
-    return (cut_bits & ~_occupied_bits(cfg)).bit_count()
+    return (cfg.fibre.canonical_tuple.level_bits & ~_occupied_bits(cfg)).bit_count()
 
 
 def is_lw_stable(cfg: PointConfiguration) -> bool:
@@ -207,14 +202,10 @@ def normalize_pair(cfg: PointConfiguration) -> PointConfiguration:
 
 
 def stability_report(cfg: PointConfiguration) -> StabilityReport:
-    """All verdicts from one admissibility test and one occupancy pass.
-
-    The levels strictly inside ``(0, k)`` are the cuts of the fibre, so the
-    unoccupied ones among them give the stabilizer rank.
-    """
+    """All verdicts from one admissibility test and the occupancy rules."""
     admissible = is_admissible(cfg)
     unoccupied = unoccupied_level_values(cfg)
-    rank = sum(1 for v in unoccupied if 0 < v < cfg.height)
+    rank = stabilizer_rank(cfg)
     return StabilityReport(
         admissible=admissible,
         stabilizer_rank=rank,

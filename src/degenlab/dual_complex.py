@@ -37,7 +37,6 @@ __all__ = [
     "cached_fibre",
     "location_table",
     "complex_counts",
-    "tropicalize_point",
     "locate",
     "refines",
 ]
@@ -95,13 +94,17 @@ class DCVertex:
 class Location:
     """Stratum of the subdivision containing a point.
 
-    ``level_bits`` has bit p set when ``a`` or ``k - b`` equals
-    ``levels[p]`` of ``(0, *cuts, k)``: the levels the point occupies.
+    ``x`` and ``y`` are the half-level coordinates of ``a`` and ``k - b``
+    among the levels ``(0, *cuts, k)``: ``2p`` is ``levels[p]`` and ``2p + 1``
+    the open strip above it.  They determine the stratum and its index, and
+    every comparison of the point with a level: ``a`` is below, on or above
+    ``levels[p]`` exactly as ``x`` is below, at or above ``2p``.
     """
 
     stratum: str  # "vertex" | "edge" | "cell"
     index: int
-    level_bits: int
+    x: int
+    y: int
 
     @property
     def is_vertex(self) -> bool:
@@ -236,16 +239,6 @@ def location_table(nf: NormalForm) -> Mapping[TropPosition, "Location"]:
     return MappingProxyType(table)
 
 
-def tropicalize_point(e, k: int) -> TropPosition:
-    """Position of a valued point in the height-k triangle."""
-    e1, e2, e3 = e
-    if e1 + e2 + e3 != k:
-        raise HeightMismatch(f"valuations {e} sum to {e1 + e2 + e3}, expected {k}")
-    if min(e1, e2, e3) < 0:
-        raise InvalidInput(f"valuations must be non-negative: {e}")
-    return TropPosition(e1, e2, e3)
-
-
 def _before_row(row: int, first: int) -> int:
     """Entries ahead of ``row`` in rows of lengths first, first - 1, ..."""
     return row * first - row * (row - 1) // 2
@@ -303,8 +296,8 @@ def locate(f: ExpandedFibre, p: TropPosition | tuple[int, int, int]) -> Location
     ``b = k - s``.  Two or more through ``p`` make it a vertex, one an edge
     and none a cell.  The index follows from where ``a`` and ``k - b`` fall
     among the levels ``(0, *cuts, k)``, by the rules ``_dual_complex``
-    builds by; the same answer gives the levels the point lies on.  The
-    complex itself is not built.
+    builds by; the ``Location`` keeps those coordinates.  The complex itself
+    is not built.
     """
     a, b, c = p
     k, cuts = f.height, f.cuts
@@ -320,13 +313,12 @@ def locate(f: ExpandedFibre, p: TropPosition | tuple[int, int, int]) -> Location
     # half-level coordinates of a and k - b (see _edge_index)
     x = 2 * i + 1 + (on_first or a == k) - (a == 0)
     y = 2 * j + 1 + (on_second or b == 0) - (b == k)
-    level_bits = (not x % 2) << x // 2 | (not y % 2) << y // 2
     lines = (a == 0) + (b == 0) + (c == 0) + on_first + on_second
     if lines >= 2:  # a and k - b are both levels here
-        return Location("vertex", _vertex_index(x // 2, y // 2, n), level_bits)
+        return Location("vertex", _vertex_index(x // 2, y // 2, n), x, y)
     if lines == 1:
-        return Location("edge", _edge_index(x, y, n), level_bits)
-    return Location("cell", _cell_index(i, j, n), 0)
+        return Location("edge", _edge_index(x, y, n), x, y)
+    return Location("cell", _cell_index(i, j, n), x, y)
 
 
 def refines(fine: NormalForm, coarse: NormalForm) -> bool:

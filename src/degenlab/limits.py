@@ -21,7 +21,6 @@ from .configurations import (
     PointConfiguration,
     StabilityReport,
     _as_points,
-    _occupied_values,
     is_sws_stable,
     place,
     stability_report,
@@ -77,7 +76,7 @@ def flat_limit(points: Iterable, k: int) -> LimitReport:
             raise HeightMismatch(
                 f"point {p.valuations} does not have height {k}"
             )
-    powers = sorted(_occupied_values(pts, k))
+    powers = sorted({p.a for p in pts} | {k - p.b for p in pts})
     if powers:
         exponents = [powers[0]]
         exponents += [b - a for a, b in zip(powers, powers[1:])]

@@ -102,7 +102,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario from JSON text."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scenario must be a JSON object")
@@ -262,26 +262,23 @@ def _scheme_to_json(scheme: LocalMonomialScheme) -> list:
     ]
 
 
+def _point_to_json(p: SupportPoint) -> dict:
+    out = {"val": list(p.valuations), "mult": p.multiplicity}
+    if isinstance(p.scheme, LocalMonomialScheme):
+        out["scheme"] = _scheme_to_json(p.scheme)
+    return out
+
+
 def configuration_to_json(cfg: PointConfiguration) -> dict:
-    out = {
+    return {
         "height": cfg.height,
         "tuple": list(cfg.presentation.exponents),
         "cuts": list(cfg.fibre.cuts),
         "points": [
-            {
-                "val": list(p.valuations),
-                "mult": p.multiplicity,
-                **(
-                    {"scheme": _scheme_to_json(p.scheme)}
-                    if isinstance(p.scheme, LocalMonomialScheme)
-                    else {}
-                ),
-                "placement": location_to_json(loc),
-            }
+            {**_point_to_json(p), "placement": location_to_json(loc)}
             for p, loc in zip(cfg.points, cfg.placements)
         ],
     }
-    return out
 
 
 def stability_report_to_json(report: StabilityReport) -> dict:
@@ -324,18 +321,7 @@ def scenario_to_json(sc: Scenario) -> dict:
     if sc.cuts is not None:
         out["cuts"] = list(sc.cuts)
     if sc.points:
-        out["points"] = [
-            {
-                "val": list(p.valuations),
-                "mult": p.multiplicity,
-                **(
-                    {"scheme": _scheme_to_json(p.scheme)}
-                    if isinstance(p.scheme, LocalMonomialScheme)
-                    else {}
-                ),
-            }
-            for p in sc.points
-        ]
+        out["points"] = [_point_to_json(p) for p in sc.points]
     if sc.lin is not None:
         out["lin"] = [list(lift) for lift in sc.lin.levels]
     if sc.s is not None:

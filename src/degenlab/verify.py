@@ -8,13 +8,14 @@ for the constructive algorithms.
 The three configuration suites sweep presentations in the outer loop.  The
 weighted point multisets are listed once per height.  Per presentation, one
 ``place`` call computes the normal form and the location of every triangle
-position, with the levels each position occupies.  The configurations of a
+position, with its half-level coordinates.  The configurations of a
 presentation share its ``BaseTuple`` and its fibre, so what is kept on them
-is also computed once per presentation: the level values and their bits,
+is also computed once per presentation: the level values and coordinates,
 the vanishing pattern with its admissible sign vectors (read by the
 stability test and by positivity) and the zero-free tuple that
-``normalize_pair`` reads.  Every configuration still goes through the
-verdict functions; its occupancy is an OR over its shared locations.
+``normalize_pair`` and ``stabilizer_rank`` read.  Every configuration still
+goes through the verdict functions; its occupancy is an OR over its shared
+locations.
 """
 
 from __future__ import annotations

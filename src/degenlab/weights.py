@@ -27,9 +27,11 @@ of the flow reads only the sign of ``s_j``, so ``total(s)`` is the sum of
 ``s_j (b_j + l c_j)`` with both coefficients read at ``sign(s_j)``: every
 weight function reads a per-level sign table of coefficients at ``s_j = -1``
 and ``s_j = +1``, built (and the local schemes validated) once per call.
-``flow_limit`` is the definition of the flow; the combinatorial table reads
-each point's limit sides from integer comparisons of its valuations with
-the cut values, which is what the flow resolves to.
+``flow_limit`` is the definition of the flow.  The lift tables, the
+constructive lift and the scheme check read each point's sides from its
+placement instead: ``a`` and ``k - b`` order against a level value exactly
+as the ``Location``'s half-level coordinates ``x`` and ``y`` order against
+the value's coordinate ``2p``.
 
 Stability for a fixed lift and scale factor means a strictly positive
 invariant for every admissible nonzero subgroup; by piecewise linearity it
@@ -185,7 +187,7 @@ def flow_limit(
     return [
         [(_resolve(side_of(p, Chart.DELTA1, v), Chart.DELTA1, s_j),
           _resolve(side_of(p, Chart.DELTA2, k - v), Chart.DELTA2, s_j))
-         for v, s_j in zip(cfg.level_values(), s)]
+         for v, s_j in zip(cfg.presentation.level_values, s)]
         for p in cfg.points
     ]
 
@@ -199,27 +201,24 @@ def _lift_table(cfg: PointConfiguration, lin: Linearization) -> list[tuple[int, 
     """Combinatorial sign table ``(c_j at s_j = -1, c_j at s_j = +1)``.
 
     ``flow_limit`` is the definition: level j sends a point to a fixpoint of
-    each chart by its side and the sign of s_j.  The sides are read here by
-    comparison.  At cut value v and w = k - v, the first-family chart is at
-    (1:0) when ``a <= v`` for s_j = -1 and when ``a < v`` for s_j = +1; the
-    second-family chart is at (1:0) when ``b < w`` and when ``b <= w``.
+    each chart by its side and the sign of s_j.  The sides are read here from
+    the placement: at level coordinate c, the first-family chart is at (1:0)
+    when ``x <= c`` for s_j = -1 and when ``x < c`` for s_j = +1; the
+    second-family chart is at (1:0) when ``y > c`` and when ``y >= c``.
     Reads no scheme.
     """
-    values = cfg.level_values()
-    if len(lin) != len(values):
+    coords = cfg.presentation.level_coords
+    if len(lin) != len(coords):
         raise InvalidInput(
-            f"linearization has {len(lin)} levels, presentation needs {len(values)}"
+            f"linearization has {len(lin)} levels, presentation needs {len(coords)}"
         )
-    k = cfg.height
     table = []
-    for v, (lift_a, lift_b, lift_c, lift_d) in zip(values, lin.levels):
-        w = k - v
+    for c, (lift_a, lift_b, lift_c, lift_d) in zip(coords, lin.levels):
         neg = pos = 0
-        for p in cfg.points:
-            a, b, _ = p.valuations
-            m = p.multiplicity
-            neg += m * ((-lift_a if a <= v else lift_b) + (lift_c if b < w else -lift_d))
-            pos += m * ((-lift_a if a < v else lift_b) + (lift_c if b <= w else -lift_d))
+        for p, loc in zip(cfg.points, cfg.placements):
+            x, y, m = loc.x, loc.y, p.multiplicity
+            neg += m * ((-lift_a if x <= c else lift_b) + (lift_c if y > c else -lift_d))
+            pos += m * ((-lift_a if x < c else lift_b) + (lift_c if y >= c else -lift_d))
         table.append((neg, pos))
     return table
 
@@ -231,9 +230,8 @@ def _scheme_table(cfg: PointConfiguration) -> list[tuple[int, int]]:
     point, which flows to the side where the chart coordinate has weight
     sign(s_j): each exponent at level j adds sign(s_j) to b_j.
     """
-    k = cfg.height
-    values = cfg.level_values()
-    degrees = [0] * len(values)
+    coords = cfg.presentation.level_coords
+    degrees = [0] * len(coords)
     for p, loc in zip(cfg.points, cfg.placements):
         scheme = p.scheme
         if scheme is None:
@@ -255,11 +253,10 @@ def _scheme_table(cfg: PointConfiguration) -> list[tuple[int, int]]:
             raise InvalidLocalScheme("a nontrivial local scheme must sit at a torus fixpoint")
         for mono in monomials:
             for (level, chart), exp in mono:
-                if not 1 <= level <= len(values):
+                if not 1 <= level <= len(coords):
                     raise InvalidLocalScheme(f"level {level} out of range")
                 j = level - 1
-                cut_value = values[j] if chart is Chart.DELTA1 else k - values[j]
-                if side_of(p, chart, cut_value) is not Side.ON_COMPONENT:
+                if (loc.x if chart is Chart.DELTA1 else loc.y) != coords[j]:
                     raise InvalidLocalScheme(
                         f"monomial uses chart ({level}, {chart.value}) but the "
                         f"point {p.valuations} is not on that component"
@@ -347,14 +344,14 @@ def constructive_linearization(cfg: PointConfiguration) -> Linearization:
             f"no point of the support occupies the level at cut value {unoccupied[0]}"
         )
     m = cfg.m
-    k = cfg.height
+    placed = tuple(zip(cfg.points, cfg.placements))
     lifts = []
-    for v in cfg.level_values():
-        if any(p.a == v for p in cfg.points):
-            m1 = sum(p.multiplicity for p in cfg.points if p.a < v)
+    for c in cfg.presentation.level_coords:
+        if any(loc.x == c for loc in cfg.placements):
+            m1 = sum(p.multiplicity for p, loc in placed if loc.x < c)
             lifts.append(LevelLift(m * (m - m1), m * (m1 + 1), 0, 1))
         else:
-            m2 = sum(p.multiplicity for p in cfg.points if p.b < k - v)
+            m2 = sum(p.multiplicity for p, loc in placed if loc.y > c)
             lifts.append(LevelLift(0, 1, m * (m - m2), m * (m2 + 1)))
     return Linearization(tuple(lifts))
 

@@ -342,6 +342,24 @@ def invariant(exponents, points, s, lifts, l) -> int:
     return bounded + l * sum(combinatorial_terms(exponents, points, s, lifts))
 
 
+def constructive_lifts(exponents, points) -> list[tuple[int, int, int, int]]:
+    """The constructive lift read from the valuations, for (val, mult) points
+    occupying every level: per level value v, weight the first-family chart
+    by m' (the multiplicity with a < v) when some point has a = v, else the
+    second-family chart by m'' (the multiplicity with b < k - v)."""
+    k = sum(exponents)
+    m = sum(mult for _, mult in points)
+    lifts = []
+    for v in _levels(exponents):
+        if any(a == v for (a, _, _), _ in points):
+            m1 = sum(mult for (a, _, _), mult in points if a < v)
+            lifts.append((m * (m - m1), m * (m1 + 1), 0, 1))
+        else:
+            m2 = sum(mult for (_, b, _), mult in points if b < k - v)
+            lifts.append((0, 1, m * (m - m2), m * (m2 + 1)))
+    return lifts
+
+
 def sign_vectors(exponents) -> list[tuple[int, ...]]:
     """Every nonzero admissible vector with entries in {-1, 0, 1}."""
     out = []

@@ -54,9 +54,14 @@ class TestParseScenario:
         assert sc.height == 3
         assert sc.presentation().exponents == (1, 1, 1, 0)
 
-    def test_malformed_json(self):
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[" * 100000 + "]" * 100000, '{"a":' * 3000 + "1" + "}" * 3000],
+        ids=["unclosed", "deep-array", "deep-object"],
+    )
+    def test_malformed_json(self, text):
         with pytest.raises(ParseError):
-            parse_scenario("{not json")
+            parse_scenario(text)
 
     def test_tuple_cut_consistency(self):
         with pytest.raises(ValidationError):

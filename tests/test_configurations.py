@@ -27,6 +27,8 @@ from degenlab import (
     unoccupied_level_values,
 )
 
+import oracles
+
 
 def vertex_kind(cfg, i):
     loc = cfg.placements[i]
@@ -229,5 +231,6 @@ def test_report_agrees_with_each_verdict_and_with_occupancy(case):
     if empty:
         with pytest.raises(CriterionViolated, match=f"cut value {empty[0]}$"):
             constructive_linearization(cfg)
-    else:
-        assert len(constructive_linearization(cfg)) == len(presentation.exponents) - 1
+    else:  # the lift read off the placement equals the one read from the valuations
+        lifts = constructive_linearization(cfg).levels
+        assert list(lifts) == oracles.constructive_lifts(presentation.exponents, points)

@@ -8,13 +8,11 @@ from degenlab import (
     HeightMismatch,
     Location,
     NormalForm,
-    TropPosition,
     VertexKind,
     build_fibre,
     complex_counts,
     locate,
     refines,
-    tropicalize_point,
 )
 
 from oracles import (
@@ -122,13 +120,6 @@ def test_edge_sets_against_arrangement_oracle(k, cuts):
     assert ours == arrangement_edge_positions(k, cuts)
 
 
-def test_tropicalize_point():
-    tp = tropicalize_point((0, 0, 3), 3)
-    assert tp == TropPosition(0, 0, 3)
-    with pytest.raises(HeightMismatch):
-        tropicalize_point((1, 1, 0), 3)
-
-
 class TestLocate:
     def test_vertices_round_trip(self):
         f = build_fibre(NormalForm(4, (1, 3)))
@@ -218,8 +209,12 @@ def test_locate_agrees_with_the_geometry_of_the_complex(nf):
     assert "dual_complex" not in vars(bare)
     dc = build_fibre(nf).dual_complex
     position = [tuple(v.position) for v in dc.vertices]
+    levels = (0, *cuts, k)
     for p, loc in located:
         a, b, c = p
+        for q, v in enumerate(levels):  # the half-level coordinates order as a and k - b
+            assert (loc.x > 2 * q) - (loc.x < 2 * q) == (a > v) - (a < v)
+            assert (loc.y > 2 * q) - (loc.y < 2 * q) == (k - b > v) - (k - b < v)
         lines = (a == 0) + (b == 0) + (c == 0) + (a in cuts) + (k - b in cuts)
         assert loc.stratum == ("vertex" if lines >= 2 else "edge" if lines == 1 else "cell")
         if loc.stratum == "vertex":
@@ -249,8 +244,8 @@ def test_order_matches_the_position_lookup_reference(nf):
     levels = (0, *nf.cuts, nf.height)
     for i, v in enumerate(dc.vertices):
         a, b, _ = v.position
-        on = (1 << levels.index(a)) | (1 << levels.index(nf.height - b))
-        assert locate(bare, v.position) == Location("vertex", i, on)
+        x, y = 2 * levels.index(a), 2 * levels.index(nf.height - b)
+        assert locate(bare, v.position) == Location("vertex", i, x, y)
 
 
 class TestRefines:

@@ -388,7 +388,7 @@ class TestExistence:
         lins = {}
         for presentation, points in cases:
             cfg = place(presentation, points)
-            n = len(cfg.level_values())
+            n = len(cfg.presentation.level_values)
             try:
                 lin = constructive_linearization(cfg)
             except CriterionViolated:
@@ -564,7 +564,7 @@ def test_weight_functions_match_the_definition(case):
 def _lift_table_by_flow(cfg, lin):
     """The combinatorial sign table from one walk of the flow: the sides at
     s = 0 (always admissible), resolved at s_j = -1 and at s_j = +1."""
-    n = len(cfg.level_values())
+    n = len(cfg.presentation.level_values)
     if len(lin) != n:
         raise InvalidInput(f"linearization has {len(lin)} levels, presentation needs {n}")
     table = [[0, 0] for _ in range(n)]
