@@ -43,7 +43,8 @@ __all__ = ["main"]
 # every one: height 14 took 7 s and 220 MB, height 16 took 29 s and 1 GB.
 LIMIT_MAX_K = 12
 # The dual complex has about n^2 / 2 crossings for n cuts, and memory grows
-# as n^2: `fiber` at 100 cuts takes 0.2 s and 36 MB and writes 1.7 MB of JSON.
+# as n^2: `fiber` at 100 cuts takes 0.2-0.3 s and 30 MB, interpreter start
+# included, and writes 1.7 MB of JSON.
 MAX_COMPLEX_CUTS = 100
 
 

@@ -156,8 +156,11 @@ def _occupied_bits(cfg: PointConfiguration) -> int:
 
 
 def unoccupied_level_values(cfg: PointConfiguration) -> tuple[int, ...]:
-    presentation = cfg.presentation
-    occupied = _occupied_bits(cfg)
+    return _unoccupied(cfg.presentation, _occupied_bits(cfg))
+
+
+def _unoccupied(presentation: BaseTuple, occupied: int) -> tuple[int, ...]:
+    """Level values of the presentation with no coordinate among ``occupied``."""
     if not presentation.level_bits & ~occupied:
         return ()
     pairs = zip(presentation.level_values, presentation.level_coords)
@@ -171,7 +174,11 @@ def stabilizer_rank(cfg: PointConfiguration) -> int:
     corresponding torus factor then acts trivially on the whole support.
     The cuts are the level values of the zero-free presentation.
     """
-    return (cfg.fibre.canonical_tuple.level_bits & ~_occupied_bits(cfg)).bit_count()
+    return _rank(cfg, _occupied_bits(cfg))
+
+
+def _rank(cfg: PointConfiguration, occupied: int) -> int:
+    return (cfg.fibre.canonical_tuple.level_bits & ~occupied).bit_count()
 
 
 def is_lw_stable(cfg: PointConfiguration) -> bool:
@@ -202,10 +209,11 @@ def normalize_pair(cfg: PointConfiguration) -> PointConfiguration:
 
 
 def stability_report(cfg: PointConfiguration) -> StabilityReport:
-    """All verdicts from one admissibility test and the occupancy rules."""
+    """All verdicts from one admissibility test and one pass over the placements."""
     admissible = is_admissible(cfg)
-    unoccupied = unoccupied_level_values(cfg)
-    rank = stabilizer_rank(cfg)
+    occupied = _occupied_bits(cfg)
+    unoccupied = _unoccupied(cfg.presentation, occupied)
+    rank = _rank(cfg, occupied)
     return StabilityReport(
         admissible=admissible,
         stabilizer_rank=rank,

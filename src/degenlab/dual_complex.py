@@ -71,9 +71,8 @@ class TropPosition(NamedTuple):
     c: int
 
 
-@dataclass(frozen=True)
-class DCVertex:
-    """One irreducible component of the expanded fibre.
+class DCVertex(NamedTuple):
+    """One irreducible component of the expanded fibre, as a ``NamedTuple``.
 
     ``levels`` holds the chord data: ``(v,)`` for a pure first-family bubble
     at ``a = v``, ``(w,)`` for a pure second-family bubble at ``b = w``,
@@ -172,45 +171,56 @@ def _dual_complex(nf: NormalForm) -> DualComplex:
     """
     k, cuts = nf.height, nf.cuts
     n, top = len(cuts), len(cuts) + 1
-
-    vertices: list[DCVertex] = [
-        DCVertex(VertexKind.CORNER_Y1, TropPosition(k, 0, 0)),
-        DCVertex(VertexKind.CORNER_Y2, TropPosition(0, k, 0)),
-        DCVertex(VertexKind.CORNER_Y3, TropPosition(0, 0, k)),
+    new, V, P = tuple.__new__, DCVertex, TropPosition  # as ``_make``, minus its checks
+    pure1, pure2, mixed, interior = (
+        VertexKind.PURE_DELTA1, VertexKind.PURE_DELTA2, VertexKind.MIXED, VertexKind.INTERIOR)
+    cocuts = [k - s for s in reversed(cuts)]  # the levels b = k - s, ascending
+    vertices = [
+        new(V, (VertexKind.CORNER_Y1, new(P, (k, 0, 0)), ())),
+        new(V, (VertexKind.CORNER_Y2, new(P, (0, k, 0)), ())),
+        new(V, (VertexKind.CORNER_Y3, new(P, (0, 0, k)), ())),
+        *[new(V, (pure1, new(P, (s, 0, k - s)), (s,))) for s in cuts],
+        *[new(V, (pure2, new(P, (0, w, k - w)), (w,))) for w in cocuts],
+        *[new(V, (mixed, new(P, (s, k - s, 0)), (s,))) for s in cuts],
+        # the chord a = v meets the chords b = w < k - v inside
+        *[new(V, (interior, new(P, (v, w, k - v - w)), (v, w)))
+          for p, v in enumerate(cuts, 1) for w in cocuts[:n - p]],
     ]
-    for s in cuts:
-        vertices.append(DCVertex(VertexKind.PURE_DELTA1, TropPosition(s, 0, k - s), (s,)))
-    for s in reversed(cuts):
-        vertices.append(DCVertex(VertexKind.PURE_DELTA2, TropPosition(0, k - s, s), (k - s,)))
-    for s in cuts:
-        vertices.append(DCVertex(VertexKind.MIXED, TropPosition(s, k - s, 0), (s,)))
-    for p, v in enumerate(cuts):
-        for s in reversed(cuts[p + 1:]):  # the chords b = k - s meet a = v inside
-            vertices.append(
-                DCVertex(VertexKind.INTERIOR, TropPosition(v, k - s, s - v), (v, k - s))
-            )
 
     # at[p][q] is the vertex at a = levels[p], k - b = levels[q], p <= q.
-    # Every edge starts at a vertex: along a to (p + 1, q), along b to
-    # (p, q - 1), and on the c = 0 side from (p, p) to (p - 1, p - 1).
-    # Every cell is a strip pair (i, j), i <= j; the diagonal ones are
-    # triangles clipped by the c = 0 side, all others quadrilaterals.
-    at = [
-        [None] * p + [_vertex_index(p, q, n) for q in range(p, top + 1)]
-        for p in range(top + 1)
-    ]
+    # Along a row, the vertices strictly between the c = 0 side and the
+    # b = 0 side have consecutive indices, descending with q.
+    at = []
+    for p in range(top):
+        first = _vertex_index(p, p + 1, n)
+        at.append([None] * p + [_vertex_index(p, p, n),
+                                *range(first, first - n + p, -1), _vertex_index(p, top, n)])
+    at.append([None] * top + [_vertex_index(top, top, n)])
+
+    # Each edge joins neighbours on one chain: a side or a chord.  A chain's
+    # edges have consecutive indices from that of its first edge.
     edges: list[tuple[int, int]] = [None] * (top * (top + 2))
-    cells: list[tuple[int, ...]] = [None] * (top * (top + 1) // 2)
-    for p in range(top + 1):
-        for q in range(p + 1, top + 1):
-            edges[_edge_index(2 * p + 1, 2 * q, n)] = (at[p][q], at[p + 1][q])
-            edges[_edge_index(2 * p, 2 * q - 1, n)] = (at[p][q], at[p][q - 1])
-        if p:
-            edges[_edge_index(2 * p - 1, 2 * p - 1, n)] = (at[p][p], at[p - 1][p - 1])
+
+    def chain(x: int, y: int, ends: list[int]) -> None:
+        first = _edge_index(x, y, n)
+        edges[first:first + len(ends) - 1] = zip(ends, ends[1:])
+
+    chain(1, 2 * top, [row[top] for row in at])  # b = 0
+    chain(2 * top - 1, 2 * top - 1, [at[p][p] for p in range(top, -1, -1)])  # c = 0
+    chain(0, 2 * top - 1, at[0][::-1])  # a = 0
+    for p in range(1, top):  # a = levels[p], from the pure bubble
+        chain(2 * p, 2 * top - 1, at[p][:p - 1:-1])
+    for q in range(1, top):  # b = k - levels[q], from the a = 0 side
+        chain(1, 2 * q, [at[p][q] for p in range(q + 1)])
+
+    # Cells are strip pairs (i, j), i <= j, in the order of _cell_index: the
+    # triangle (i, i) clipped by the c = 0 side, then the quadrilaterals
+    # (i, j) with corners at[i][j + 1], at[i + 1][j + 1], at[i + 1][j], at[i][j].
+    cells: list[tuple[int, ...]] = []
     for i in range(top):
-        cells[_cell_index(i, i, n)] = (at[i][i + 1], at[i + 1][i + 1], at[i][i])
-        for j in range(i + 1, top):
-            cells[_cell_index(i, j, n)] = (at[i][j + 1], at[i + 1][j + 1], at[i + 1][j], at[i][j])
+        lo, hi = at[i], at[i + 1]
+        cells.append((lo[i + 1], hi[i + 1], lo[i]))
+        cells += zip(lo[i + 2:], hi[i + 2:], hi[i + 1:], lo[i + 1:])
 
     return DualComplex(k, cuts, tuple(vertices), tuple(edges), tuple(cells))
 

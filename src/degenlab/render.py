@@ -9,8 +9,8 @@ side to the right side, second-family chords from the right side down.
 from __future__ import annotations
 
 from .configurations import PointConfiguration
-from .dual_complex import DCVertex, ExpandedFibre, VertexKind
-from .errors import InvalidInput
+from .dual_complex import _SURFACE, DCVertex, ExpandedFibre, VertexKind
+from .errors import HeightMismatch, InvalidInput
 
 __all__ = ["render_fibre", "FORMATS"]
 
@@ -26,32 +26,6 @@ _FILL = {
     "quadric": "#3050c0",
 }
 
-
-def _label(v: DCVertex, k: int) -> str:
-    if v.kind is VertexKind.CORNER_Y1:
-        return "Y1"
-    if v.kind is VertexKind.CORNER_Y2:
-        return "Y2"
-    if v.kind is VertexKind.CORNER_Y3:
-        return "Y3"
-    if v.kind is VertexKind.PURE_DELTA1:
-        return f"Δ1({v.levels[0]})"
-    if v.kind is VertexKind.PURE_DELTA2:
-        return f"Δ2({v.levels[0]})"
-    if v.kind is VertexKind.MIXED:
-        s = v.levels[0]
-        return f"Δ1({s})=Δ2({k - s})"
-    a, b = v.levels
-    return f"Δ1({a})×Δ2({b})"
-
-
-def _xy(position, k: int) -> tuple[int, int]:
-    a, b, c = position
-    x = _MARGIN + (2 * b + c) * _SPAN // (2 * k)
-    y = _MARGIN + _TRI_H - c * _TRI_H // k
-    return x, y
-
-
 _OFFSET = {  # label offset from the vertex in the SVG
     VertexKind.CORNER_Y1: (-14, 18),
     VertexKind.CORNER_Y2: (10, 14),
@@ -61,6 +35,36 @@ _OFFSET = {  # label offset from the vertex in the SVG
     VertexKind.MIXED: (10, 14),
     VertexKind.INTERIOR: (8, -8),
 }
+
+# (fill, dx, dy) of each vertex kind, where SVG and DOT read a kind's fill
+# (TikZ draws every vertex black)
+_STYLE = {kind: (_FILL[_SURFACE[kind]], dx, dy) for kind, (dx, dy) in _OFFSET.items()}
+
+
+def _label(v: DCVertex, k: int) -> str:
+    kind = v.kind
+    if kind is VertexKind.INTERIOR:  # most vertices are chord crossings
+        a, b = v.levels
+        return f"Δ1({a})×Δ2({b})"
+    if kind is VertexKind.PURE_DELTA1:
+        return f"Δ1({v.levels[0]})"
+    if kind is VertexKind.PURE_DELTA2:
+        return f"Δ2({v.levels[0]})"
+    if kind is VertexKind.MIXED:
+        s = v.levels[0]
+        return f"Δ1({s})=Δ2({k - s})"
+    if kind is VertexKind.CORNER_Y1:
+        return "Y1"
+    if kind is VertexKind.CORNER_Y2:
+        return "Y2"
+    return "Y3"
+
+
+def _svg_xy(positions, k: int) -> list[tuple[int, int]]:
+    return [
+        (_MARGIN + (2 * b + c) * _SPAN // (2 * k), _MARGIN + _TRI_H - c * _TRI_H // k)
+        for a, b, c in positions
+    ]
 
 
 def _to_svg(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
@@ -75,24 +79,19 @@ def _to_svg(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
         f'<!-- height {k}, cuts {list(fibre.cuts)} -->',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    xy = [_xy(v.position, k) for v in dc.vertices]
-    for u, v in dc.edges:
-        (x1, y1), (x2, y2) = xy[u], xy[v]
-        out.append(
-            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            f'stroke="#707070" stroke-width="2"/>'
-        )
+    xy = _svg_xy([v.position for v in dc.vertices], k)
+    start = [f'<line x1="{x}" y1="{y}" ' for x, y in xy]  # a line's two halves at each vertex
+    end = [f'x2="{x}" y2="{y}" stroke="#707070" stroke-width="2"/>' for x, y in xy]
+    out += [start[u] + end[v] for u, v in dc.edges]
     for v, (x, y) in zip(dc.vertices, xy):
-        fill = _FILL[v.surface_kind]
+        fill, dx, dy = _STYLE[v.kind]
         out.append(f'<circle cx="{x}" cy="{y}" r="6" fill="{fill}"/>')
-        dx, dy = _OFFSET[v.kind]
         out.append(
             f'<text x="{x + dx}" y="{y + dy}" font-family="monospace" '
             f'font-size="13" fill="{fill}">{_label(v, k)}</text>'
         )
     if cfg is not None:
-        for p in cfg.points:
-            x, y = _xy(p.valuations, k)
+        for p, (x, y) in zip(cfg.points, _svg_xy([p.valuations for p in cfg.points], k)):
             out.append(
                 f'<circle cx="{x}" cy="{y}" r="10" fill="none" '
                 f'stroke="#108040" stroke-width="3"/>'
@@ -119,10 +118,9 @@ def _to_dot(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
         y = c * 260 // k
         out.append(
             f'  v{i} [label="{_label(v, k)}" pos="{x},{y}!" '
-            f'color="{_FILL[v.surface_kind]}"];'
+            f'color="{_STYLE[v.kind][0]}"];'
         )
-    for u, v in dc.edges:
-        out.append(f"  v{u} -- v{v};")
+    out += [f"  v{u} -- v{v};" for u, v in dc.edges]
     if cfg is not None:
         for idx, p in enumerate(cfg.points):
             a, b, c = p.valuations
@@ -153,8 +151,7 @@ def _to_tikz(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
         return f"({_milli(x)},{_milli(y)})"
 
     at = [coord(v.position) for v in dc.vertices]
-    for u, v in dc.edges:
-        out.append(f"\\draw[gray] {at[u]} -- {at[v]};")
+    out += [f"\\draw[gray] {at[u]} -- {at[v]};" for u, v in dc.edges]
     for v, pos in zip(dc.vertices, at):
         out.append(f"\\filldraw {pos} circle (2pt);")
         out.append(f"\\node[anchor=south west, font=\\tiny] at {pos} {{{_label(v, k)}}};")
@@ -173,7 +170,14 @@ def render_fibre(
     cfg: PointConfiguration | None = None,
     fmt: str = "svg",
 ) -> str:
-    """Render the dual complex, with optional support points, to a document."""
+    """Render the dual complex, with optional support points, to a document.
+
+    The points must have the fibre's height: the layout scales by it.
+    """
+    if cfg is not None and cfg.height != fibre.height:
+        raise HeightMismatch(
+            f"configuration has height {cfg.height}, the fibre {fibre.height}"
+        )
     if fmt == "svg":
         return _to_svg(fibre, cfg)
     if fmt == "dot":

@@ -222,9 +222,46 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
+_encode_str = json.encoder.encode_basestring  # C: strings as ensure_ascii=False writes them
+
+
 def dumps(payload) -> str:
-    """Canonical JSON text: two-space indent, stable key order, newline."""
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON text: two-space indent, stable key order, newline.
+
+    The text is exactly ``json.dumps(payload, indent=2, ensure_ascii=False)``
+    and a newline.  ``json`` writes indented text in Python, one piece per
+    token; here each container is joined at its indentation and each leaf is
+    encoded in C.
+    """
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(obj, newline: str) -> str:
+    """``obj`` as ``dumps`` writes it, on a line that ``newline`` starts."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:  # no bools, no int subclasses
+            items = map(int.__repr__, obj)
+        else:
+            items = [_indented(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        try:
+            items = [_encode_str(key) + ": " + _indented(value, inner)
+                     for key, value in obj.items()]
+        except TypeError:  # a key that is not a string, which json converts
+            return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", newline)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(obj) is int:
+        return int.__repr__(obj)
+    return json.dumps(obj)
 
 
 def normal_form_to_json(nf: NormalForm) -> dict:

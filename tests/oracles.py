@@ -220,6 +220,110 @@ def reference_dual_complex(k: int, cuts: tuple[int, ...]):
 
 
 # ---------------------------------------------------------------------------
+# The three diagrams, written line by line from the position-lookup complex.
+#
+# A point list is ``((a, b, c), multiplicity)`` pairs, or None for no points.
+
+_SURFACE_OF = {"corner_y1": "plane", "corner_y2": "plane", "corner_y3": "plane",
+               "pure_delta1": "ruled-bubble", "pure_delta2": "ruled-bubble",
+               "mixed": "ruled-bubble", "interior": "quadric"}
+_FILL_OF = {"plane": "#303030", "ruled-bubble": "#c03030", "quadric": "#3050c0"}
+_SVG_LABEL_OFFSET = {"corner_y1": (-14, 18), "corner_y2": (10, 14), "corner_y3": (10, -8),
+                     "pure_delta1": (-14, 18), "pure_delta2": (10, -8),
+                     "mixed": (10, 14), "interior": (8, -8)}
+
+
+def _vertex_label(kind, levels, k) -> str:
+    if kind.startswith("corner_y"):
+        return "Y" + kind[-1]
+    if kind == "pure_delta1":
+        return f"Δ1({levels[0]})"
+    if kind == "pure_delta2":
+        return f"Δ2({levels[0]})"
+    if kind == "mixed":
+        return f"Δ1({levels[0]})=Δ2({k - levels[0]})"
+    return f"Δ1({levels[0]})×Δ2({levels[1]})"
+
+
+def reference_svg(k, cuts, points) -> str:
+    vertices, edges, _ = reference_dual_complex(k, cuts)
+
+    def xy(position):
+        a, b, c = position
+        return 70 + (2 * b + c) * 620 // (2 * k), 70 + 537 - c * 537 // k
+
+    out = ['<?xml version="1.0" encoding="UTF-8"?>',
+           '<svg xmlns="http://www.w3.org/2000/svg" width="760" height="677" '
+           'viewBox="0 0 760 677">',
+           f"<!-- height {k}, cuts {list(cuts)} -->",
+           '<rect width="100%" height="100%" fill="white"/>']
+    for u, v in edges:
+        (x1, y1), (x2, y2) = xy(vertices[u][1]), xy(vertices[v][1])
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                   'stroke="#707070" stroke-width="2"/>')
+    for kind, position, levels in vertices:
+        x, y = xy(position)
+        fill = _FILL_OF[_SURFACE_OF[kind]]
+        dx, dy = _SVG_LABEL_OFFSET[kind]
+        out.append(f'<circle cx="{x}" cy="{y}" r="6" fill="{fill}"/>')
+        out.append(f'<text x="{x + dx}" y="{y + dy}" font-family="monospace" '
+                   f'font-size="13" fill="{fill}">{_vertex_label(kind, levels, k)}</text>')
+    for position, mult in points or ():
+        x, y = xy(position)
+        out.append(f'<circle cx="{x}" cy="{y}" r="10" fill="none" '
+                   'stroke="#108040" stroke-width="3"/>')
+        out.append(f'<text x="{x + 12}" y="{y - 10}" font-family="monospace" '
+                   f'font-size="13" fill="#108040">m={mult}</text>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def reference_dot(k, cuts, points) -> str:
+    vertices, edges, _ = reference_dual_complex(k, cuts)
+
+    def xy(position):
+        a, b, c = position
+        return (2 * b + c) * 300 // (2 * k), c * 260 // k
+
+    out = ["graph dual_complex {", "  layout=neato;",
+           "  node [shape=circle, width=0.25, fixedsize=true, fontsize=10];"]
+    for i, (kind, position, levels) in enumerate(vertices):
+        x, y = xy(position)
+        out.append(f'  v{i} [label="{_vertex_label(kind, levels, k)}" pos="{x},{y}!" '
+                   f'color="{_FILL_OF[_SURFACE_OF[kind]]}"];')
+    out.extend(f"  v{u} -- v{v};" for u, v in edges)
+    for i, (position, mult) in enumerate(points or ()):
+        x, y = xy(position)
+        out.append(f'  p{i} [label="m={mult}" pos="{x},{y}!" shape=box, color="#108040"];')
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def reference_tikz(k, cuts, points) -> str:
+    vertices, edges, _ = reference_dual_complex(k, cuts)
+
+    def coord(position):
+        a, b, c = position
+        x, y = (2 * b + c) * 3000 // (2 * k), c * 2598 // k
+        return f"({x // 1000}.{x % 1000:03d},{y // 1000}.{y % 1000:03d})"
+
+    out = ["\\begin{tikzpicture}[scale=1]"]
+    out.extend(f"\\draw[gray] {coord(vertices[u][1])} -- {coord(vertices[v][1])};"
+               for u, v in edges)
+    for kind, position, levels in vertices:
+        out.append(f"\\filldraw {coord(position)} circle (2pt);")
+        out.append(f"\\node[anchor=south west, font=\\tiny] at {coord(position)} "
+                   f"{{{_vertex_label(kind, levels, k)}}};")
+    for position, _ in points or ():
+        out.append(f"\\draw[green!60!black, thick] {coord(position)} circle (4pt);")
+    out.append("\\end{tikzpicture}")
+    return "\n".join(out) + "\n"
+
+
+REFERENCE_RENDERERS = {"svg": reference_svg, "dot": reference_dot, "tikz": reference_tikz}
+
+
+# ---------------------------------------------------------------------------
 # The stability invariant, from its definition.
 #
 # Plain data only: a presentation is its tuple of vanishing orders, a point is
