@@ -24,12 +24,16 @@ Occupancy is read off the placement: each ``Location`` keeps the
 half-level coordinates of ``a`` and ``k - b`` among the levels
 ``(0, *cuts, k)``, each presentation the coordinate ``2p`` of each level
 value, and a level is occupied when some point has a coordinate equal to it.
+
+A ``PointConfiguration`` is a ``NamedTuple`` of the fibre, the presentation,
+the points and their placements, so the exhaustive suites of ``verify``,
+which build one per configuration, pay for a tuple and not an object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .base import BaseTuple, NormalForm, normal_form
 from .dual_complex import ExpandedFibre, Location, locate
@@ -78,9 +82,14 @@ class SupportPoint:
         return self.valuations[1]
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """Points placed on a fibre, remembering the presenting base tuple."""
+class PointConfiguration(NamedTuple):
+    """Points placed on a fibre, remembering the presenting base tuple.
+
+    ``placements[i]`` is the location of ``points[i]``.  Equality and hash
+    are those of the field tuple; ``m`` is the total multiplicity and
+    ``height`` the fibre's.  Built positionally or by keyword, or, where a
+    sweep makes many, by ``tuple.__new__`` on the four fields.
+    """
 
     fibre: ExpandedFibre
     presentation: BaseTuple
@@ -205,7 +214,7 @@ def normalize_pair(cfg: PointConfiguration) -> PointConfiguration:
     canonical = cfg.fibre.canonical_tuple
     if canonical == cfg.presentation:
         return cfg
-    return PointConfiguration(cfg.fibre, canonical, cfg.points, cfg.placements)
+    return tuple.__new__(PointConfiguration, (cfg.fibre, canonical, cfg.points, cfg.placements))
 
 
 def stability_report(cfg: PointConfiguration) -> StabilityReport:

@@ -16,6 +16,11 @@ stability test and by positivity) and the zero-free tuple that
 ``normalize_pair`` and ``stabilizer_rank`` read.  Every configuration still
 goes through the verdict functions; its occupancy is an OR over its shared
 locations.
+
+A configuration costs a tuple (``PointConfiguration`` is a ``NamedTuple``)
+and the verdicts asked of it: occupancy is tested before a lift is built,
+so only occupied configurations reach the constructive lift, which reads
+each placement once.
 """
 
 from __future__ import annotations
@@ -226,10 +231,12 @@ def _presentation_configs(
 def _configs(
     placed: PointConfiguration, multisets: tuple[tuple[SupportPoint, ...], ...]
 ) -> Iterator[PointConfiguration]:
-    where = dict(zip((p.valuations for p in placed.points), placed.placements))
+    fibre, presentation, every_point, every_location = placed
+    where = dict(zip((p.valuations for p in every_point), every_location))
+    new = tuple.__new__  # as ``PointConfiguration._make``, minus its checks
     for points in multisets:
-        placements = tuple(where[p.valuations] for p in points)
-        yield PointConfiguration(placed.fibre, placed.presentation, points, placements)
+        placements = tuple([where[p.valuations] for p in points])
+        yield new(PointConfiguration, (fibre, presentation, points, placements))
 
 
 def check_stability_equivalence(

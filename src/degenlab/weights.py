@@ -46,7 +46,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .base import VanishingPattern
-from .configurations import PointConfiguration, SupportPoint, unoccupied_level_values
+from .configurations import PointConfiguration, SupportPoint, is_ws_stable
 from .errors import CriterionViolated, DegenLabError, InvalidInput, InvalidLocalScheme, NoLimit
 
 __all__ = [
@@ -197,6 +197,11 @@ def _terms(table: Sequence[Sequence[int]], s: Sequence[int]) -> list[int]:
     return [s_j * pair[s_j > 0] for pair, s_j in zip(table, s)]
 
 
+def _placed(cfg: PointConfiguration) -> list[tuple[int, int, int]]:
+    """``(x, y, multiplicity)`` per point: each placement read once."""
+    return [(loc.x, loc.y, p.multiplicity) for p, loc in zip(cfg.points, cfg.placements)]
+
+
 def _lift_table(cfg: PointConfiguration, lin: Linearization) -> list[tuple[int, int]]:
     """Combinatorial sign table ``(c_j at s_j = -1, c_j at s_j = +1)``.
 
@@ -212,11 +217,11 @@ def _lift_table(cfg: PointConfiguration, lin: Linearization) -> list[tuple[int, 
         raise InvalidInput(
             f"linearization has {len(lin)} levels, presentation needs {len(coords)}"
         )
+    placed = _placed(cfg)
     table = []
     for c, (lift_a, lift_b, lift_c, lift_d) in zip(coords, lin.levels):
         neg = pos = 0
-        for p, loc in zip(cfg.points, cfg.placements):
-            x, y, m = loc.x, loc.y, p.multiplicity
+        for x, y, m in placed:
             neg += m * ((-lift_a if x <= c else lift_b) + (lift_c if y > c else -lift_d))
             pos += m * ((-lift_a if x < c else lift_b) + (lift_c if y >= c else -lift_d))
         table.append((neg, pos))
@@ -335,24 +340,34 @@ def constructive_linearization(cfg: PointConfiguration) -> Linearization:
     strictly on its (1:0) side, and give the second chart the neutral pair
     (0, 1).  Otherwise a point must sit on the second-family component;
     mirror the construction with m'' the multiplicity on its (1:0) side.
-    Level values never decrease, so the smallest unoccupied value names the
-    first level that fails.
+    Each placement is read once, as ``(x, y, multiplicity)``; one plain loop
+    per level finds both on-level tests, m' and m''.  Level values never
+    decrease, so the first level that no point occupies names the smallest
+    unoccupied value, and ``CriterionViolated`` names it.
     """
-    unoccupied = unoccupied_level_values(cfg)
-    if unoccupied:
-        raise CriterionViolated(
-            f"no point of the support occupies the level at cut value {unoccupied[0]}"
-        )
+    placed = _placed(cfg)
     m = cfg.m
-    placed = tuple(zip(cfg.points, cfg.placements))
     lifts = []
-    for c in cfg.presentation.level_coords:
-        if any(loc.x == c for loc in cfg.placements):
-            m1 = sum(p.multiplicity for p, loc in placed if loc.x < c)
+    for c, v in zip(cfg.presentation.level_coords, cfg.presentation.level_values):
+        on1 = on2 = False
+        m1 = m2 = 0
+        for x, y, mult in placed:
+            if x == c:
+                on1 = True
+            elif x < c:
+                m1 += mult
+            if y > c:
+                m2 += mult
+            elif y == c:
+                on2 = True
+        if on1:
             lifts.append(LevelLift(m * (m - m1), m * (m1 + 1), 0, 1))
-        else:
-            m2 = sum(p.multiplicity for p, loc in placed if loc.y > c)
+        elif on2:
             lifts.append(LevelLift(0, 1, m * (m - m2), m * (m2 + 1)))
+        else:
+            raise CriterionViolated(
+                f"no point of the support occupies the level at cut value {v}"
+            )
     return Linearization(tuple(lifts))
 
 
@@ -380,13 +395,13 @@ def exists_stabilizing_linearization(
 ) -> Linearization | None:
     """The constructive lift when every level is occupied, else None.
 
-    The returned lift is re-verified through the stability test at the
-    dominating scale factor.
+    Occupancy is tested first, by ``is_ws_stable``, so an unoccupied
+    configuration builds no lift and raises nothing.  The returned lift is
+    re-verified through the stability test at the dominating scale factor.
     """
-    try:
-        lin = constructive_linearization(cfg)
-    except CriterionViolated:
+    if not is_ws_stable(cfg):
         return None
+    lin = constructive_linearization(cfg)
     if not is_git_stable(cfg, lin, default_scale(cfg.m)):
         raise DegenLabError(
             "internal error: constructive linearization failed verification"

@@ -10,6 +10,7 @@ from degenlab import (
     CriterionViolated,
     HeightMismatch,
     NormalForm,
+    PointConfiguration,
     VertexKind,
     build_fibre,
     constructive_linearization,
@@ -129,6 +130,29 @@ def test_normalize_pair():
     assert norm.presentation.exponents == (1, 1)
     kind = norm.fibre.dual_complex.vertices[norm.placements[0].index].kind
     assert kind is VertexKind.PURE_DELTA1
+
+
+def test_configuration_is_a_value_tuple():
+    presentation = make_base_tuple([2, 1])
+    points = [((0, 2, 1), 2), ((2, 1, 0), 1)]
+    cfg, again = place(presentation, points), place(presentation, points)
+    assert cfg == again and cfg is not again
+    assert hash(cfg) == hash(again)
+    assert {cfg: "verdict"}[again] == "verdict"
+    assert cfg.m == 3 and cfg.height == 3
+    assert place(NormalForm(2, ()), []).m == 0
+
+    assert normalize_pair(cfg) is cfg
+    slotted = place(make_base_tuple([2, 0, 1]), points)
+    assert normalize_pair(slotted) is not slotted
+    assert normalize_pair(slotted) == cfg
+
+    fields = (cfg.fibre, cfg.presentation, cfg.points, cfg.placements)
+    assert PointConfiguration(*fields) == cfg
+    assert PointConfiguration(
+        fibre=cfg.fibre, presentation=cfg.presentation,
+        points=cfg.points, placements=cfg.placements,
+    ) == cfg
 
 
 def test_normalize_preserves_length():

@@ -8,7 +8,7 @@ import pytest
 from degenlab import verify
 from degenlab.base import BaseTuple
 from degenlab.configurations import place, stabilizer_rank, unoccupied_level_values
-from degenlab.verify import presentations, weighted_configurations
+from degenlab.verify import presentations, run_all, weighted_configurations
 
 
 def test_presentation_configs_are_the_placed_configurations():
@@ -63,3 +63,30 @@ def test_each_suite_fails_on_a_broken_verdict(monkeypatch, suite, name, broken):
     named = re.match(r"presentation (\([\d, ]*\)) ", result.detail)
     assert named, result.detail
     assert literal_eval(named.group(1)) in {p.exponents for p in presentations(3)}
+
+
+@pytest.mark.parametrize(
+    "caps,details",
+    [
+        ((2, 1), ["25 fibres, n <= 8", "14 moves, size <= 3",
+                  "19 point multisets, k <= 3, m <= 1",
+                  "180 configurations, k <= 2, m <= 1",
+                  "182 (configuration, s) pairs",
+                  "180 configurations over 3 classes"]),
+        ((3, 2), ["25 fibres, n <= 8", "68 moves, size <= 4",
+                  "236 point multisets, k <= 4, m <= 2",
+                  "2970 configurations, k <= 3, m <= 2",
+                  "6586 (configuration, s) pairs",
+                  "2970 configurations over 7 classes"]),
+        ((4, 2), ["25 fibres, n <= 8", "288 moves, size <= 5",
+                  "488 point multisets, k <= 5, m <= 2",
+                  "10586 configurations, k <= 4, m <= 2",
+                  "21774 (configuration, s) pairs",
+                  "10586 configurations over 15 classes"]),
+    ],
+    ids=["2-1", "3-2", "4-2"],
+)
+def test_run_all_details_at_small_caps(caps, details):
+    results = run_all(*caps)
+    assert all(r.ok for r in results), results
+    assert [r.detail for r in results] == details

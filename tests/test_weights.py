@@ -141,6 +141,15 @@ def test_stability_sweep_lists_sign_vectors_once_per_presentation():
     assert counts == {"sign_vectors": len(list(presentations(3, 4)))}
 
 
+def test_stability_sweep_lifts_only_occupied_configurations():
+    """Occupancy is tested before a lift is built: of the 2,970
+    configurations at k <= 3, m <= 2, only the 1,280 occupied ones reach
+    the constructive lift."""
+    with calls_by_name("constructive_linearization") as counts:
+        assert check_stability_equivalence(max_k=3, max_m=2).ok
+    assert counts == {"constructive_linearization": 1280}
+
+
 def test_weights_command_lists_sign_vectors_once(monkeypatch, capsys):
     points = [{"val": [s, 6 - s, 0], "mult": 1} for s in range(1, 6)]
     scenario = {"height": 6, "cuts": [1, 2, 3, 4, 5], "points": points}
