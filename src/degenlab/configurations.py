@@ -85,10 +85,15 @@ class SupportPoint:
 class PointConfiguration(NamedTuple):
     """Points placed on a fibre, remembering the presenting base tuple.
 
-    ``placements[i]`` is the location of ``points[i]``.  Equality and hash
-    are those of the field tuple; ``m`` is the total multiplicity and
-    ``height`` the fibre's.  Built positionally or by keyword, or, where a
-    sweep makes many, by ``tuple.__new__`` on the four fields.
+    ``placements[i]`` is the location of ``points[i]``; ``m`` is the total
+    multiplicity and ``height`` the fibre's.  Built positionally or by
+    keyword; ``verify``'s configuration stream, which makes thousands, builds
+    it by ``tuple.__new__`` on the four fields.
+
+    This is a tuple, not a dataclass: it equals and hashes like the plain
+    tuple ``(fibre, presentation, points, placements)``, and supports
+    ``len``, iteration, indexing and unpacking.  ``dataclasses.replace`` and
+    ``dataclasses.fields`` no longer apply; use ``_replace`` and ``_fields``.
     """
 
     fibre: ExpandedFibre
@@ -214,7 +219,7 @@ def normalize_pair(cfg: PointConfiguration) -> PointConfiguration:
     canonical = cfg.fibre.canonical_tuple
     if canonical == cfg.presentation:
         return cfg
-    return tuple.__new__(PointConfiguration, (cfg.fibre, canonical, cfg.points, cfg.placements))
+    return PointConfiguration(cfg.fibre, canonical, cfg.points, cfg.placements)
 
 
 def stability_report(cfg: PointConfiguration) -> StabilityReport:

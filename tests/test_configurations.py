@@ -154,6 +154,11 @@ def test_configuration_is_a_value_tuple():
         points=cfg.points, placements=cfg.placements,
     ) == cfg
 
+    # a tuple, not a dataclass: the field tuple's equality and hash
+    assert cfg == fields and hash(cfg) == hash(fields)
+    assert len(cfg) == 4 and tuple(cfg) == fields and cfg[2] == cfg.points
+    assert cfg._replace(presentation=cfg.presentation) == cfg
+
 
 def test_normalize_preserves_length():
     cfg = place(make_base_tuple([1, 0, 1]), [((1, 0, 1), 2), ((0, 2, 0), 3)])
