@@ -47,10 +47,8 @@ from .dual_complex import (
     TropPosition,
     VertexKind,
     build_fibre,
-    cached_fibre,
     complex_counts,
     locate,
-    location_table,
     refines,
 )
 from .errors import (

@@ -287,13 +287,7 @@ def normal_form(t: BaseTuple) -> NormalForm:
     k = t.height
     if k < 1:
         raise InvalidInput("normal form requires height >= 1")
-    cuts = set()
-    acc = 0
-    for g in t.exponents[:-1]:
-        acc += g
-        if 0 < acc < k:
-            cuts.add(acc)
-    return NormalForm(k, tuple(sorted(cuts)))
+    return NormalForm(k, tuple(sorted({v for v in t.level_values if 0 < v < k})))
 
 
 def canonical_tuple(nf: NormalForm) -> BaseTuple:

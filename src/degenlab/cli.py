@@ -39,8 +39,10 @@ from .weights import constructive_linearization, default_scale, is_git_stable, w
 
 __all__ = ["main"]
 
-# The oracle of `limit` walks 2^(k-1) cut sets, and `location_table` keeps
-# every one: height 14 took 7 s and 220 MB, height 16 took 29 s and 1 GB.
+# The oracle of `limit` walks 2^(k-1) cut sets, so its time doubles with each
+# unit of height; its memory does not grow.  With three points on a 2-core
+# host it took 0.02 s at height 12, 0.08 s at 14 and 0.35 s at 16, at 16 MB
+# RSS; `limit` at height 12 takes 0.11 s in-process, imports included.
 LIMIT_MAX_K = 12
 # The dual complex has about n^2 / 2 crossings for n cuts, and memory grows
 # as n^2: `fiber` at 100 cuts takes 0.2-0.3 s and 30 MB, interpreter start
@@ -101,24 +103,20 @@ def _cmd_limit(args) -> int:
         _check_complex_size(report.fibre)
     payload = limit_report_to_json(report)
     exit_code = 0
-    m = report.configuration.m
-    if sc.height <= args.max_k and m <= args.max_m:
-        try:
-            winners = unique_stable_subdivision_oracle(
-                points, sc.height, max_height=args.max_k,
-                max_multiplicity=args.max_m,
-            )
-            agreement = winners == [report.fibre.nf]
-            payload["oracle"] = {
-                "cut_sets": [list(nf.cuts) for nf in winners],
-                "agrees": agreement,
-            }
-            if not agreement:
-                exit_code = 1
-        except RefuseBruteForce:
-            payload["oracle"] = "skipped"
-    else:
+    try:
+        winners = unique_stable_subdivision_oracle(
+            points, sc.height, max_height=args.max_k, max_multiplicity=args.max_m
+        )
+    except RefuseBruteForce:
         payload["oracle"] = "skipped"
+    else:
+        agreement = winners == [report.fibre.nf]
+        payload["oracle"] = {
+            "cut_sets": [list(nf.cuts) for nf in winners],
+            "agrees": agreement,
+        }
+        if not agreement:
+            exit_code = 1
     if args.format == "text":
         lines = [
             f"height {sc.height}, cuts {list(report.fibre.nf.cuts)}",

@@ -8,7 +8,9 @@ height interval.  The induced zero-free presentation places every point at a
 vertex and occupies every level, so the limit pair is stable.
 
 ``unique_stable_subdivision_oracle`` confirms the uniqueness claim by brute
-force over all cut sets, independently of the list construction above.
+force over all cut sets, independently of the list construction above and of
+``locate``: it decides which points are vertices and which levels are
+occupied by its own line rules.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .base import BaseTuple, NormalForm, canonical_tuple
+from .base import BaseTuple, NormalForm
 from .configurations import (
     PointConfiguration,
     StabilityReport,
@@ -25,7 +27,7 @@ from .configurations import (
     place,
     stability_report,
 )
-from .dual_complex import ExpandedFibre, TropPosition, location_table, refines
+from .dual_complex import ExpandedFibre, refines
 from .errors import (
     HeightMismatch,
     InvalidInput,
@@ -77,13 +79,7 @@ def flat_limit(points: Iterable, k: int) -> LimitReport:
                 f"point {p.valuations} does not have height {k}"
             )
     powers = sorted({p.a for p in pts} | {k - p.b for p in pts})
-    if powers:
-        exponents = [powers[0]]
-        exponents += [b - a for a, b in zip(powers, powers[1:])]
-        exponents.append(k - powers[-1])
-        base = BaseTuple(tuple(exponents))
-    else:
-        base = canonical_tuple(NormalForm(k, ()))
+    base = BaseTuple(tuple([b - a for a, b in zip([0, *powers], [*powers, k])]))
     cfg = place(base, pts)
     report = stability_report(cfg)
     return LimitReport(cfg.presentation, cfg.fibre, cfg, report)
@@ -99,8 +95,11 @@ def unique_stable_subdivision_oracle(
     """All cut sets giving an admissible, fully occupied placement.
 
     Pure brute force over the ``2^(k-1)`` subsets of the interior levels;
-    separatedness of the construction predicts a single winner.  Instances
-    above the size caps are refused rather than ground through.
+    separatedness of the construction predicts a single winner.  A point
+    (a, b, c) is a vertex when two or more of the lines a = 0, b = 0, c = 0,
+    a = s and b = k - s pass through it, and a cut s is occupied when some
+    point has a = s or b = k - s.  Instances above the size caps are refused
+    rather than ground through.
     """
     if k > max_height:
         raise RefuseBruteForce(
@@ -118,21 +117,21 @@ def unique_stable_subdivision_oracle(
             raise HeightMismatch(
                 f"point {p.valuations} does not have height {k}"
             )
+    valuations = [p.valuations for p in pts]
     winners = []
     for mask in range(1 << max(k - 1, 0)):
-        cuts = tuple(s for s in range(1, k) if mask & (1 << (s - 1)))
-        nf = NormalForm(k, cuts)
-        table = location_table(nf)
+        cuts = [s for s in range(1, k) if mask >> (s - 1) & 1]
+        levels = set(cuts)
         admissible = all(
-            table[TropPosition(*p.valuations)].is_vertex for p in pts
+            (a == 0) + (b == 0) + (c == 0) + (a in levels) + (k - b in levels) >= 2
+            for a, b, c in valuations
         )
         occupied = all(
-            any(p.a == s or p.b == k - s for p in pts) for s in cuts
+            any(a == s or b == k - s for a, b, _ in valuations) for s in cuts
         )
         if admissible and occupied:
-            winners.append(nf)
-    winners.sort(key=lambda nf: nf.cuts)
-    return winners
+            winners.append(tuple(cuts))
+    return [NormalForm(k, cuts) for cuts in sorted(winners)]
 
 
 def associated_pair(points: Iterable, k: int, coarse: NormalForm) -> LimitReport:

@@ -186,6 +186,13 @@ class TestExitCodes:
         assert main(["limit", "-", "--max-k", "12"]) == 0
         assert json.loads(capsys.readouterr().out)["oracle"] == "skipped"
 
+    def test_limit_skips_the_oracle_above_the_multiplicity_cap(self, capsys):
+        scenario = str(DATA / "s1_worked_pair.json")  # two points of multiplicity 1
+        assert main(["limit", scenario, "--max-m", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"] == "skipped"
+        assert main(["limit", scenario, "--max-m", "1", "--format", "text"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "oracle: skipped"
+
     @pytest.mark.parametrize(
         "command,scenario",
         [

@@ -1,6 +1,9 @@
 """The flat-limit construction and its brute-force oracles."""
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenlab import (
     HeightMismatch,
@@ -13,6 +16,7 @@ from degenlab import (
     extend_special,
     flat_limit,
     place,
+    stability_report,
     unique_stable_subdivision_oracle,
 )
 
@@ -108,6 +112,52 @@ class TestOracle:
             [((1, 1, 0), 5)], 2, max_multiplicity=5
         )
         assert winners == [NormalForm(2, (1,))]
+
+
+@st.composite
+def oracle_instances(draw):
+    """Height k <= 10 and up to four points, multiplicities 1-2, total <= 4."""
+    k = draw(st.integers(min_value=1, max_value=10))
+    points, total = [], 0
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        m = draw(st.integers(min_value=1, max_value=2))
+        if total + m > 4:
+            break
+        a = draw(st.integers(min_value=0, max_value=k))
+        b = draw(st.integers(min_value=0, max_value=k - a))
+        points.append(((a, b, k - a - b), m))
+        total += m
+    return k, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_instances())
+def test_oracle_winners_are_the_stable_placements(instance):
+    """The oracle's line rules pick exactly the cut sets on which the
+    placement path finds the pair admissible with finite automorphisms."""
+    k, points = instance
+    stable = []
+    for mask in range(1 << (k - 1)):
+        nf = NormalForm(k, tuple(s for s in range(1, k) if mask >> (s - 1) & 1))
+        if stability_report(place(nf, points)).lw_stable:
+            stable.append(nf)
+    assert unique_stable_subdivision_oracle(points, k, max_height=k) == sorted(
+        stable, key=lambda nf: nf.cuts
+    )
+
+
+def test_oracle_memory_is_bounded():
+    """At height 12 the oracle walks 2048 cut sets and keeps none of them."""
+    k = 12
+    points = [((1, k - 3, 2), 1), ((k - 2, 1, 1), 1), ((2, 2, k - 4), 1)]
+    tracemalloc.start()
+    try:
+        winners = unique_stable_subdivision_oracle(points, k, max_height=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert winners == [NormalForm(k, (1, 2, 3, 10, 11))]
+    assert peak < 2 * 2**20
 
 
 class TestAssociatedPair:
