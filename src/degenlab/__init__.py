@@ -79,17 +79,13 @@ from .weights import (
     LevelLift,
     Linearization,
     LocalMonomialScheme,
-    Side,
     admissible_1ps,
     bounded_weight,
-    combinatorial_level_terms,
     constructive_linearization,
     default_scale,
     exists_stabilizing_linearization,
-    flow_limit,
     hm_invariant,
     is_git_stable,
-    side_of,
     weight_rows,
 )
 

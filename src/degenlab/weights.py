@@ -27,9 +27,10 @@ of the flow reads only the sign of ``s_j``, so ``total(s)`` is the sum of
 ``s_j (b_j + l c_j)`` with both coefficients read at ``sign(s_j)``: every
 weight function reads a per-level sign table of coefficients at ``s_j = -1``
 and ``s_j = +1``, built (and the local schemes validated) once per call.
-``flow_limit`` is the definition of the flow.  The lift tables, the
-constructive lift and the scheme check read each point's sides from its
-placement instead: ``a`` and ``k - b`` order against a level value exactly
+The flow itself is defined, on plain valuations, by the test oracle
+(``tests/oracles._limit_side`` and ``combinatorial_terms``).  The lift
+tables, the constructive lift and the scheme check read each point's sides
+from its placement: ``a`` and ``k - b`` order against a level value exactly
 as the ``Location``'s half-level coordinates ``x`` and ``y`` order against
 the value's coordinate ``2p``.
 
@@ -46,19 +47,15 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .base import VanishingPattern
-from .configurations import PointConfiguration, SupportPoint, is_ws_stable
+from .configurations import PointConfiguration, is_ws_stable
 from .errors import CriterionViolated, DegenLabError, InvalidInput, InvalidLocalScheme, NoLimit
 
 __all__ = [
-    "Side",
     "Chart",
     "LevelLift",
     "Linearization",
     "LocalMonomialScheme",
     "admissible_1ps",
-    "side_of",
-    "flow_limit",
-    "combinatorial_level_terms",
     "weight_rows",
     "bounded_weight",
     "hm_invariant",
@@ -67,12 +64,6 @@ __all__ = [
     "exists_stabilizing_linearization",
     "default_scale",
 ]
-
-
-class Side(Enum):
-    ONE_ZERO = "1:0"
-    ZERO_ONE = "0:1"
-    ON_COMPONENT = "on"
 
 
 class Chart(str, Enum):
@@ -157,39 +148,9 @@ def admissible_1ps(pattern: VanishingPattern, s: Sequence[int]) -> bool:
     )
 
 
-def side_of(point: SupportPoint, chart: Chart, value: int) -> Side:
-    """Side of the point with respect to one chart at the given cut value."""
-    coord = point.a if chart is Chart.DELTA1 else point.b
-    if coord == value:
-        return Side.ON_COMPONENT
-    return Side.ZERO_ONE if coord > value else Side.ONE_ZERO
-
-
-def _resolve(side: Side, chart: Chart, s_j: int) -> Side:
-    if side is not Side.ON_COMPONENT or s_j == 0:
-        return side
-    if chart is Chart.DELTA1:
-        return Side.ZERO_ONE if s_j > 0 else Side.ONE_ZERO
-    return Side.ONE_ZERO if s_j > 0 else Side.ZERO_ONE
-
-
 def _check_limit(cfg: PointConfiguration, s: Sequence[int]) -> None:
     if not admissible_1ps(cfg.presentation.vanishing_pattern(), s):
         raise NoLimit(f"subgroup {tuple(s)} has no limit over {cfg.presentation.exponents}")
-
-
-def flow_limit(
-    cfg: PointConfiguration, s: Sequence[int]
-) -> list[list[tuple[Side, Side]]]:
-    """Resolved (first-family, second-family) sides per point and level."""
-    _check_limit(cfg, s)
-    k = cfg.height
-    return [
-        [(_resolve(side_of(p, Chart.DELTA1, v), Chart.DELTA1, s_j),
-          _resolve(side_of(p, Chart.DELTA2, k - v), Chart.DELTA2, s_j))
-         for v, s_j in zip(cfg.presentation.level_values, s)]
-        for p in cfg.points
-    ]
 
 
 def _terms(table: Sequence[Sequence[int]], s: Sequence[int]) -> list[int]:
@@ -205,9 +166,11 @@ def _placed(cfg: PointConfiguration) -> list[tuple[int, int, int]]:
 def _lift_table(cfg: PointConfiguration, lin: Linearization) -> list[tuple[int, int]]:
     """Combinatorial sign table ``(c_j at s_j = -1, c_j at s_j = +1)``.
 
-    ``flow_limit`` is the definition: level j sends a point to a fixpoint of
-    each chart by its side and the sign of s_j.  The sides are read here from
-    the placement: at level coordinate c, the first-family chart is at (1:0)
+    The flow is defined by ``tests/oracles._limit_side``: level j sends a
+    point to a fixpoint of each chart by its side and the sign of s_j, so
+    ``table[j]`` is ``(-t, t')`` for the oracle's ``combinatorial_terms``
+    t at s_j = -1 and t' at s_j = +1.  The sides are read here from the
+    placement: at level coordinate c, the first-family chart is at (1:0)
     when ``x <= c`` for s_j = -1 and when ``x < c`` for s_j = +1; the
     second-family chart is at (1:0) when ``y > c`` and when ``y >= c``.
     Reads no scheme.
@@ -268,18 +231,6 @@ def _scheme_table(cfg: PointConfiguration) -> list[tuple[int, int]]:
                     )
                 degrees[j] += exp
     return [(-d, d) for d in degrees]
-
-
-def combinatorial_level_terms(
-    cfg: PointConfiguration, s: Sequence[int], lin: Linearization
-) -> list[int]:
-    """Per-level summands of the combinatorial weight (the values c_j s_j).
-
-    A lift of the wrong length is refused before a subgroup without a limit.
-    """
-    table = _lift_table(cfg, lin)
-    _check_limit(cfg, s)
-    return _terms(table, s)
 
 
 def bounded_weight(

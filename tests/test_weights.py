@@ -24,16 +24,14 @@ from degenlab import (
     LocalMonomialScheme,
     NoLimit,
     NormalForm,
-    Side,
     SupportPoint,
     VanishingPattern,
     admissible_1ps,
     bounded_weight,
-    combinatorial_level_terms,
+    build_fibre,
     constructive_linearization,
     default_scale,
     exists_stabilizing_linearization,
-    flow_limit,
     hm_invariant,
     is_git_stable,
     make_base_tuple,
@@ -41,14 +39,17 @@ from degenlab import (
     weight_rows,
 )
 from degenlab.cli import main
-from degenlab.verify import check_stability_equivalence, presentations
-from degenlab.weights import _lift_table, _resolve
+from degenlab.verify import (
+    check_bijection,
+    check_positivity,
+    check_stability_equivalence,
+    presentations,
+)
+from degenlab.weights import _lift_table
 
 
 class TestLinearizationValidation:
     def test_every_chart_needs_positive_degree(self):
-        from degenlab import InvalidInput
-
         with pytest.raises(InvalidInput):
             Linearization((LevelLift(0, 0, 1, 1),))
         with pytest.raises(InvalidInput):
@@ -150,6 +151,20 @@ def test_stability_sweep_lifts_only_occupied_configurations():
     assert counts == {"constructive_linearization": 1280}
 
 
+@pytest.mark.parametrize(
+    "suite",
+    [check_stability_equivalence, check_positivity, check_bijection],
+    ids=lambda suite: suite.__name__,
+)
+def test_sweeps_place_once_per_presentation(suite):
+    """At k <= 3, m <= 2 each sweep places every triangle position once per
+    presentation (65 presentations, 500 positions in all) and reads each
+    configuration's locations from that one placement."""
+    with calls_by_name("place", "locate") as counts:
+        assert suite(max_k=3, max_m=2).ok
+    assert counts == {"place": 65, "locate": 500}
+
+
 def test_weights_command_lists_sign_vectors_once(monkeypatch, capsys):
     points = [{"val": [s, 6 - s, 0], "mult": 1} for s in range(1, 6)]
     scenario = {"height": 6, "cuts": [1, 2, 3, 4, 5], "points": points}
@@ -164,53 +179,84 @@ def pd1_config():
     return place(NormalForm(2, (1,)), [((1, 0, 1), 1)])
 
 
+def combinatorial(cfg, lin, s):
+    """The combinatorial column of the one weight row at s."""
+    [(_, _, value)] = weight_rows(cfg, lin, [s])
+    return value
+
+
+# Each first-family side weighs -1 at (1:0) and 2 at (0:1), each
+# second-family side 4 at (1:0) and -8 at (0:1): every pair of sides has
+# its own sum, so one weight row tells the library's sides apart.
+SIDE_LIFT = Linearization((LevelLift(1, 2, 4, 8),))
+SIDE_WEIGHT = {("1:0", "1:0"): 3, ("1:0", "0:1"): -9, ("0:1", "1:0"): 6, ("0:1", "0:1"): -6}
+
+
+def limit_sides(val, k, v, s_j):
+    """The oracle's (first-family, second-family) limit sides at level value v."""
+    a, b, _ = val
+    return oracles._limit_side(a, v, s_j, "delta1"), oracles._limit_side(b, k - v, s_j, "delta2")
+
+
+def assert_weight_rows_read_the_oracle_sides(val):
+    """One point at height 2 with the cut 1: the library's row is the
+    weight of the oracle's sides at s = (1,) and (-1,), and zero at (0,)."""
+    cfg = place(NormalForm(2, (1,)), [(val, 1)])
+    for s_j in (1, -1):
+        weight = SIDE_WEIGHT[limit_sides(val, 2, 1, s_j)]
+        assert combinatorial(cfg, SIDE_LIFT, (s_j,)) == s_j * weight
+    assert combinatorial(cfg, SIDE_LIFT, (0,)) == 0
+
+
 class TestFlow:
     def test_on_component_resolution(self):
         # the point sits on the first-family bubble; its second-family side
         # is already the (1:0) fixpoint and never moves
-        cfg = pd1_config()
-        flowed = flow_limit(cfg, (1,))
-        assert flowed[0][0] == (Side.ZERO_ONE, Side.ONE_ZERO)
-        flowed = flow_limit(cfg, (-1,))
-        assert flowed[0][0] == (Side.ONE_ZERO, Side.ONE_ZERO)
-        flowed = flow_limit(cfg, (0,))
-        assert flowed[0][0] == (Side.ON_COMPONENT, Side.ONE_ZERO)
+        val = (1, 0, 1)
+        assert limit_sides(val, 2, 1, 1) == ("0:1", "1:0")
+        assert limit_sides(val, 2, 1, -1) == ("1:0", "1:0")
+        assert limit_sides(val, 2, 1, 0) == ("on", "1:0")
+        assert_weight_rows_read_the_oracle_sides(val)
 
     def test_on_component_second_family(self):
-        cfg = place(NormalForm(2, (1,)), [((0, 1, 1), 1)])
-        assert flow_limit(cfg, (1,))[0][0] == (Side.ONE_ZERO, Side.ONE_ZERO)
-        assert flow_limit(cfg, (-1,))[0][0] == (Side.ONE_ZERO, Side.ZERO_ONE)
+        val = (0, 1, 1)
+        assert limit_sides(val, 2, 1, 1) == ("1:0", "1:0")
+        assert limit_sides(val, 2, 1, -1) == ("1:0", "0:1")
+        assert limit_sides(val, 2, 1, 0) == ("1:0", "on")
+        assert_weight_rows_read_the_oracle_sides(val)
 
     def test_inadmissible_raises(self):
         cfg = place(make_base_tuple([2, 0]), [((0, 0, 2), 1)])
+        with pytest.raises(oracles.Refused, match="NoLimit"):
+            oracles.check_subgroup((2, 0), (-1,))
         with pytest.raises(NoLimit):
-            flow_limit(cfg, (-1,))
+            weight_rows(cfg, SIDE_LIFT, [(-1,)])
 
 
 class TestCombinatorialWeight:
     def test_worked_example(self):
         cfg = pd1_config()
         lin = Linearization((LevelLift(1, 1, 0, 1),))
-        assert sum(combinatorial_level_terms(cfg, (1,), lin)) == 1
-        assert sum(combinatorial_level_terms(cfg, (-1,), lin)) == 1
-        assert sum(combinatorial_level_terms(cfg, (0,), lin)) == 0
+        assert combinatorial(cfg, lin, (1,)) == 1
+        assert combinatorial(cfg, lin, (-1,)) == 1
+        assert combinatorial(cfg, lin, (0,)) == 0
 
     def test_additive_over_points(self):
         nf = NormalForm(3, (1, 2))
         lin = Linearization((LevelLift(2, 1, 0, 1), LevelLift(1, 3, 0, 1)))
         p1, p2 = ((1, 2, 0), 1), ((2, 0, 1), 2)
         for s in [(1, 1), (1, -1), (0, 1), (-1, -1)]:
-            both = sum(combinatorial_level_terms(place(nf, [p1, p2]), s, lin))
-            one = sum(combinatorial_level_terms(place(nf, [p1]), s, lin))
-            two = sum(combinatorial_level_terms(place(nf, [p2]), s, lin))
+            both = combinatorial(place(nf, [p1, p2]), lin, s)
+            one = combinatorial(place(nf, [p1]), lin, s)
+            two = combinatorial(place(nf, [p2]), lin, s)
             assert both == one + two
 
     def test_linear_in_s_within_orthant(self):
         cfg = place(NormalForm(3, (1, 2)), [((1, 2, 0), 1), ((2, 0, 1), 1)])
         lin = constructive_linearization(cfg)
         for s in [(1, 1), (1, 0), (0, 1)]:
-            w1 = sum(combinatorial_level_terms(cfg, s, lin))
-            w3 = sum(combinatorial_level_terms(cfg, tuple(3 * x for x in s), lin))
+            w1 = combinatorial(cfg, lin, s)
+            w3 = combinatorial(cfg, lin, tuple(3 * x for x in s))
             assert w3 == 3 * w1
 
 
@@ -274,8 +320,6 @@ def _random_bound_case(rng: random.Random, max_m: int) -> None:
     m = rng.randint(1, max_m)
     # split m into at most 2 fat points at vertices
     sizes = [m] if m == 1 or rng.random() < 0.5 else [m - 1, 1]
-    from degenlab import build_fibre
-
     fibre = build_fibre(nf)
     vertices = [tuple(v.position) for v in fibre.dual_complex.vertices]
     points = []
@@ -325,8 +369,7 @@ class TestConstructiveLinearization:
         lin = constructive_linearization(cfg)
         assert lin.levels == (LevelLift(0, 1, 1, 1),)
         for s in [(1,), (-1,)]:
-            terms = combinatorial_level_terms(cfg, s, lin)
-            assert terms[0] > 0
+            assert combinatorial(cfg, lin, s) > 0
 
     def test_unoccupied_level_raises(self):
         cfg = place(NormalForm(2, (1,)), [((0, 0, 2), 1)])
@@ -382,10 +425,6 @@ class TestExistence:
     def test_sign_vector_test_exact_on_integer_box(self):
         # the sign-vector test claims exactness for all integer subgroups:
         # cross-check against a radius-5 box on assorted configurations
-        from itertools import product
-
-        from degenlab import admissible_1ps, hm_invariant
-
         cases = [
             (make_base_tuple([1, 1, 1]), [((1, 2, 0), 1), ((2, 0, 1), 1)]),
             (make_base_tuple([1, 1, 1]), [((1, 2, 0), 2)]),
@@ -429,8 +468,6 @@ class TestExistence:
     def test_exhaustive_box_search_agrees(self):
         # small instances: a stabilizing lift exists in the bounded box
         # exactly when the constructive criterion says so
-        from itertools import product
-
         for k, cuts, points in [
             (2, (1,), [((1, 0, 1), 1)]),
             (2, (1,), [((0, 1, 1), 1)]),
@@ -554,9 +591,6 @@ def test_weight_functions_match_the_definition(case):
         )
 
     assert _outcome(bounded_weight, cfg, s) == _expect(subgroup, schemes, bounded)
-    assert _outcome(combinatorial_level_terms, cfg, s, lin) == _expect(
-        lift_length, subgroup, lambda: oracles.combinatorial_terms(exponents, points, s, lifts)
-    )
     assert _outcome(hm_invariant, cfg, s, lin, l) == _expect(
         scale, subgroup, schemes, lift_length,
         lambda: oracles.invariant(exponents, points, s, lifts, l),
@@ -568,25 +602,6 @@ def test_weight_functions_match_the_definition(case):
     assert _outcome(weight_rows, cfg, lin) == _expect(
         schemes, lift_length, lambda: rows(oracles.sign_vectors(exponents))
     )
-
-
-def _lift_table_by_flow(cfg, lin):
-    """The combinatorial sign table from one walk of the flow: the sides at
-    s = 0 (always admissible), resolved at s_j = -1 and at s_j = +1."""
-    n = len(cfg.presentation.level_values)
-    if len(lin) != n:
-        raise InvalidInput(f"linearization has {len(lin)} levels, presentation needs {n}")
-    table = [[0, 0] for _ in range(n)]
-    for p, row in zip(cfg.points, flow_limit(cfg, (0,) * n)):
-        for j, (side1, side2) in enumerate(row):
-            lift = lin.levels[j]
-            for i, sign in enumerate((-1, 1)):
-                first = _resolve(side1, Chart.DELTA1, sign)
-                second = _resolve(side2, Chart.DELTA2, sign)
-                weight = -lift.a if first is Side.ONE_ZERO else lift.b
-                weight += lift.c if second is Side.ONE_ZERO else -lift.d
-                table[j][i] += p.multiplicity * weight
-    return [tuple(pair) for pair in table]
 
 
 @st.composite
@@ -615,20 +630,25 @@ def lift_table_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(lift_table_cases())
 def test_lift_table_reads_the_sides_the_flow_resolves(case):
-    """The table read by comparison equals the flow walk, value or error;
-    reading a presentation's cached facts leaves its value semantics alone."""
+    """Level by level, the table read by comparison is the oracle's flow at
+    s_j = -1 and at s_j = +1, value or error class; reading a presentation's
+    cached facts leaves its value semantics alone."""
     exponents, points, lifts = case
     presentation = make_base_tuple(list(exponents))
     cfg = place(presentation, points)
     lin = Linearization(tuple(LevelLift(*x) for x in lifts))
+    n = len(exponents) - 1
+    plain = [(val, mult, None) for val, mult in points]
 
-    def outcome(fn):
-        try:
-            return fn(cfg, lin)
-        except InvalidInput as exc:
-            return str(exc)
+    def by_flow():
+        below, above = (
+            oracles.combinatorial_terms(exponents, plain, (sign,) * n, lifts) for sign in (-1, 1)
+        )
+        return [(-neg, pos) for neg, pos in zip(below, above)]
 
-    assert outcome(_lift_table) == outcome(_lift_table_by_flow)
+    assert _outcome(_lift_table, cfg, lin) == _expect(
+        lambda: oracles.check_lifts(exponents, lifts), by_flow
+    )
     presentation.vanishing_pattern()
     fresh = BaseTuple(exponents)
     assert presentation == fresh and hash(presentation) == hash(fresh)
