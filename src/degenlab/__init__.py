@@ -37,7 +37,6 @@ from .configurations import (
     place,
     stability_report,
     stabilizer_rank,
-    unoccupied_level_values,
 )
 from .dual_complex import (
     DCVertex,

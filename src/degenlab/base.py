@@ -108,11 +108,6 @@ class NormalForm:
                 f"cuts must lie strictly inside (0, {self.height}): {self.cuts}"
             )
 
-    @property
-    def n(self) -> int:
-        """Number of cut levels (torus rank of the normalized presentation)."""
-        return len(self.cuts)
-
     def rescale(self, factor: int) -> NormalForm:
         """Finite base change: multiply the height and every cut by ``factor``."""
         if factor < 1:
@@ -172,16 +167,8 @@ class ClosedPoint:
     entries: tuple[UnitLabel | None, ...]
 
     @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
     def zero_count(self) -> int:
         return sum(1 for e in self.entries if e is None)
-
-    def vanishing_pattern(self) -> VanishingPattern:
-        vanishing = frozenset(i + 1 for i, e in enumerate(self.entries) if e is None)
-        return VanishingPattern(size=self.length, vanishing=vanishing)
 
     def unit_product(self) -> tuple[Fraction, tuple[str, ...]]:
         """Formal product of the non-vanishing entries.
@@ -231,23 +218,18 @@ def _numeric_value(label: UnitLabel) -> Fraction | None:
     return Fraction(label)
 
 
-def make_base_tuple(
-    exponents: list[int] | tuple[int, ...], *, allow_smooth: bool = False
-) -> BaseTuple:
+def make_base_tuple(exponents: list[int] | tuple[int, ...]) -> BaseTuple:
     """Build a valued base point from its vanishing orders.
 
-    Height zero means no degeneration at all; that is rejected unless the
-    caller explicitly opts into the smooth fibre.
+    Height zero means no degeneration at all and is rejected.
     """
     exps = tuple(exponents)
     if not exps:
         raise InvalidInput("base tuple needs at least one entry")
     if any(not isinstance(g, int) or g < 0 for g in exps):
         raise InvalidInput(f"exponents must be non-negative integers: {exps}")
-    if sum(exps) == 0 and not allow_smooth:
-        raise InvalidInput(
-            "height 0 means no degeneration; pass allow_smooth=True to accept it"
-        )
+    if sum(exps) == 0:
+        raise InvalidInput("height 0 means no degeneration")
     return BaseTuple(exps)
 
 

@@ -22,7 +22,10 @@ from .errors import (
     RefuseBruteForce,
     ValidationError,
 )
-from .limits import associated_pair, flat_limit, unique_stable_subdivision_oracle
+from .limits import (
+    DEFAULT_MAX_HEIGHT, DEFAULT_MAX_MULTIPLICITY, associated_pair, flat_limit,
+    unique_stable_subdivision_oracle,
+)
 from .render import FORMATS, render_fibre
 from .scenario import (
     Scenario,
@@ -306,8 +309,10 @@ _ARGUMENTS = {
                      help="also print a diagram in this format"),
     "--out": dict(default=None, help="write the report here"),
     "--allow-smooth": dict(action="store_true", help="accept height-0 scenarios"),
-    "--max-k": dict(type=int, default=8, help="height cap for brute-force checks"),
-    "--max-m": dict(type=int, default=4, help="multiplicity cap for brute-force checks"),
+    "--max-k": dict(type=int, default=DEFAULT_MAX_HEIGHT,
+                    help="height cap for brute-force checks"),
+    "--max-m": dict(type=int, default=DEFAULT_MAX_MULTIPLICITY,
+                    help="multiplicity cap for brute-force checks"),
     "--l": dict(type=int, default=None, help="scale factor for the stability test"),
 }
 

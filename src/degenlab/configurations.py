@@ -45,7 +45,6 @@ __all__ = [
     "StabilityReport",
     "place",
     "is_admissible",
-    "unoccupied_level_values",
     "stabilizer_rank",
     "is_lw_stable",
     "is_ws_stable",
@@ -167,10 +166,6 @@ def _occupied_bits(cfg: PointConfiguration) -> int:
     for loc in cfg.placements:
         bits |= 1 << loc.x | 1 << loc.y
     return bits
-
-
-def unoccupied_level_values(cfg: PointConfiguration) -> tuple[int, ...]:
-    return _unoccupied(cfg.presentation, _occupied_bits(cfg))
 
 
 def _unoccupied(presentation: BaseTuple, occupied: int) -> tuple[int, ...]:

@@ -118,11 +118,8 @@ class DualComplex:
     edges: tuple[tuple[int, int], ...]
     cells: tuple[tuple[int, ...], ...]
 
-    def counts(self) -> tuple[int, int, int]:
-        return len(self.vertices), len(self.edges), len(self.cells)
-
     def __repr__(self) -> str:
-        v, e, f = self.counts()
+        v, e, f = len(self.vertices), len(self.edges), len(self.cells)
         return f"DualComplex(height={self.height}, cuts={self.cuts}, V={v}, E={e}, F={f})"
 
 
@@ -225,7 +222,8 @@ def _dual_complex(nf: NormalForm) -> DualComplex:
 
 def complex_counts(f: ExpandedFibre) -> tuple[int, int, int]:
     """(V, E, F) of the dual complex, counting bounded faces only."""
-    return f.dual_complex.counts()
+    dc = f.dual_complex
+    return len(dc.vertices), len(dc.edges), len(dc.cells)
 
 
 def _before_row(row: int, first: int) -> int:

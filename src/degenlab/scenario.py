@@ -34,7 +34,6 @@ __all__ = [
     "complex_to_json",
     "configuration_to_json",
     "stability_report_to_json",
-    "stability_report_from_json",
     "limit_report_to_json",
     "dumps",
 ]
@@ -327,17 +326,6 @@ def stability_report_to_json(report: StabilityReport) -> dict:
         "sws_stable": report.sws_stable,
         "unoccupied_levels": list(report.unoccupied_levels),
     }
-
-
-def stability_report_from_json(raw: dict) -> StabilityReport:
-    return StabilityReport(
-        admissible=raw["admissible"],
-        stabilizer_rank=raw["stabilizer_rank"],
-        lw_stable=raw["lw_stable"],
-        ws_stable=raw["ws_stable"],
-        sws_stable=raw["sws_stable"],
-        unoccupied_levels=tuple(raw["unoccupied_levels"]),
-    )
 
 
 def limit_report_to_json(report: LimitReport) -> dict:

@@ -41,13 +41,10 @@ from .configurations import (
     place,
 )
 from .dual_complex import build_fibre, complex_counts
-from .limits import flat_limit, unique_stable_subdivision_oracle
-from .weights import (
-    _lift_table,
-    _terms,
-    constructive_linearization,
-    exists_stabilizing_linearization,
+from .limits import (
+    DEFAULT_MAX_HEIGHT, DEFAULT_MAX_MULTIPLICITY, flat_limit, unique_stable_subdivision_oracle,
 )
+from .weights import _lift_table, constructive_linearization, exists_stabilizing_linearization
 
 __all__ = [
     "SuiteResult",
@@ -61,6 +58,8 @@ __all__ = [
     "presentations",
     "weighted_configurations",
 ]
+
+MAX_LENGTH = 4  # the configuration suites' presentations: up to three torus levels
 
 
 @dataclass
@@ -156,8 +155,8 @@ def weighted_configurations(k: int, max_m: int) -> Iterator[tuple[SupportPoint, 
             yield tuple(points)
 
 
-def presentations(max_k: int, max_len: int = 4) -> Iterator[BaseTuple]:
-    """All base tuples of height 1..max_k and length 1..max_len."""
+def presentations(max_k: int) -> Iterator[BaseTuple]:
+    """All base tuples of height 1..max_k and length 1..MAX_LENGTH."""
 
     def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if parts == 1:
@@ -168,7 +167,7 @@ def presentations(max_k: int, max_len: int = 4) -> Iterator[BaseTuple]:
                 yield (first, *rest)
 
     for k in range(1, max_k + 1):
-        for length in range(1, max_len + 1):
+        for length in range(1, MAX_LENGTH + 1):
             for exps in compositions(k, length):
                 yield make_base_tuple(list(exps))
 
@@ -183,8 +182,8 @@ def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
                 points = [(pos, 1) for pos in combo]
                 report = flat_limit(points, k)
                 winners = unique_stable_subdivision_oracle(
-                    points, k, max_height=max(max_k, 8),
-                    max_multiplicity=max(max_m, 4),
+                    points, k, max_height=max(max_k, DEFAULT_MAX_HEIGHT),
+                    max_multiplicity=max(max_m, DEFAULT_MAX_MULTIPLICITY),
                 )
                 if winners != [report.fibre.nf]:
                     return SuiteResult(
@@ -206,7 +205,7 @@ def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
 
 
 def _presentation_configs(
-    max_k: int, max_m: int, max_len: int
+    max_k: int, max_m: int
 ) -> Iterator[tuple[BaseTuple, Iterator[PointConfiguration]]]:
     """Every presentation with the lazy stream of its configurations.
 
@@ -215,7 +214,7 @@ def _presentation_configs(
     configuration reads its locations from that one placement, so it equals
     ``place(presentation, points)``.
     """
-    for k, group in groupby(presentations(max_k, max_len), key=attrgetter("height")):
+    for k, group in groupby(presentations(max_k), key=attrgetter("height")):
         multisets = tuple(weighted_configurations(k, max_m))
         every_position = [(pos, 1) for pos in triangle_positions(k)]
         for presentation in group:
@@ -233,16 +232,14 @@ def _configs(
         yield new(PointConfiguration, (fibre, presentation, points, placements))
 
 
-def check_stability_equivalence(
-    max_k: int = 5, max_m: int = 3, max_len: int = 4
-) -> SuiteResult:
+def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     """A stabilizing lift exists exactly when every level is occupied.
 
     The constructive lift is re-verified at the dominating scale inside
     ``exists_stabilizing_linearization``.
     """
     checked = 0
-    for _, configs in _presentation_configs(max_k, max_m, max_len):
+    for _, configs in _presentation_configs(max_k, max_m):
         for cfg in configs:
             occupied = is_ws_stable(cfg)
             lin = exists_stabilizing_linearization(cfg)
@@ -262,35 +259,44 @@ def check_stability_equivalence(
     )
 
 
-def check_positivity(max_k: int = 5, max_m: int = 3, max_len: int = 4) -> SuiteResult:
-    """Per-level terms of the constructive weight are positive off zero,
-    read per sign vector from the configuration's one combinatorial table."""
+def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
+    """Per-level terms of the constructive weight are positive off zero.
+
+    The term of s at level j is ``s_j * table[j][s_j > 0]``, so each (level,
+    sign) entry that some admissible s uses is checked once per
+    configuration; a failure names the first s that uses a failing entry.
+    """
     checked = 0
-    for presentation, configs in _presentation_configs(max_k, max_m, max_len):
+    for presentation, configs in _presentation_configs(max_k, max_m):
         signs = presentation.vanishing_pattern().sign_vectors
+        entries: dict[tuple[int, int], tuple[int, ...]] = {}
+        for s in signs:
+            for j, s_j in enumerate(s):
+                if s_j:
+                    entries.setdefault((j, s_j), s)
         for cfg in configs:
-            if not is_ws_stable(cfg) or cfg.m == 0:
+            if not is_ws_stable(cfg):
                 continue
             table = _lift_table(cfg, constructive_linearization(cfg))
-            for s in signs:
-                for j, term in enumerate(_terms(table, s)):
-                    if term < 0 or (term == 0) != (s[j] == 0):
-                        return SuiteResult(
-                            "positivity",
-                            False,
-                            f"presentation {presentation.exponents} points "
-                            f"{[p.valuations for p in cfg.points]} s={s}: "
-                            f"level {j + 1} term {term}",
-                        )
-                checked += 1
+            for (j, s_j), s in entries.items():
+                term = s_j * table[j][s_j > 0]
+                if term <= 0:
+                    return SuiteResult(
+                        "positivity",
+                        False,
+                        f"presentation {presentation.exponents} points "
+                        f"{[p.valuations for p in cfg.points]} s={s}: "
+                        f"level {j + 1} term {term}",
+                    )
+            checked += len(signs)
     return SuiteResult("positivity", True, f"{checked} (configuration, s) pairs")
 
 
-def check_bijection(max_k: int = 5, max_m: int = 3, max_len: int = 4) -> SuiteResult:
+def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     """Finite-automorphism stability matches normalized strict stability."""
     checked = 0
     zero_free_seen: dict[NormalForm, int] = {}
-    for presentation in presentations(max_k, max_len):
+    for presentation in presentations(max_k):
         nf = normal_form(presentation)
         if all(g > 0 for g in presentation.exponents):
             zero_free_seen[nf] = zero_free_seen.get(nf, 0) + 1
@@ -299,7 +305,7 @@ def check_bijection(max_k: int = 5, max_m: int = 3, max_len: int = 4) -> SuiteRe
         return SuiteResult(
             "bijection", False, f"classes without a unique zero-free presentation: {bad}"
         )
-    for _, configs in _presentation_configs(max_k, max_m, max_len):
+    for _, configs in _presentation_configs(max_k, max_m):
         for cfg in configs:
             lw = is_lw_stable(cfg)
             sws_normalized = is_sws_stable(normalize_pair(cfg))

@@ -446,6 +446,16 @@ def invariant(exponents, points, s, lifts, l) -> int:
     return bounded + l * sum(combinatorial_terms(exponents, points, s, lifts))
 
 
+def unoccupied(exponents, points) -> tuple[int, ...]:
+    """Level values v, sorted and distinct, with no (val, mult) point at
+    a = v or b = k - v."""
+    k = sum(exponents)
+    return tuple(sorted(
+        v for v in set(_levels(exponents))
+        if not any(a == v or b == k - v for (a, b, _), _ in points)
+    ))
+
+
 def constructive_lifts(exponents, points) -> list[tuple[int, int, int, int]]:
     """The constructive lift read from the valuations, for (val, mult) points
     occupying every level: per level value v, weight the first-family chart

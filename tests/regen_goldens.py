@@ -39,16 +39,20 @@ CASES = [
 ]
 
 
+def cli_env() -> dict[str, str]:
+    """The environment under which a subprocess imports degenlab from this
+    checkout, installed or not."""
+    pythonpath = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+
 def main() -> int:
     GOLDENS.mkdir(exist_ok=True)
-    # the subprocesses import degenlab from this checkout, installed or not
-    pythonpath = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     for scenario, command, suffix in CASES:
         result = subprocess.run(
             [sys.executable, "-m", "degenlab.cli", *command,
              str(DATA / f"{scenario}.json")],
-            capture_output=True, env=env,
+            capture_output=True, env=cli_env(),
         )
         # exit 1 is a negative verdict, printed on stdout; a failure to run
         # (also exit 1 for an import error) writes to stderr

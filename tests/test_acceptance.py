@@ -5,12 +5,10 @@ Each test prints a single pass line with its measured runtime; run with
 exact integer equalities.
 """
 
-import os
 import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 from degenlab import (
     NormalForm,
@@ -29,21 +27,12 @@ from degenlab.verify import (
 )
 
 from oracles import arrangement_counts
-from regen_goldens import CASES
-
-DATA = Path(__file__).parent / "data"
-GOLDENS = Path(__file__).parent / "goldens"
+from regen_goldens import CASES, DATA, GOLDENS, cli_env
+from test_dual_complex import kinds_of
 
 
 def report(number: int, name: str, detail: str, elapsed: float) -> None:
     print(f"PASS criterion {number} ({name}): {detail} [{elapsed:.2f}s]")
-
-
-def kinds_of(fibre):
-    out = {}
-    for v in fibre.dual_complex.vertices:
-        out[v.kind] = out.get(v.kind, 0) + 1
-    return out
 
 
 def test_criterion_1_figure_reproduction():
@@ -114,7 +103,7 @@ def test_criterion_3_flat_limit_oracle():
 
 def test_criterion_4_stability_criterion_equivalence():
     start = time.perf_counter()
-    result = check_stability_equivalence(max_k=5, max_m=3, max_len=4)
+    result = check_stability_equivalence(max_k=5, max_m=3)
     elapsed = time.perf_counter() - start
     assert result.ok, result.detail
     assert result.detail == "227602 configurations, k <= 5, m <= 3"
@@ -124,7 +113,7 @@ def test_criterion_4_stability_criterion_equivalence():
 
 def test_criterion_5_positivity():
     start = time.perf_counter()
-    result = check_positivity(max_k=5, max_m=3, max_len=4)
+    result = check_positivity(max_k=5, max_m=3)
     elapsed = time.perf_counter() - start
     assert result.ok, result.detail
     assert result.detail == "720300 (configuration, s) pairs"
@@ -145,7 +134,7 @@ def test_criterion_6_bounded_weight_bound():
 
 def test_criterion_7_lw_sws_bijection():
     start = time.perf_counter()
-    result = check_bijection(max_k=5, max_m=3, max_len=4)
+    result = check_bijection(max_k=5, max_m=3)
     elapsed = time.perf_counter() - start
     assert result.ok, result.detail
     assert result.detail == "227602 configurations over 30 classes"
@@ -161,16 +150,12 @@ def test_criterion_8_tau_fixpoint_freeness():
 
 
 def test_criterion_9_cli_golden_files():
-    # the subprocesses import degenlab from this checkout, installed or not
-    pythonpath = [str(Path(__file__).resolve().parent.parent / "src"),
-                  os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     start = time.perf_counter()
     for scenario, command, suffix in CASES:
         result = subprocess.run(
             [sys.executable, "-m", "degenlab.cli", *command,
              str(DATA / f"{scenario}.json")],
-            capture_output=True, env=env,
+            capture_output=True, env=cli_env(),
         )
         assert result.returncode in (0, 1), (scenario, command, result.stderr)
         golden = (GOLDENS / f"{scenario}.{suffix}").read_bytes()

@@ -29,9 +29,9 @@ def test_make_base_tuple_basics():
 def test_make_base_tuple_rejects_empty_and_smooth():
     with pytest.raises(InvalidInput):
         make_base_tuple([])
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^height 0 means no degeneration$"):
         make_base_tuple([0, 0])
-    smooth = make_base_tuple([0, 0], allow_smooth=True)
+    smooth = BaseTuple((0, 0))
     assert smooth.height == 0
     with pytest.raises(InvalidInput):
         normal_form(smooth)

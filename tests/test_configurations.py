@@ -25,7 +25,6 @@ from degenlab import (
     stability_report,
     stabilizer_rank,
     standard_embed,
-    unoccupied_level_values,
 )
 
 import oracles
@@ -101,7 +100,7 @@ class TestWeakStrictStability:
     def test_trailing_zero_needs_b_zero_point(self):
         cfg = place(make_base_tuple([2, 0]), [((0, 2, 0), 1)])
         assert not is_ws_stable(cfg)
-        assert unoccupied_level_values(cfg) == (2,)
+        assert stability_report(cfg).unoccupied_levels == (2,)
 
     def test_leading_zero_needs_a_zero_point(self):
         cfg = place(make_base_tuple([0, 2]), [((0, 2, 0), 1)])
@@ -233,29 +232,22 @@ def test_report_agrees_with_each_verdict_and_with_occupancy(case):
     assert report.lw_stable == is_lw_stable(cfg)
     assert report.ws_stable == is_ws_stable(cfg)
     assert report.sws_stable == is_sws_stable(cfg)
-    assert report.unoccupied_levels == unoccupied_level_values(cfg)
 
     # occupancy and admissibility from the valuations and the partial sums
     k = presentation.height
-    levels = set(accumulate(presentation.exponents[:-1]))
-    empty = sorted(
-        v for v in levels if not any(a == v or b == k - v for (a, b, _), _ in points)
-    )
-    cuts = sorted(v for v in levels if 0 < v < k)
+    empty = oracles.unoccupied(presentation.exponents, points)
+    cuts = sorted(v for v in accumulate(presentation.exponents[:-1]) if 0 < v < k)
     on_lines = [
         (a in {0, *cuts}) + (b in {0, *(k - s for s in cuts)}) + (c == 0)
         for (a, b, c), _ in points
     ]
-    assert report.unoccupied_levels == tuple(empty)
+    assert report.unoccupied_levels == empty
     assert report.admissible == all(n >= 2 for n in on_lines)
     assert report.ws_stable == (not empty)
 
     # the rank as first defined: unoccupied cuts of the normalized pair
-    normalized = normalize_pair(cfg)
-    assert report.stabilizer_rank == sum(
-        1 for s in normalized.fibre.cuts
-        if not any(p.a == s or p.b == k - s for p in normalized.points)
-    )
+    zero_free = normalize_pair(cfg).presentation.exponents
+    assert report.stabilizer_rank == len(oracles.unoccupied(zero_free, points))
 
     if empty:
         with pytest.raises(CriterionViolated, match=f"cut value {empty[0]}$"):

@@ -6,17 +6,19 @@ from ast import literal_eval
 import pytest
 
 from degenlab import verify
-from degenlab.base import BaseTuple
-from degenlab.configurations import place, stabilizer_rank, unoccupied_level_values
+from degenlab.base import BaseTuple, canonical_tuple, normal_form
+from degenlab.configurations import place, stability_report, stabilizer_rank
 from degenlab.verify import presentations, run_all, weighted_configurations
+
+import oracles
 
 
 def test_presentation_configs_are_the_placed_configurations():
     yielded = [
         (presentation, list(configs))
-        for presentation, configs in verify._presentation_configs(4, 2, 4)
+        for presentation, configs in verify._presentation_configs(4, 2)
     ]
-    assert [p for p, _ in yielded] == list(presentations(4, 4))
+    assert [p for p, _ in yielded] == list(presentations(4))
     assert BaseTuple((1, 0, 1)) in [p for p, _ in yielded]
     for presentation, configs in yielded:
         expected = [
@@ -30,18 +32,16 @@ def test_occupancy_on_the_shared_locations_is_the_valuation_rule():
     """Unit slots give the level values 0 and k, occupied by a = 0, b = k
     and by a = k, b = 0."""
     boundary_levels = set()
-    for presentation, configs in verify._presentation_configs(4, 2, 4):
+    for presentation, configs in verify._presentation_configs(4, 2):
         k = presentation.height
         values = presentation.level_values
         boundary_levels |= {v for v in values if v in (0, k)}
+        zero_free = canonical_tuple(normal_form(presentation)).exponents
         for cfg in configs:
-            def occupied(v):
-                return any(p.a == v or p.b == k - v for p in cfg.points)
-
-            expected = tuple(sorted(v for v in set(values) if not occupied(v)))
-            assert unoccupied_level_values(cfg) == expected, (values, cfg.points)
-            cuts = cfg.fibre.cuts
-            assert stabilizer_rank(cfg) == sum(1 for s in cuts if not occupied(s))
+            points = [(p.valuations, p.multiplicity) for p in cfg.points]
+            expected = oracles.unoccupied(presentation.exponents, points)
+            assert stability_report(cfg).unoccupied_levels == expected, (values, cfg.points)
+            assert stabilizer_rank(cfg) == len(oracles.unoccupied(zero_free, points))
     assert boundary_levels == {0, 1, 2, 3, 4}
 
 
@@ -50,8 +50,8 @@ def test_occupancy_on_the_shared_locations_is_the_valuation_rule():
     [
         (verify.check_stability_equivalence, "exists_stabilizing_linearization",
          lambda original: lambda cfg: None),
-        (verify.check_positivity, "_terms",
-         lambda original: lambda table, s: [-term for term in original(table, s)]),
+        (verify.check_positivity, "_lift_table",
+         lambda original: lambda cfg, lin: [(-neg, -pos) for neg, pos in original(cfg, lin)]),
         (verify.check_bijection, "is_lw_stable", lambda original: lambda cfg: False),
     ],
     ids=["stability-equivalence", "positivity", "bijection"],

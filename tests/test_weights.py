@@ -103,17 +103,7 @@ def test_sign_vectors_are_the_chain_rule_in_product_order():
         for exponents in product((0, 1), repeat=size):
             presentation = BaseTuple(exponents)
             pattern = presentation.vanishing_pattern()
-
-            def admitted(s):
-                chain = (0, *s, 0)
-                return all(
-                    chain[i] >= chain[i + 1] for i in range(size) if exponents[i] == 0
-                )
-
-            expected = tuple(
-                s for s in product((-1, 0, 1), repeat=size - 1) if any(s) and admitted(s)
-            )
-            assert pattern.sign_vectors == expected, exponents
+            assert list(pattern.sign_vectors) == oracles.sign_vectors(exponents), exponents
             assert presentation.vanishing_pattern().sign_vectors is pattern.sign_vectors
 
 
@@ -139,7 +129,7 @@ def test_stability_sweep_lists_sign_vectors_once_per_presentation():
     configuration evaluates the chain rule."""
     with calls_by_name("sign_vectors", "admissible_1ps") as counts:
         assert check_stability_equivalence(max_k=3, max_m=2).ok
-    assert counts == {"sign_vectors": len(list(presentations(3, 4)))}
+    assert counts == {"sign_vectors": len(list(presentations(3)))}
 
 
 def test_stability_sweep_lifts_only_occupied_configurations():
