@@ -6,13 +6,15 @@ enumerations here are deliberately brute force so they can serve as oracles
 for the constructive algorithms.
 
 The three configuration suites sweep presentations in the outer loop.  The
-weighted point multisets are listed once per height.  Per presentation, one
-``place`` call computes the normal form and the location of every triangle
-position, with its half-level coordinates.  The configurations of a
-presentation share its ``BaseTuple`` and its fibre, so what is kept on them
-is also computed once per presentation: the level values and coordinates,
-the vanishing pattern with its admissible sign vectors (read by the
-stability test and by positivity) and the zero-free tuple that
+weighted point multisets are listed once per height.  The expanded fibre,
+and so the location of every point, depends only on the normal form: per
+normal form, one ``place`` call locates every triangle position, with its
+half-level coordinates, and each multiset's placements tuple is built once
+and shared by every presentation of that normal form.  The configurations
+of a presentation share its ``BaseTuple`` and its fibre, so what is kept on
+those is computed once per presentation or normal form: the level values
+and coordinates, the vanishing pattern with its admissible sign vectors
+(read by the stability test and by positivity) and the zero-free tuple that
 ``normalize_pair`` and ``stabilizer_rank`` read.  Every configuration still
 goes through the verdict functions; its occupancy is an OR over its shared
 locations.
@@ -40,7 +42,7 @@ from .configurations import (
     normalize_pair,
     place,
 )
-from .dual_complex import build_fibre, complex_counts
+from .dual_complex import ExpandedFibre, Location, build_fibre, complex_counts
 from .limits import (
     DEFAULT_MAX_HEIGHT, DEFAULT_MAX_MULTIPLICITY, flat_limit, unique_stable_subdivision_oracle,
 )
@@ -209,27 +211,36 @@ def _presentation_configs(
 ) -> Iterator[tuple[BaseTuple, Iterator[PointConfiguration]]]:
     """Every presentation with the lazy stream of its configurations.
 
-    Per height, the weighted multisets are listed once.  Per presentation,
-    ``place`` locates every triangle position once, and each multiset's
-    configuration reads its locations from that one placement, so it equals
-    ``place(presentation, points)``.
+    Per height, the weighted multisets are listed once.  Per normal form,
+    ``place`` locates every triangle position once and each multiset's
+    placements tuple is read from that one placement; every presentation of
+    the normal form shares the fibre and those tuples, so each configuration
+    equals ``place(presentation, points)``.
     """
     for k, group in groupby(presentations(max_k), key=attrgetter("height")):
         multisets = tuple(weighted_configurations(k, max_m))
         every_position = [(pos, 1) for pos in triangle_positions(k)]
+        placed: dict[NormalForm, tuple[ExpandedFibre, tuple[tuple[Location, ...], ...]]] = {}
         for presentation in group:
-            yield presentation, _configs(place(presentation, every_position), multisets)
+            nf = normal_form(presentation)
+            if nf not in placed:
+                fibre, _, every_point, every_location = place(nf, every_position)
+                where = dict(zip((p.valuations for p in every_point), every_location))
+                placed[nf] = fibre, tuple(
+                    [tuple([where[p.valuations] for p in points]) for points in multisets]
+                )
+            yield presentation, _configs(presentation, multisets, *placed[nf])
 
 
 def _configs(
-    placed: PointConfiguration, multisets: tuple[tuple[SupportPoint, ...], ...]
+    presentation: BaseTuple,
+    multisets: tuple[tuple[SupportPoint, ...], ...],
+    fibre: ExpandedFibre,
+    placements: tuple[tuple[Location, ...], ...],
 ) -> Iterator[PointConfiguration]:
-    fibre, presentation, every_point, every_location = placed
-    where = dict(zip((p.valuations for p in every_point), every_location))
     new = tuple.__new__  # as ``PointConfiguration._make``, minus its checks
-    for points in multisets:
-        placements = tuple([where[p.valuations] for p in points])
-        yield new(PointConfiguration, (fibre, presentation, points, placements))
+    for points, where in zip(multisets, placements):
+        yield new(PointConfiguration, (fibre, presentation, points, where))
 
 
 def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
@@ -308,7 +319,8 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     for _, configs in _presentation_configs(max_k, max_m):
         for cfg in configs:
             lw = is_lw_stable(cfg)
-            sws_normalized = is_sws_stable(normalize_pair(cfg))
+            normalized = normalize_pair(cfg)
+            sws_normalized = is_sws_stable(normalized)
             if lw != sws_normalized:
                 return SuiteResult(
                     "bijection",
@@ -317,7 +329,9 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                     f"{[p.valuations for p in cfg.points]}: lw={lw} "
                     f"normalized sws={sws_normalized}",
                 )
-            if is_sws_stable(cfg) and not lw:
+            # on a zero-free presentation ``normalized`` is ``cfg``: its sws
+            # verdict is ``sws_normalized``, which equals ``lw`` here
+            if not lw and normalized is not cfg and is_sws_stable(cfg):
                 return SuiteResult(
                     "bijection",
                     False,

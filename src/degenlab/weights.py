@@ -90,9 +90,10 @@ class Linearization:
 
     def __post_init__(self) -> None:
         for lift in self.levels:
-            if min(lift) < 0:
+            a, b, c, d = lift
+            if a < 0 or b < 0 or c < 0 or d < 0:
                 raise InvalidInput(f"lift exponents must be non-negative: {lift}")
-            if lift.a + lift.b < 1 or lift.c + lift.d < 1:
+            if a + b < 1 or c + d < 1:
                 raise InvalidInput(f"each chart of {lift} needs total degree >= 1")
 
     def __len__(self) -> int:
@@ -291,13 +292,15 @@ def constructive_linearization(cfg: PointConfiguration) -> Linearization:
     strictly on its (1:0) side, and give the second chart the neutral pair
     (0, 1).  Otherwise a point must sit on the second-family component;
     mirror the construction with m'' the multiplicity on its (1:0) side.
-    Each placement is read once, as ``(x, y, multiplicity)``; one plain loop
-    per level finds both on-level tests, m' and m''.  Level values never
-    decrease, so the first level that no point occupies names the smallest
-    unoccupied value, and ``CriterionViolated`` names it.
+    Each placement is read once, as ``(x, y, multiplicity)``, and m is
+    summed from those triples; one plain loop per level finds both on-level
+    tests, m' and m''.  Level values never decrease, so the first level that
+    no point occupies names the smallest unoccupied value, and
+    ``CriterionViolated`` names it.
     """
     placed = _placed(cfg)
-    m = cfg.m
+    m = sum([mult for _, _, mult in placed])
+    new = tuple.__new__  # as ``LevelLift._make``, minus its checks
     lifts = []
     for c, v in zip(cfg.presentation.level_coords, cfg.presentation.level_values):
         on1 = on2 = False
@@ -312,9 +315,9 @@ def constructive_linearization(cfg: PointConfiguration) -> Linearization:
             elif y == c:
                 on2 = True
         if on1:
-            lifts.append(LevelLift(m * (m - m1), m * (m1 + 1), 0, 1))
+            lifts.append(new(LevelLift, (m * (m - m1), m * (m1 + 1), 0, 1)))
         elif on2:
-            lifts.append(LevelLift(0, 1, m * (m - m2), m * (m2 + 1)))
+            lifts.append(new(LevelLift, (0, 1, m * (m - m2), m * (m2 + 1))))
         else:
             raise CriterionViolated(
                 f"no point of the support occupies the level at cut value {v}"
@@ -337,8 +340,14 @@ def is_git_stable(cfg: PointConfiguration, lin: Linearization, l: int) -> bool:
         (b_neg + l * c_neg, b_pos + l * c_pos)
         for (b_neg, b_pos), (c_neg, c_pos) in zip(_scheme_table(cfg), _lift_table(cfg, lin))
     ]
-    signs = cfg.presentation.vanishing_pattern().sign_vectors
-    return all(sum(_terms(table, s)) > 0 for s in signs)
+    for s in cfg.presentation.vanishing_pattern().sign_vectors:
+        total = 0
+        for pair, s_j in zip(table, s):
+            if s_j:
+                total += s_j * pair[s_j > 0]
+        if total <= 0:
+            return False
+    return True
 
 
 def exists_stabilizing_linearization(

@@ -9,6 +9,7 @@ from degenlab import (
     BaseTuple,
     CriterionViolated,
     HeightMismatch,
+    LevelLift,
     NormalForm,
     PointConfiguration,
     VertexKind,
@@ -254,4 +255,5 @@ def test_report_agrees_with_each_verdict_and_with_occupancy(case):
             constructive_linearization(cfg)
     else:  # the lift read off the placement equals the one read from the valuations
         lifts = constructive_linearization(cfg).levels
+        assert all(type(lift) is LevelLift for lift in lifts)
         assert list(lifts) == oracles.constructive_lifts(presentation.exponents, points)

@@ -27,6 +27,14 @@ def test_presentation_configs_are_the_placed_configurations():
         ]
         assert configs == expected, presentation.exponents
 
+    # presentations of one normal form share one placements tuple per multiset
+    shared = {}
+    for presentation, configs in yielded:
+        placements = [cfg.placements for cfg in configs]
+        first = shared.setdefault(normal_form(presentation), placements)
+        assert all(a is b for a, b in zip(first, placements, strict=True))
+    assert len(shared) == 15
+
 
 def test_occupancy_on_the_shared_locations_is_the_valuation_rule():
     """Unit slots give the level values 0 and k, occupied by a = 0, b = k

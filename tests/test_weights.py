@@ -50,11 +50,11 @@ from degenlab.weights import _lift_table
 
 class TestLinearizationValidation:
     def test_every_chart_needs_positive_degree(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="needs total degree >= 1"):
             Linearization((LevelLift(0, 0, 1, 1),))
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="needs total degree >= 1"):
             Linearization((LevelLift(1, 1, 0, 0),))
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="must be non-negative"):
             Linearization((LevelLift(-1, 1, 1, 1),))
 
     def test_constant_monomial_required(self):
@@ -146,13 +146,13 @@ def test_stability_sweep_lifts_only_occupied_configurations():
     [check_stability_equivalence, check_positivity, check_bijection],
     ids=lambda suite: suite.__name__,
 )
-def test_sweeps_place_once_per_presentation(suite):
+def test_sweeps_place_once_per_normal_form(suite):
     """At k <= 3, m <= 2 each sweep places every triangle position once per
-    presentation (65 presentations, 500 positions in all) and reads each
-    configuration's locations from that one placement."""
+    normal form (7 normal forms of the 65 presentations, 55 positions in
+    all) and reads each configuration's locations from that one placement."""
     with calls_by_name("place", "locate") as counts:
         assert suite(max_k=3, max_m=2).ok
-    assert counts == {"place": 65, "locate": 500}
+    assert counts == {"place": 7, "locate": 55}
 
 
 def test_weights_command_lists_sign_vectors_once(monkeypatch, capsys):
