@@ -74,12 +74,15 @@ class BaseTuple:
         """Each level value's half-level coordinate ``2p``, where p is its
         rank among the levels ``(0, *cuts, k)`` of the presented fibre."""
         levels = sorted({0, self.height, *self.level_values})
-        return tuple(2 * levels.index(v) for v in self.level_values)
+        return tuple([2 * levels.index(v) for v in self.level_values])
 
     @cached_property
     def level_bits(self) -> int:
         """Bit c set for each level coordinate c."""
-        return sum(1 << c for c in set(self.level_coords))
+        bits = 0
+        for c in self.level_coords:
+            bits |= 1 << c
+        return bits
 
     def vanishing_pattern(self) -> VanishingPattern:
         """Which basis directions vanish (1-based indices)."""

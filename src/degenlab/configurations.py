@@ -102,7 +102,10 @@ class PointConfiguration(NamedTuple):
 
     @property
     def m(self) -> int:
-        return sum(p.multiplicity for p in self.points)
+        m = 0
+        for p in self.points:
+            m += p.multiplicity
+        return m
 
     @property
     def height(self) -> int:
@@ -157,7 +160,10 @@ def place(fibre_or_presentation, raw_points: Iterable) -> PointConfiguration:
 
 def is_admissible(cfg: PointConfiguration) -> bool:
     """True when no point of the support lies on a double curve or worse."""
-    return all(loc.is_vertex for loc in cfg.placements)
+    for loc in cfg.placements:
+        if not loc.is_vertex:
+            return False
+    return True
 
 
 def _occupied_bits(cfg: PointConfiguration) -> int:
@@ -212,7 +218,7 @@ def is_sws_stable(cfg: PointConfiguration) -> bool:
 def normalize_pair(cfg: PointConfiguration) -> PointConfiguration:
     """Replace the presentation by the zero-free one; points are unchanged."""
     canonical = cfg.fibre.canonical_tuple
-    if canonical == cfg.presentation:
+    if canonical.exponents == cfg.presentation.exponents:
         return cfg
     return PointConfiguration(cfg.fibre, canonical, cfg.points, cfg.placements)
 

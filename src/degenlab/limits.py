@@ -98,15 +98,20 @@ def unique_stable_subdivision_oracle(
     separatedness of the construction predicts a single winner.  A point
     (a, b, c) is a vertex when two or more of the lines a = 0, b = 0, c = 0,
     a = s and b = k - s pass through it, and a cut s is occupied when some
-    point has a = s or b = k - s.  Instances above the size caps are refused
-    rather than ground through.
+    point has a = s or b = k - s: the levels hit by the points,
+    ``{a} | {k - b}``, are listed once per call, and a cut set is occupied
+    when it lies inside them.  Each cut set is tested by plain loops, the
+    vertex test stopping at the first point off the vertices.  Instances
+    above the size caps are refused rather than ground through.
     """
     if k > max_height:
         raise RefuseBruteForce(
             f"height {k} exceeds the brute-force cap {max_height}"
         )
     pts = _as_points(points)
-    total = sum(p.multiplicity for p in pts)
+    total = 0
+    for p in pts:
+        total += p.multiplicity
     if total > max_multiplicity:
         raise RefuseBruteForce(
             f"total multiplicity {total} exceeds the brute-force cap "
@@ -118,18 +123,20 @@ def unique_stable_subdivision_oracle(
                 f"point {p.valuations} does not have height {k}"
             )
     valuations = [p.valuations for p in pts]
+    hit = set()
+    for a, b, _ in valuations:
+        hit.add(a)
+        hit.add(k - b)
     winners = []
     for mask in range(1 << max(k - 1, 0)):
         cuts = [s for s in range(1, k) if mask >> (s - 1) & 1]
         levels = set(cuts)
-        admissible = all(
-            (a == 0) + (b == 0) + (c == 0) + (a in levels) + (k - b in levels) >= 2
-            for a, b, c in valuations
-        )
-        occupied = all(
-            any(a == s or b == k - s for a, b, _ in valuations) for s in cuts
-        )
-        if admissible and occupied:
+        if not levels <= hit:
+            continue
+        for a, b, c in valuations:
+            if (a == 0) + (b == 0) + (c == 0) + (a in levels) + (k - b in levels) < 2:
+                break
+        else:
             winners.append(tuple(cuts))
     return [NormalForm(k, cuts) for cuts in sorted(winners)]
 

@@ -19,16 +19,19 @@ and coordinates, the vanishing pattern with its admissible sign vectors
 goes through the verdict functions; its occupancy is an OR over its shared
 locations.
 
-A configuration costs a tuple (``PointConfiguration`` is a ``NamedTuple``)
-and the verdicts asked of it: occupancy is tested before a lift is built,
-so only occupied configurations reach the constructive lift, which reads
-each placement once.
+A configuration costs a tuple (``PointConfiguration`` is a ``NamedTuple``,
+built in C from the shared fields) and the verdicts asked of it: occupancy
+is tested before a lift is built, so only occupied configurations reach the
+constructive lift, which reads each placement once.  Every verdict over the
+placements is a plain loop, with no generator frame per point or per
+configuration.  The limit oracle's occupancy test is the cut set lying
+inside the levels hit by the points, which it lists once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby, repeat
 from operator import attrgetter
 from typing import Iterator
 
@@ -238,9 +241,10 @@ def _configs(
     fibre: ExpandedFibre,
     placements: tuple[tuple[Location, ...], ...],
 ) -> Iterator[PointConfiguration]:
-    new = tuple.__new__  # as ``PointConfiguration._make``, minus its checks
-    for points, where in zip(multisets, placements):
-        yield new(PointConfiguration, (fibre, presentation, points, where))
+    # as ``PointConfiguration._make``, minus its checks, one tuple per
+    # configuration built in C
+    fields = zip(repeat(fibre), repeat(presentation), multisets, placements)
+    return map(tuple.__new__, repeat(PointConfiguration), fields)
 
 
 def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
@@ -280,16 +284,17 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     checked = 0
     for presentation, configs in _presentation_configs(max_k, max_m):
         signs = presentation.vanishing_pattern().sign_vectors
-        entries: dict[tuple[int, int], tuple[int, ...]] = {}
+        first_use: dict[tuple[int, int], tuple[int, ...]] = {}
         for s in signs:
             for j, s_j in enumerate(s):
                 if s_j:
-                    entries.setdefault((j, s_j), s)
+                    first_use.setdefault((j, s_j), s)
+        entries = [(j, s_j, s) for (j, s_j), s in first_use.items()]
         for cfg in configs:
             if not is_ws_stable(cfg):
                 continue
             table = _lift_table(cfg, constructive_linearization(cfg))
-            for (j, s_j), s in entries.items():
+            for j, s_j, s in entries:
                 term = s_j * table[j][s_j > 0]
                 if term <= 0:
                     return SuiteResult(

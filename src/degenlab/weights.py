@@ -200,11 +200,13 @@ def _scheme_table(cfg: PointConfiguration) -> list[tuple[int, int]]:
     sign(s_j): each exponent at level j adds sign(s_j) to b_j.
     """
     coords = cfg.presentation.level_coords
-    degrees = [0] * len(coords)
+    degrees = None  # allocated at the first point that carries a scheme
     for p, loc in zip(cfg.points, cfg.placements):
         scheme = p.scheme
         if scheme is None:
             continue
+        if degrees is None:
+            degrees = [0] * len(coords)
         if not isinstance(scheme, LocalMonomialScheme):
             raise InvalidLocalScheme(f"unsupported local scheme {scheme!r}")
         monomials = scheme.monomials
@@ -231,6 +233,8 @@ def _scheme_table(cfg: PointConfiguration) -> list[tuple[int, int]]:
                         f"point {p.valuations} is not on that component"
                     )
                 degrees[j] += exp
+    if degrees is None:
+        return [(0, 0)] * len(coords)
     return [(-d, d) for d in degrees]
 
 
@@ -292,14 +296,13 @@ def constructive_linearization(cfg: PointConfiguration) -> Linearization:
     strictly on its (1:0) side, and give the second chart the neutral pair
     (0, 1).  Otherwise a point must sit on the second-family component;
     mirror the construction with m'' the multiplicity on its (1:0) side.
-    Each placement is read once, as ``(x, y, multiplicity)``, and m is
-    summed from those triples; one plain loop per level finds both on-level
-    tests, m' and m''.  Level values never decrease, so the first level that
+    Each placement is read once, as ``(x, y, multiplicity)``, and one plain
+    loop per level finds both on-level tests, m' and m''.  Level values never decrease, so the first level that
     no point occupies names the smallest unoccupied value, and
     ``CriterionViolated`` names it.
     """
     placed = _placed(cfg)
-    m = sum([mult for _, _, mult in placed])
+    m = cfg.m
     new = tuple.__new__  # as ``LevelLift._make``, minus its checks
     lifts = []
     for c, v in zip(cfg.presentation.level_coords, cfg.presentation.level_values):

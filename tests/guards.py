@@ -1,0 +1,53 @@
+"""Counting and memory probes for the complexity guards.
+
+Guards assert on call counts and ``tracemalloc`` peaks, never on wall time:
+both are the same on every host, however fast it runs.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import tracemalloc
+from collections import Counter
+from contextlib import contextmanager
+
+
+@contextmanager
+def calls_by_name(*names, module=None):
+    """Count the calls of the functions with these names while the block runs.
+
+    The profiler reports every resumption of a generator as a call, so the
+    count of ``"<genexpr>"`` is the number of generator frames resumed.  With
+    ``module``, only code compiled from that module's file is counted.
+    """
+    counts = Counter()
+    filename = None if module is None else module.__file__
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in names:
+            if filename is None or code.co_filename == filename:
+                counts[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(None)
+
+
+def traced_peak_mb(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the ``tracemalloc`` peak of the call, in MB.
+
+    A full collection first empties the interpreter's free lists, whose
+    reuse would otherwise hide allocations depending on what ran before.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20

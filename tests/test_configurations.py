@@ -29,6 +29,7 @@ from degenlab import (
 )
 
 import oracles
+from guards import traced_peak_mb
 
 
 def vertex_kind(cfg, i):
@@ -257,3 +258,15 @@ def test_report_agrees_with_each_verdict_and_with_occupancy(case):
         lifts = constructive_linearization(cfg).levels
         assert all(type(lift) is LevelLift for lift in lifts)
         assert list(lifts) == oracles.constructive_lifts(presentation.exponents, points)
+
+
+def test_place_on_a_large_fibre_builds_no_complex():
+    """Placement reads only the normal form: 13 points on 100 cuts peak at
+    about 0.01 MB, and the fibre's dual complex is never built."""
+    k = 101
+    nf = NormalForm(k, tuple(range(1, k)))
+    points = [((s, k - s - s % 3, s % 3), 1 + s % 2) for s in range(1, 100, 8)]
+    cfg, peak = traced_peak_mb(place, nf, points)
+    assert len(cfg.placements) == 13
+    assert "dual_complex" not in cfg.fibre.__dict__
+    assert peak < 0.1

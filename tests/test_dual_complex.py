@@ -20,6 +20,7 @@ from oracles import (
     arrangement_edge_positions,
     reference_dual_complex,
 )
+from guards import traced_peak_mb
 
 
 def kinds_of(fibre):
@@ -283,3 +284,17 @@ class TestRefines:
                 for z in forms:
                     if refines(x, y) and refines(y, z):
                         assert refines(x, z)
+
+
+def test_build_fibre_memory_grows_quadratically():
+    """The complex of n cuts has O(n^2) cells, so doubling n at most about
+    quadruples the ``tracemalloc`` peak (0.17, 0.64 and 2.5 MB at 25, 50
+    and 100 cuts)."""
+    peaks = {}
+    for n in (25, 50, 100):
+        nf = NormalForm(n + 1, tuple(range(1, n + 1)))
+        fibre, peaks[n] = traced_peak_mb(build_fibre, nf)
+        assert complex_counts(fibre)[2] == 1 + n + n * (n + 1) // 2
+    assert peaks[50] <= 4.5 * peaks[25]
+    assert peaks[100] <= 4.5 * peaks[50]
+    assert peaks[100] < 4

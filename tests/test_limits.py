@@ -1,7 +1,5 @@
 """The flat-limit construction and its brute-force oracles."""
 
-import tracemalloc
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +17,7 @@ from degenlab import (
     stability_report,
     unique_stable_subdivision_oracle,
 )
+from guards import traced_peak_mb
 
 
 class TestFlatLimit:
@@ -150,14 +149,11 @@ def test_oracle_memory_is_bounded():
     """At height 12 the oracle walks 2048 cut sets and keeps none of them."""
     k = 12
     points = [((1, k - 3, 2), 1), ((k - 2, 1, 1), 1), ((2, 2, k - 4), 1)]
-    tracemalloc.start()
-    try:
-        winners = unique_stable_subdivision_oracle(points, k, max_height=k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    winners, peak = traced_peak_mb(
+        unique_stable_subdivision_oracle, points, k, max_height=k
+    )
     assert winners == [NormalForm(k, (1, 2, 3, 10, 11))]
-    assert peak < 2 * 2**20
+    assert peak < 2
 
 
 class TestAssociatedPair:

@@ -5,12 +5,13 @@ from ast import literal_eval
 
 import pytest
 
-from degenlab import verify
+from degenlab import configurations, limits, verify
 from degenlab.base import BaseTuple, canonical_tuple, normal_form
 from degenlab.configurations import place, stability_report, stabilizer_rank
 from degenlab.verify import presentations, run_all, weighted_configurations
 
 import oracles
+from guards import calls_by_name
 
 
 def test_presentation_configs_are_the_placed_configurations():
@@ -51,6 +52,24 @@ def test_occupancy_on_the_shared_locations_is_the_valuation_rule():
             assert stability_report(cfg).unoccupied_levels == expected, (values, cfg.points)
             assert stabilizer_rank(cfg) == len(oracles.unoccupied(zero_free, points))
     assert boundary_levels == {0, 1, 2, 3, 4}
+
+
+def test_bijection_verdicts_resume_no_generator_per_configuration():
+    """The verdicts over placements are plain loops: of the 62 generator
+    frames resumed in ``configurations`` at k <= 3, m <= 2, all are
+    ``place``'s, once per normal form, against 2,970 configurations."""
+    with calls_by_name("<genexpr>", module=configurations) as counts:
+        result = verify.check_bijection(3, 2)
+    assert result.detail == "2970 configurations over 7 classes"
+    assert counts["<genexpr>"] < 2970
+
+
+def test_limit_oracle_resumes_no_generator():
+    """The limit oracle tests each cut set by plain loops over the points."""
+    with calls_by_name("<genexpr>", module=limits) as counts:
+        result = verify.check_limit_oracle(4, 2)
+    assert result.detail == "236 point multisets, k <= 4, m <= 2"
+    assert counts["<genexpr>"] == 0
 
 
 @pytest.mark.parametrize(

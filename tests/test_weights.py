@@ -3,15 +3,13 @@
 import io
 import json
 import random
-import sys
-from collections import Counter
-from contextlib import contextmanager
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from guards import calls_by_name
 from degenlab import (
     BaseTuple,
     Chart,
@@ -105,22 +103,6 @@ def test_sign_vectors_are_the_chain_rule_in_product_order():
             pattern = presentation.vanishing_pattern()
             assert list(pattern.sign_vectors) == oracles.sign_vectors(exponents), exponents
             assert presentation.vanishing_pattern().sign_vectors is pattern.sign_vectors
-
-
-@contextmanager
-def calls_by_name(*names):
-    """Count the calls of the functions with these names while the block runs."""
-    counts = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name in names:
-            counts[frame.f_code.co_name] += 1
-
-    sys.setprofile(profile)
-    try:
-        yield counts
-    finally:
-        sys.setprofile(None)
 
 
 def test_stability_sweep_lists_sign_vectors_once_per_presentation():
