@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,6 +44,18 @@ __all__ = [
     "tau_move",
     "equivalent",
 ]
+
+
+def half_level(levels, v: int) -> int:
+    """Half-level coordinate of ``levels[0] <= v <= levels[-1]`` among the
+    increasing ``levels``: ``2p`` when v is ``levels[p]``, ``2p + 1`` when it
+    lies strictly between ``levels[p]`` and ``levels[p + 1]``.
+
+    This is the one rank rule of the library: a presentation's level
+    coordinates and the ``x``, ``y`` of a ``Location`` are both read by it.
+    """
+    p = bisect_left(levels, v)
+    return 2 * p if levels[p] == v else 2 * p - 1
 
 
 @dataclass(frozen=True)
@@ -71,10 +84,10 @@ class BaseTuple:
 
     @cached_property
     def level_coords(self) -> tuple[int, ...]:
-        """Each level value's half-level coordinate ``2p``, where p is its
-        rank among the levels ``(0, *cuts, k)`` of the presented fibre."""
+        """Each level value's half-level coordinate among the levels
+        ``(0, *cuts, k)`` of the presented fibre (see ``half_level``)."""
         levels = sorted({0, self.height, *self.level_values})
-        return tuple([2 * levels.index(v) for v in self.level_values])
+        return tuple([half_level(levels, v) for v in self.level_values])
 
     @cached_property
     def level_bits(self) -> int:

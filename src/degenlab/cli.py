@@ -1,9 +1,12 @@
 """Command-line surface.
 
 Every subcommand but ``verify`` takes a scenario file (or ``-`` for stdin),
-and each registers only the options its handler reads.  Exit codes: 0 for
-success, 1 when a stability verdict is negative or an oracle disagrees (the
-verdict is still printed), 2 for input errors and unwritable reports.
+and each registers only the options its handler reads.  Every report but
+the diagram of ``render`` and the suite lines of ``verify`` leaves through
+``_report``: JSON, or text under ``--format``, then the ``--render`` diagram.
+Exit codes: 0 for success, 1 when a stability verdict is negative or an
+oracle disagrees (the verdict is still printed), 2 for input errors and
+unwritable reports.
 """
 
 from __future__ import annotations
@@ -72,6 +75,24 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _report(args, payload: dict, lines=None, fibre=None, cfg=None) -> None:
+    """Write a command's report; every command but ``render`` and ``verify``
+    writes through here.
+
+    The report is ``dumps(payload)``, or under ``--format text`` the lines
+    that ``lines()`` returns, built only then (one ``key: value`` line per
+    field of the payload when ``lines`` is None), to stdout or ``--out``.
+    Then, given a fibre, the ``--render`` diagram goes to stdout.
+    """
+    if getattr(args, "format", "json") == "text":
+        text = lines() if lines else [f"{key}: {value}" for key, value in payload.items()]
+        _emit(args, "\n".join(text) + "\n")
+    else:
+        _emit(args, dumps(payload))
+    if fibre is not None and args.render:
+        sys.stdout.write(render_fibre(fibre, cfg, args.render))
+
+
 def _check_complex_size(fibre_or_nf) -> None:
     """Refuse a dual complex with more cuts than ``MAX_COMPLEX_CUTS``."""
     n = len(fibre_or_nf.cuts)
@@ -85,7 +106,7 @@ def _smooth_report(args) -> int:
     """The report for a height-0 scenario, for the commands taking --allow-smooth."""
     if not args.allow_smooth:
         raise ValidationError("height 0 means no degeneration (use --allow-smooth)")
-    _emit(args, dumps({"height": 0, "smooth": True, "note": "no degeneration"}))
+    _report(args, {"height": 0, "smooth": True, "note": "no degeneration"})
     return 0
 
 
@@ -114,28 +135,16 @@ def _cmd_limit(args) -> int:
         payload["oracle"] = "skipped"
     else:
         agreement = winners == [report.fibre.nf]
-        payload["oracle"] = {
-            "cut_sets": [list(nf.cuts) for nf in winners],
-            "agrees": agreement,
-        }
-        if not agreement:
-            exit_code = 1
-    if args.format == "text":
-        lines = [
-            f"height {sc.height}, cuts {list(report.fibre.nf.cuts)}",
-            f"base tuple {list(report.base_tuple.exponents)}",
-            f"points placed at "
-            f"{[loc.stratum + ':' + str(loc.index) for loc in report.configuration.placements]}",
-            f"stable: lw={report.stability.lw_stable} sws={report.stability.sws_stable}",
-            f"oracle: {payload['oracle']}",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, dumps(payload))
-    if args.render:
-        sys.stdout.write(
-            render_fibre(report.fibre, report.configuration, args.render)
-        )
+        payload["oracle"] = {"cut_sets": [list(nf.cuts) for nf in winners], "agrees": agreement}
+        exit_code = 0 if agreement else 1
+    cfg = report.configuration
+    _report(args, payload, lambda: [
+        f"height {sc.height}, cuts {list(report.fibre.nf.cuts)}",
+        f"base tuple {list(report.base_tuple.exponents)}",
+        f"points placed at {[loc.stratum + ':' + str(loc.index) for loc in cfg.placements]}",
+        f"stable: lw={report.stability.lw_stable} sws={report.stability.sws_stable}",
+        f"oracle: {payload['oracle']}",
+    ], report.fibre, cfg)
     return exit_code
 
 
@@ -145,34 +154,35 @@ def _scenario_fibre(sc: Scenario):
     return build_fibre(nf)
 
 
+def _scenario_configuration(sc: Scenario):
+    """The scenario's points placed on its presentation, or on its normal form."""
+    presentation = sc.presentation()
+    return place(presentation if presentation is not None else sc.normal_form(), sc.points)
+
+
 def _cmd_fiber(args) -> int:
     sc = _read_scenario(args)
     if sc.height == 0:
         return _smooth_report(args)
     fibre = _scenario_fibre(sc)
-    if args.format == "text":
+
+    def lines():
         v, e, f = complex_counts(fibre)
         kinds = {}
         for vx in fibre.dual_complex.vertices:
             kinds[vx.kind.value] = kinds.get(vx.kind.value, 0) + 1
-        lines = [
+        return [
             f"height {fibre.height}, cuts {list(fibre.cuts)}",
             f"V={v} E={e} F={f} (V-E+F={v - e + f})",
             "vertices: " + ", ".join(f"{k}={n}" for k, n in sorted(kinds.items())),
         ]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, dumps(complex_to_json(fibre)))
-    if args.render:
-        sys.stdout.write(render_fibre(fibre, None, args.render))
+
+    _report(args, complex_to_json(fibre), lines, fibre)
     return 0
 
 
 def _cmd_stability(args) -> int:
-    sc = _read_scenario(args)
-    presentation = sc.presentation()
-    base = presentation if presentation is not None else sc.normal_form()
-    cfg = place(base, sc.points)
+    cfg = _scenario_configuration(_read_scenario(args))
     if args.render:
         _check_complex_size(cfg.fibre)
     report = stability_report(cfg)
@@ -180,44 +190,28 @@ def _cmd_stability(args) -> int:
         "configuration": configuration_to_json(cfg),
         "stability": stability_report_to_json(report),
     }
-    if args.format == "text":
-        lines = [
-            f"admissible: {report.admissible}",
-            f"stabilizer rank: {report.stabilizer_rank}",
-            f"lw_stable: {report.lw_stable}",
-            f"ws_stable: {report.ws_stable}",
-            f"sws_stable: {report.sws_stable}",
-            f"unoccupied levels: {list(report.unoccupied_levels)}",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, dumps(payload))
-    if args.render:
-        sys.stdout.write(render_fibre(cfg.fibre, cfg, args.render))
+    _report(args, payload, lambda: [
+        f"admissible: {report.admissible}",
+        f"stabilizer rank: {report.stabilizer_rank}",
+        f"lw_stable: {report.lw_stable}",
+        f"ws_stable: {report.ws_stable}",
+        f"sws_stable: {report.sws_stable}",
+        f"unoccupied levels: {list(report.unoccupied_levels)}",
+    ], cfg.fibre, cfg)
     return 0 if report.lw_stable else 1
 
 
 def _cmd_weights(args) -> int:
-    if args.l is not None and args.l < 1:
-        raise ValidationError(f"l must be >= 1, got {args.l}")
     sc = _read_scenario(args)
-    presentation = sc.presentation()
-    base = presentation if presentation is not None else sc.normal_form()
-    cfg = place(base, sc.points)
-    scale = args.l or sc.l or default_scale(cfg.m)
+    cfg = _scenario_configuration(sc)
+    scale = sc.l or default_scale(cfg.m)
     if sc.lin is not None:
-        lin = sc.lin
-        lin_source = "scenario"
+        lin, lin_source = sc.lin, "scenario"
     else:
         try:
-            lin = constructive_linearization(cfg)
-            lin_source = "constructive"
+            lin, lin_source = constructive_linearization(cfg), "constructive"
         except CriterionViolated as exc:
-            payload = {
-                "stabilizable": False,
-                "reason": str(exc),
-            }
-            _emit(args, dumps(payload))
+            _report(args, {"stabilizable": False, "reason": str(exc)})
             return 1
     rows = [
         {"s": list(s), "bounded": b, "combinatorial": c, "total": b + scale * c}
@@ -231,20 +225,13 @@ def _cmd_weights(args) -> int:
         "rows": rows,
         "git_stable": stable,
     }
-    if args.format == "text":
-        lines = [
-            f"lin ({lin_source}): {[tuple(x) for x in lin.levels]}  l={scale}",
-            f"{'s':<16} {'bounded':>8} {'combinatorial':>14} {'total':>8}",
-        ]
-        for row in rows:
-            lines.append(
-                f"{str(row['s']):<16} {row['bounded']:>8} "
-                f"{row['combinatorial']:>14} {row['total']:>8}"
-            )
-        lines.append(f"git_stable: {stable}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, dumps(payload))
+    _report(args, payload, lambda: [
+        f"lin ({lin_source}): {[tuple(x) for x in lin.levels]}  l={scale}",
+        f"{'s':<16} {'bounded':>8} {'combinatorial':>14} {'total':>8}",
+        *(f"{str(row['s']):<16} {row['bounded']:>8} "
+          f"{row['combinatorial']:>14} {row['total']:>8}" for row in rows),
+        f"git_stable: {stable}",
+    ])
     return 0 if stable else 1
 
 
@@ -260,7 +247,7 @@ def _cmd_normalize(args) -> int:
                 "kind": "closed",
                 "product": {"numeric": str(numeric), "symbols": list(symbols)},
             }
-        _emit(args, dumps(payload))
+        _report(args, payload)
         return 0
     presentation = sc.presentation()
     if presentation is None:
@@ -274,7 +261,7 @@ def _cmd_normalize(args) -> int:
     if sc.points:
         cfg = place(presentation, sc.points)
         payload["configuration"] = configuration_to_json(normalize_pair(cfg))
-    _emit(args, dumps(payload))
+    _report(args, payload)
     return 0
 
 
@@ -293,12 +280,9 @@ def _cmd_verify(args) -> int:
         if cap > largest:  # the acceptance sizes; one step up is millions of cases
             raise ValidationError(f"{option} must be <= {largest}, got {cap}")
     results = run_all(max_k=args.max_k, max_m=args.max_m)
-    ok = True
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        sys.stdout.write(f"[{status}] {r.name}: {r.detail}\n")
-        ok = ok and r.ok
-    return 0 if ok else 1
+        sys.stdout.write(f"[{'PASS' if r.ok else 'FAIL'}] {r.name}: {r.detail}\n")
+    return 0 if all(r.ok for r in results) else 1
 
 
 _ARGUMENTS = {
@@ -313,7 +297,6 @@ _ARGUMENTS = {
                     help="height cap for brute-force checks"),
     "--max-m": dict(type=int, default=DEFAULT_MAX_MULTIPLICITY,
                     help="multiplicity cap for brute-force checks"),
-    "--l": dict(type=int, default=None, help="scale factor for the stability test"),
 }
 
 
@@ -339,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("stability", "stability verdicts", _cmd_stability, "scenario",
             "--format", "--render", "--out")
     command("weights", "weight table for subgroups", _cmd_weights, "scenario",
-            "--format", "--out", "--l")
+            "--format", "--out")
     command("normalize", "normal form of a presentation", _cmd_normalize, "scenario",
             "--out")
     command("render", "diagram of a fibre", _cmd_render, "render_format", "scenario",

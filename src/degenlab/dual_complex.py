@@ -15,7 +15,6 @@ the exceptional bubbles, and chord crossings the quadric bubbles.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -23,7 +22,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .base import BaseTuple, NormalForm, canonical_tuple
+from .base import BaseTuple, NormalForm, canonical_tuple, half_level
 from .errors import HeightMismatch, InvalidInput
 
 __all__ = [
@@ -92,10 +91,12 @@ class Location:
     """Stratum of the subdivision containing a point.
 
     ``x`` and ``y`` are the half-level coordinates of ``a`` and ``k - b``
-    among the levels ``(0, *cuts, k)``: ``2p`` is ``levels[p]`` and ``2p + 1``
-    the open strip above it.  They determine the stratum and its index, and
-    every comparison of the point with a level: ``a`` is below, on or above
-    ``levels[p]`` exactly as ``x`` is below, at or above ``2p``.
+    among the levels ``(0, *cuts, k)``, ranked by ``base.half_level``, the
+    rule a presentation's ``level_coords`` read too: ``2p`` is ``levels[p]``
+    and ``2p + 1`` the open strip above it.  They determine the stratum and
+    its index, and every comparison of the point with a level: ``a`` is
+    below, on or above ``levels[p]`` exactly as ``x`` is below, at or above
+    ``2p``.
     """
 
     stratum: str  # "vertex" | "edge" | "cell"
@@ -138,6 +139,11 @@ class ExpandedFibre:
     def canonical_tuple(self) -> BaseTuple:
         """The zero-free presentation of the normal form, computed once."""
         return canonical_tuple(self.nf)
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """``(0, *cuts, k)``, the levels that ``locate`` ranks against."""
+        return (0, *self.nf.cuts, self.nf.height)
 
     @property
     def height(self) -> int:
@@ -250,12 +256,12 @@ def _vertex_index(p: int, q: int, n: int) -> int:
 def _edge_index(x: int, y: int, n: int) -> int:
     """Index of the edge whose points have ``a`` at ``x`` and ``k - b`` at ``y``.
 
-    Both are half-level coordinates: ``2p`` is ``levels[p]`` and ``2p + 1``
-    the open strip between ``levels[p]`` and ``levels[p + 1]``.  The sides
-    b = 0, c = 0 and a = 0 come first with n + 1 edges each, then the chords
-    a = s by level (from the pure bubble towards c = 0), then the chords
-    b = k - s by ascending b (from the a = 0 side); this is the edge order of
-    ``_dual_complex``, written down once.
+    Both are half-level coordinates, ranked by ``base.half_level``: ``2p`` is
+    ``levels[p]`` and ``2p + 1`` the open strip between ``levels[p]`` and
+    ``levels[p + 1]``.  The sides b = 0, c = 0 and a = 0 come first with
+    n + 1 edges each, then the chords a = s by level (from the pure bubble
+    towards c = 0), then the chords b = k - s by ascending b (from the a = 0
+    side); this is the edge order of ``_dual_complex``, written down once.
     """
     top = n + 1
     p, q = x // 2, y // 2
@@ -281,31 +287,28 @@ def locate(f: ExpandedFibre, p: TropPosition | tuple[int, int, int]) -> Location
 
     The subdividing lines are the three sides and the chords ``a = s`` and
     ``b = k - s``.  Two or more through ``p`` make it a vertex, one an edge
-    and none a cell.  The index follows from where ``a`` and ``k - b`` fall
-    among the levels ``(0, *cuts, k)``, by the rules ``_dual_complex``
-    builds by; the ``Location`` keeps those coordinates.  The complex itself
-    is not built.
+    and none a cell.  ``a`` and ``k - b`` are ranked among the levels
+    ``(0, *cuts, k)`` by ``half_level``, and the stratum follows from those
+    coordinates: a vertex when both are levels, a cell when both are strips
+    and ``c != 0``, an edge otherwise.  The index follows by the rules
+    ``_dual_complex`` builds by; the ``Location`` keeps the coordinates.
+    The complex itself is not built.
     """
     a, b, c = p
-    k, cuts = f.height, f.cuts
+    k = f.height
     if a + b + c != k:
         raise HeightMismatch(f"point {tuple(p)} does not have height {k}")
     if min(a, b, c) < 0:
         raise InvalidInput(f"point coordinates must be non-negative: {tuple(p)}")
-    n = len(cuts)
-    i = bisect_left(cuts, a)
-    j = bisect_left(cuts, k - b)
-    on_first = i < n and cuts[i] == a        # chord a = s
-    on_second = j < n and cuts[j] == k - b   # chord b = k - s
-    # half-level coordinates of a and k - b (see _edge_index)
-    x = 2 * i + 1 + (on_first or a == k) - (a == 0)
-    y = 2 * j + 1 + (on_second or b == 0) - (b == k)
-    lines = (a == 0) + (b == 0) + (c == 0) + on_first + on_second
-    if lines >= 2:  # a and k - b are both levels here
+    levels = f.levels
+    n = len(levels) - 2
+    x = half_level(levels, a)
+    y = half_level(levels, k - b)
+    if x % 2 == 0 and y % 2 == 0:
         return Location("vertex", _vertex_index(x // 2, y // 2, n), x, y)
-    if lines == 1:
-        return Location("edge", _edge_index(x, y, n), x, y)
-    return Location("cell", _cell_index(i, j, n), x, y)
+    if x % 2 and y % 2 and c:
+        return Location("cell", _cell_index(x // 2, y // 2, n), x, y)
+    return Location("edge", _edge_index(x, y, n), x, y)
 
 
 def refines(fine: NormalForm, coarse: NormalForm) -> bool:

@@ -178,32 +178,27 @@ def presentations(max_k: int) -> Iterator[BaseTuple]:
 
 
 def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
-    """Brute force agrees with the direct limit construction, uniquely."""
+    """Brute force agrees with the direct limit construction, uniquely, on
+    every nonempty multiset of ``weighted_configurations``."""
     checked = 0
     for k in range(1, max_k + 1):
-        positions = triangle_positions(k)
-        for m in range(1, max_m + 1):
-            for combo in combinations_with_replacement(positions, m):
-                points = [(pos, 1) for pos in combo]
-                report = flat_limit(points, k)
-                winners = unique_stable_subdivision_oracle(
-                    points, k, max_height=max(max_k, DEFAULT_MAX_HEIGHT),
-                    max_multiplicity=max(max_m, DEFAULT_MAX_MULTIPLICITY),
-                )
-                if winners != [report.fibre.nf]:
-                    return SuiteResult(
-                        "limit-oracle",
-                        False,
-                        f"k={k} points={combo}: oracle {winners}, "
-                        f"limit {report.fibre.nf}",
-                    )
-                if not report.stability.sws_stable or not report.stability.lw_stable:
-                    return SuiteResult(
-                        "limit-oracle",
-                        False,
-                        f"k={k} points={combo}: limit not stable",
-                    )
+        for points in weighted_configurations(k, max_m):
+            if not points:
+                continue
+            report = flat_limit(points, k)
+            winners = unique_stable_subdivision_oracle(
+                points, k, max_height=max(max_k, DEFAULT_MAX_HEIGHT),
+                max_multiplicity=max(max_m, DEFAULT_MAX_MULTIPLICITY),
+            )
+            if winners != [report.fibre.nf]:
+                problem = f"oracle {winners}, limit {report.fibre.nf}"
+            elif not report.stability.sws_stable or not report.stability.lw_stable:
+                problem = "limit not stable"
+            else:
                 checked += 1
+                continue
+            shown = [(p.valuations, p.multiplicity) for p in points]
+            return SuiteResult("limit-oracle", False, f"k={k} points={shown}: {problem}")
     return SuiteResult(
         "limit-oracle", True, f"{checked} point multisets, k <= {max_k}, m <= {max_m}"
     )

@@ -18,17 +18,23 @@ def calls_by_name(*names, module=None):
     """Count the calls of the functions with these names while the block runs.
 
     The profiler reports every resumption of a generator as a call, so the
-    count of ``"<genexpr>"`` is the number of generator frames resumed.  With
-    ``module``, only code compiled from that module's file is counted.
+    count of ``"<genexpr>"`` is the number of generator frames resumed.  A
+    built-in is named by its qualified name, such as ``"list.index"``.  With
+    ``module``, only code compiled from that module's file is counted, and
+    only the built-in calls made from that code.
     """
     counts = Counter()
     filename = None if module is None else module.__file__
 
     def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_name in names:
-            if filename is None or code.co_filename == filename:
-                counts[code.co_name] += 1
+        if event == "call":
+            name = frame.f_code.co_name
+        elif event == "c_call":
+            name = getattr(arg, "__qualname__", None)
+        else:
+            return
+        if name in names and (filename is None or frame.f_code.co_filename == filename):
+            counts[name] += 1
 
     sys.setprofile(profile)
     try:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from degenlab import base
 from degenlab import (
     BaseTuple,
     InvalidComparison,
@@ -17,6 +18,8 @@ from degenlab import (
     tau_move,
 )
 
+from guards import calls_by_name
+
 
 def test_make_base_tuple_basics():
     t = make_base_tuple([1, 1, 1, 0])
@@ -24,6 +27,18 @@ def test_make_base_tuple_basics():
     assert t.exponents == (1, 1, 1, 0)
     single = make_base_tuple([2])
     assert single.height == 2 and single.length == 1
+
+
+def test_level_coords_rank_each_level_once():
+    """One ``half_level`` call ranks each level, and no ``list.index`` scan
+    runs: the coordinates of n levels cost n binary searches, not n^2 / 2
+    comparisons."""
+    n = 2000
+    t = make_base_tuple([1] * (n + 1))
+    with calls_by_name("half_level", "list.index", "tuple.index", module=base) as counts:
+        coords = t.level_coords
+    assert coords == tuple(range(2, 2 * n + 1, 2))
+    assert counts == {"half_level": n}
 
 
 def test_make_base_tuple_rejects_empty_and_smooth():

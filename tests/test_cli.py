@@ -2,9 +2,11 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,26 @@ from degenlab.scenario import (
 )
 
 from regen_goldens import CASES, DATA, GOLDENS, cli_env
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+_SMOOTH_JSON = '{\n  "height": 0,\n  "smooth": true,\n  "note": "no degeneration"\n}\n'
+_UNSTABILIZABLE_JSON = (
+    '{\n  "stabilizable": false,\n'
+    '  "reason": "no point of the support occupies the level at cut value 1"\n}\n'
+)
+
+
+def _readme_option_table() -> dict[str, set[str]]:
+    """The README's command/options table, as command name to option set."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command | options |") + 2  # past the header rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, options = line.strip("|").split("|")
+        table[command.strip(" `").split()[0]] = set(re.findall(r"`(--[\w-]+)`", options))
+    return table
 
 
 def run_cli(*args, stdin: str | None = None):
@@ -129,22 +151,20 @@ class TestExitCodes:
         assert elapsed < 0.5
 
     @pytest.mark.parametrize(
-        "scenario,options",
+        "scenario",
         [
             # no torus level: the scheme is still checked (no constant
             # monomial, wrong size, level 1 of 0)
-            ('{"tuple":[2],"points":[{"val":[1,1,0],"mult":2,'
-             '"scheme":[[[1,"delta1",1]]]}]}', []),
-            ('{"height":2,"cuts":[1],"points":[{"val":[1,0,1],"mult":1}]}', ["--l", "0"]),
-            ('{"height":2,"cuts":[1],"points":[{"val":[1,0,1],"mult":1}]}', ["--l", "-3"]),
+            '{"tuple":[2],"points":[{"val":[1,1,0],"mult":2,'
+            '"scheme":[[[1,"delta1",1]]]}]}',
+            '{"height":2,"cuts":[1],"points":[{"val":[1,0,1],"mult":1}],"l":0}',
+            '{"height":2,"cuts":[1],"points":[{"val":[1,0,1],"mult":1}],"l":-3}',
         ],
         ids=["scheme-without-torus", "l-zero", "l-negative"],
     )
-    def test_weights_refuses_invalid_input_with_one_line(
-        self, monkeypatch, capsys, scenario, options
-    ):
+    def test_weights_refuses_invalid_input_with_one_line(self, monkeypatch, capsys, scenario):
         monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
-        assert main(["weights", "-", *options]) == 2
+        assert main(["weights", "-"]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert captured.out == ""
@@ -241,12 +261,51 @@ class TestExitCodes:
             "limit": {"--format", "--render", "--out", "--allow-smooth", "--max-k", "--max-m"},
             "fiber": {"--format", "--render", "--out", "--allow-smooth"},
             "stability": {"--format", "--render", "--out"},
-            "weights": {"--format", "--out", "--l"},
+            "weights": {"--format", "--out"},
             "normalize": {"--out"},
             "render": {"--out"},
             "verify": {"--max-k", "--max-m"},
         }
+        assert _readme_option_table() == options
         assert run_cli("normalize", "-", "--format", "text", stdin="{}").returncode == 2
+
+    @pytest.mark.parametrize(
+        "command,scenario,json_out",
+        [
+            (["limit"], DATA / "s1_worked_pair.json", GOLDENS / "s1_worked_pair.limit.json"),
+            (["limit", "--allow-smooth"], '{"height":0}', _SMOOTH_JSON),
+            (["fiber"], DATA / "s3_mixed_point.json", None),
+            (["fiber", "--allow-smooth"], '{"height":0}', _SMOOTH_JSON),
+            (["stability"], DATA / "s4_unstable_corner.json",
+             GOLDENS / "s4_unstable_corner.stability.json"),
+            (["weights"], DATA / "s1_worked_pair.json", None),
+            (["weights"], '{"height":2,"cuts":[1],"points":[{"val":[0,0,2]}]}',
+             _UNSTABILIZABLE_JSON),
+        ],
+        ids=["limit", "limit-smooth", "fiber", "fiber-smooth", "stability", "weights",
+             "weights-unstabilizable"],
+    )
+    def test_text_format_prints_no_json(self, monkeypatch, capsys, command, scenario, json_out):
+        """Every report honours ``--format``: text mode never prints JSON, and
+        JSON mode prints the golden file, or the fixed text of the height-0
+        and unstabilizable reports, where one is given."""
+        outputs = {}
+        for fmt in ("json", "text"):
+            if isinstance(scenario, str):
+                monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+            source = "-" if isinstance(scenario, str) else str(scenario)
+            outputs[fmt] = (main([*command, source, "--format", fmt]), capsys.readouterr())
+        (json_code, json_io), (text_code, text_io) = outputs["json"], outputs["text"]
+        assert json_code == text_code and json_code in (0, 1)
+        assert json_io.err == text_io.err == ""
+        json.loads(json_io.out)
+        if isinstance(json_out, Path):
+            assert json_io.out == json_out.read_text()
+        elif json_out is not None:
+            assert json_io.out == json_out
+        assert text_io.out.strip()
+        with pytest.raises(ValueError):
+            json.loads(text_io.out)
 
 
 # A JSON integer past the interpreter's int-str digit limit; json.dumps cannot
