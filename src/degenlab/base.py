@@ -303,9 +303,10 @@ def standard_embed(t: BaseTuple, positions) -> BaseTuple:
     ``positions`` are indices into the enlarged tuple; the original entries
     keep their relative order.  The normal form is unchanged.
     """
-    pos = set(positions)
+    given = tuple(positions)
+    pos = set(given)
     new_len = t.length + len(pos)
-    if len(pos) != len(tuple(positions)):
+    if len(pos) != len(given):
         raise InvalidInput("insertion positions must be distinct")
     if any(not isinstance(p, int) or p < 0 or p >= new_len for p in pos):
         raise InvalidInput(f"insertion positions {sorted(pos)} invalid for length {new_len}")

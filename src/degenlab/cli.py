@@ -25,10 +25,7 @@ from .errors import (
     RefuseBruteForce,
     ValidationError,
 )
-from .limits import (
-    DEFAULT_MAX_HEIGHT, DEFAULT_MAX_MULTIPLICITY, associated_pair, flat_limit,
-    unique_stable_subdivision_oracle,
-)
+from .limits import associated_pair, unique_stable_subdivision_oracle
 from .render import FORMATS, render_fibre
 from .scenario import (
     Scenario,
@@ -45,11 +42,6 @@ from .weights import constructive_linearization, default_scale, is_git_stable, w
 
 __all__ = ["main"]
 
-# The oracle of `limit` walks 2^(k-1) cut sets, so its time doubles with each
-# unit of height; its memory does not grow.  With three points on a 2-core
-# host it took 0.02 s at height 12, 0.08 s at 14 and 0.35 s at 16, at 16 MB
-# RSS; `limit` at height 12 takes 0.11 s in-process, imports included.
-LIMIT_MAX_K = 12
 # The dual complex has about n^2 / 2 crossings for n cuts, and memory grows
 # as n^2: `fiber` at 100 cuts takes 0.2-0.3 s and 30 MB, interpreter start
 # included, and writes 1.7 MB of JSON.
@@ -75,20 +67,22 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report(args, payload: dict, lines=None, fibre=None, cfg=None) -> None:
+def _report(args, payload, lines=None, fibre=None, cfg=None) -> None:
     """Write a command's report; every command but ``render`` and ``verify``
     writes through here.
 
-    The report is ``dumps(payload)``, or under ``--format text`` the lines
-    that ``lines()`` returns, built only then (one ``key: value`` line per
-    field of the payload when ``lines`` is None), to stdout or ``--out``.
-    Then, given a fibre, the ``--render`` diagram goes to stdout.
+    ``payload`` and ``lines`` are zero-argument functions, and only the one
+    that the format needs is called.  The report is ``dumps(payload())``, or
+    under ``--format text`` the lines that ``lines()`` returns (one
+    ``key: value`` line per field of ``payload()`` when ``lines`` is None),
+    to stdout or ``--out``.  Then, given a fibre, the ``--render`` diagram
+    goes to stdout.
     """
     if getattr(args, "format", "json") == "text":
-        text = lines() if lines else [f"{key}: {value}" for key, value in payload.items()]
+        text = lines() if lines else [f"{key}: {value}" for key, value in payload().items()]
         _emit(args, "\n".join(text) + "\n")
     else:
-        _emit(args, dumps(payload))
+        _emit(args, dumps(payload()))
     if fibre is not None and args.render:
         sys.stdout.write(render_fibre(fibre, cfg, args.render))
 
@@ -102,48 +96,31 @@ def _check_complex_size(fibre_or_nf) -> None:
         )
 
 
-def _smooth_report(args) -> int:
-    """The report for a height-0 scenario, for the commands taking --allow-smooth."""
-    if not args.allow_smooth:
-        raise ValidationError("height 0 means no degeneration (use --allow-smooth)")
-    _report(args, {"height": 0, "smooth": True, "note": "no degeneration"})
-    return 0
-
-
 def _cmd_limit(args) -> int:
-    if args.max_k > LIMIT_MAX_K:
-        raise ValidationError(f"max-k must be <= {LIMIT_MAX_K}, got {args.max_k}")
     sc = _read_scenario(args)
-    if sc.height == 0:
-        return _smooth_report(args)
     if sc.height is None:
         raise ValidationError("limit needs a height")
     points = [(p.valuations, p.multiplicity) for p in sc.points]
-    if sc.cuts is not None or sc.tuple_ is not None:
-        report = associated_pair(points, sc.height, sc.normal_form())
-    else:
-        report = flat_limit(points, sc.height)
+    # without cuts or a tuple the declared fibre is undivided, which every limit refines
+    report = associated_pair(points, sc.height, sc.normal_form())
     if args.render:
         _check_complex_size(report.fibre)
-    payload = limit_report_to_json(report)
     exit_code = 0
     try:
-        winners = unique_stable_subdivision_oracle(
-            points, sc.height, max_height=args.max_k, max_multiplicity=args.max_m
-        )
+        winners = unique_stable_subdivision_oracle(points, sc.height)
     except RefuseBruteForce:
-        payload["oracle"] = "skipped"
+        oracle = "skipped"
     else:
         agreement = winners == [report.fibre.nf]
-        payload["oracle"] = {"cut_sets": [list(nf.cuts) for nf in winners], "agrees": agreement}
+        oracle = {"cut_sets": [list(nf.cuts) for nf in winners], "agrees": agreement}
         exit_code = 0 if agreement else 1
     cfg = report.configuration
-    _report(args, payload, lambda: [
+    _report(args, lambda: {**limit_report_to_json(report), "oracle": oracle}, lambda: [
         f"height {sc.height}, cuts {list(report.fibre.nf.cuts)}",
         f"base tuple {list(report.base_tuple.exponents)}",
         f"points placed at {[loc.stratum + ':' + str(loc.index) for loc in cfg.placements]}",
         f"stable: lw={report.stability.lw_stable} sws={report.stability.sws_stable}",
-        f"oracle: {payload['oracle']}",
+        f"oracle: {oracle}",
     ], report.fibre, cfg)
     return exit_code
 
@@ -161,10 +138,7 @@ def _scenario_configuration(sc: Scenario):
 
 
 def _cmd_fiber(args) -> int:
-    sc = _read_scenario(args)
-    if sc.height == 0:
-        return _smooth_report(args)
-    fibre = _scenario_fibre(sc)
+    fibre = _scenario_fibre(_read_scenario(args))
 
     def lines():
         v, e, f = complex_counts(fibre)
@@ -177,7 +151,7 @@ def _cmd_fiber(args) -> int:
             "vertices: " + ", ".join(f"{k}={n}" for k, n in sorted(kinds.items())),
         ]
 
-    _report(args, complex_to_json(fibre), lines, fibre)
+    _report(args, lambda: complex_to_json(fibre), lines, fibre)
     return 0
 
 
@@ -186,11 +160,10 @@ def _cmd_stability(args) -> int:
     if args.render:
         _check_complex_size(cfg.fibre)
     report = stability_report(cfg)
-    payload = {
+    _report(args, lambda: {
         "configuration": configuration_to_json(cfg),
         "stability": stability_report_to_json(report),
-    }
-    _report(args, payload, lambda: [
+    }, lambda: [
         f"admissible: {report.admissible}",
         f"stabilizer rank: {report.stabilizer_rank}",
         f"lw_stable: {report.lw_stable}",
@@ -211,21 +184,20 @@ def _cmd_weights(args) -> int:
         try:
             lin, lin_source = constructive_linearization(cfg), "constructive"
         except CriterionViolated as exc:
-            _report(args, {"stabilizable": False, "reason": str(exc)})
+            _report(args, lambda: {"stabilizable": False, "reason": str(exc)})
             return 1
     rows = [
         {"s": list(s), "bounded": b, "combinatorial": c, "total": b + scale * c}
         for s, b, c in weight_rows(cfg, lin, None if sc.s is None else [sc.s])
     ]
     stable = is_git_stable(cfg, lin, scale)
-    payload = {
+    _report(args, lambda: {
         "lin": [list(lift) for lift in lin.levels],
         "lin_source": lin_source,
         "l": scale,
         "rows": rows,
         "git_stable": stable,
-    }
-    _report(args, payload, lambda: [
+    }, lambda: [
         f"lin ({lin_source}): {[tuple(x) for x in lin.levels]}  l={scale}",
         f"{'s':<16} {'bounded':>8} {'combinatorial':>14} {'total':>8}",
         *(f"{str(row['s']):<16} {row['bounded']:>8} "
@@ -247,7 +219,7 @@ def _cmd_normalize(args) -> int:
                 "kind": "closed",
                 "product": {"numeric": str(numeric), "symbols": list(symbols)},
             }
-        _report(args, payload)
+        _report(args, lambda: payload)
         return 0
     presentation = sc.presentation()
     if presentation is None:
@@ -261,7 +233,7 @@ def _cmd_normalize(args) -> int:
     if sc.points:
         cfg = place(presentation, sc.points)
         payload["configuration"] = configuration_to_json(normalize_pair(cfg))
-    _report(args, payload)
+    _report(args, lambda: payload)
     return 0
 
 
@@ -292,11 +264,8 @@ _ARGUMENTS = {
     "--render": dict(choices=FORMATS, default=None,
                      help="also print a diagram in this format"),
     "--out": dict(default=None, help="write the report here"),
-    "--allow-smooth": dict(action="store_true", help="accept height-0 scenarios"),
-    "--max-k": dict(type=int, default=DEFAULT_MAX_HEIGHT,
-                    help="height cap for brute-force checks"),
-    "--max-m": dict(type=int, default=DEFAULT_MAX_MULTIPLICITY,
-                    help="multiplicity cap for brute-force checks"),
+    "--max-k": dict(type=int, default=4, help="height cap of the suites"),
+    "--max-m": dict(type=int, default=2, help="multiplicity cap of the suites"),
 }
 
 
@@ -316,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("limit", "flat limit of valued points", _cmd_limit, "scenario",
-            "--format", "--render", "--out", "--allow-smooth", "--max-k", "--max-m")
+            "--format", "--render", "--out")
     command("fiber", "dual complex of a fibre", _cmd_fiber, "scenario",
-            "--format", "--render", "--out", "--allow-smooth")
+            "--format", "--render", "--out")
     command("stability", "stability verdicts", _cmd_stability, "scenario",
             "--format", "--render", "--out")
     command("weights", "weight table for subgroups", _cmd_weights, "scenario",
@@ -327,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--out")
     command("render", "diagram of a fibre", _cmd_render, "render_format", "scenario",
             "--out")
-    command("verify", "run the invariant suites", _cmd_verify,
-            "--max-k", "--max-m").set_defaults(max_k=4, max_m=2)
+    command("verify", "run the invariant suites", _cmd_verify, "--max-k", "--max-m")
     return parser
 
 

@@ -46,9 +46,7 @@ from .configurations import (
     place,
 )
 from .dual_complex import ExpandedFibre, Location, build_fibre, complex_counts
-from .limits import (
-    DEFAULT_MAX_HEIGHT, DEFAULT_MAX_MULTIPLICITY, flat_limit, unique_stable_subdivision_oracle,
-)
+from .limits import flat_limit, unique_stable_subdivision_oracle
 from .weights import _lift_table, constructive_linearization, exists_stabilizing_linearization
 
 __all__ = [
@@ -186,10 +184,7 @@ def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
             if not points:
                 continue
             report = flat_limit(points, k)
-            winners = unique_stable_subdivision_oracle(
-                points, k, max_height=max(max_k, DEFAULT_MAX_HEIGHT),
-                max_multiplicity=max(max_m, DEFAULT_MAX_MULTIPLICITY),
-            )
+            winners = unique_stable_subdivision_oracle(points, k)
             if winners != [report.fibre.nf]:
                 problem = f"oracle {winners}, limit {report.fibre.nf}"
             elif not report.stability.sws_stable or not report.stability.lw_stable:

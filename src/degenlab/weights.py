@@ -297,9 +297,10 @@ def constructive_linearization(cfg: PointConfiguration) -> Linearization:
     (0, 1).  Otherwise a point must sit on the second-family component;
     mirror the construction with m'' the multiplicity on its (1:0) side.
     Each placement is read once, as ``(x, y, multiplicity)``, and one plain
-    loop per level finds both on-level tests, m' and m''.  Level values never decrease, so the first level that
-    no point occupies names the smallest unoccupied value, and
-    ``CriterionViolated`` names it.
+    loop per level finds both on-level tests, m' and m''.
+
+    Level values never decrease, so the first level that no point occupies
+    names the smallest unoccupied value, and ``CriterionViolated`` names it.
     """
     placed = _placed(cfg)
     m = cfg.m

@@ -1,12 +1,13 @@
 """Counting and memory probes for the complexity guards.
 
-Guards assert on call counts and ``tracemalloc`` peaks, never on wall time:
-both are the same on every host, however fast it runs.
+Guards assert on call counts, counts of lines run and ``tracemalloc`` peaks,
+never on wall time: all are the same on every host, however fast it runs.
 """
 
 from __future__ import annotations
 
 import gc
+import linecache
 import sys
 import tracemalloc
 from collections import Counter
@@ -41,6 +42,33 @@ def calls_by_name(*names, module=None):
         yield counts
     finally:
         sys.setprofile(None)
+
+
+@contextmanager
+def lines_run(fn):
+    """Count the lines of ``fn``'s own code run while the block runs, keyed by
+    their stripped source text.
+
+    Code nested in ``fn`` (a comprehension, an inner function) and the
+    functions it calls are not counted.
+    """
+    counts = Counter()
+    code = fn.__code__
+
+    def local(frame, event, arg):
+        if event == "line":
+            counts[linecache.getline(code.co_filename, frame.f_lineno).strip()] += 1
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield counts
+    finally:
+        sys.settrace(previous)
 
 
 def traced_peak_mb(fn, *args, **kwargs):

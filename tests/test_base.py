@@ -85,6 +85,13 @@ def test_standard_embed_examples():
     assert normal_form(embedded) == normal_form(t)
 
 
+def test_standard_embed_reads_a_one_shot_iterable():
+    assert standard_embed(BaseTuple((1, 2)), iter([0])).exponents == (0, 1, 2)
+    assert standard_embed(BaseTuple((1, 2)), (i for i in (3, 0))).exponents == (0, 1, 2, 0)
+    with pytest.raises(InvalidInput, match="distinct"):
+        standard_embed(BaseTuple((1, 2)), iter([0, 0]))
+
+
 def test_standard_embed_rejects_bad_positions():
     with pytest.raises(InvalidInput):
         standard_embed(make_base_tuple([1, 1]), {5})

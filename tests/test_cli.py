@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -19,10 +20,10 @@ from degenlab.scenario import (
     stability_report_to_json,
 )
 
+from guards import calls_by_name
 from regen_goldens import CASES, DATA, GOLDENS, cli_env
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-_SMOOTH_JSON = '{\n  "height": 0,\n  "smooth": true,\n  "note": "no degeneration"\n}\n'
 _UNSTABILIZABLE_JSON = (
     '{\n  "stabilizable": false,\n'
     '  "reason": "no point of the support occupies the level at cut value 1"\n}\n'
@@ -40,6 +41,17 @@ def _readme_option_table() -> dict[str, set[str]]:
         command, options = line.strip("|").split("|")
         table[command.strip(" `").split()[0]] = set(re.findall(r"`(--[\w-]+)`", options))
     return table
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every ``degenlab`` command in the README's bash blocks."""
+    commands, in_bash = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_bash = line == "```bash"
+        elif in_bash and (found := re.search(r"(?:^|\|)\s*degenlab\s+(.*)", line)):
+            commands.append(shlex.split(found.group(1), comments=True))
+    return commands
 
 
 def run_cli(*args, stdin: str | None = None):
@@ -186,24 +198,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
-    def test_limit_refuses_an_oracle_cap_above_the_ceiling(self, monkeypatch, capsys):
-        scenario = '{"height":13,"points":[{"val":[1,0,12],"mult":1}]}'
-        monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
-        assert main(["limit", "-", "--max-k", "13"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: max-k must be <= 12, got 13\n"
-        # at the ceiling, a height above the cap still skips the oracle
-        monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
-        assert main(["limit", "-", "--max-k", "12"]) == 0
-        assert json.loads(capsys.readouterr().out)["oracle"] == "skipped"
-
-    def test_limit_skips_the_oracle_above_the_multiplicity_cap(self, capsys):
-        scenario = str(DATA / "s1_worked_pair.json")  # two points of multiplicity 1
-        assert main(["limit", scenario, "--max-m", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["oracle"] == "skipped"
-        assert main(["limit", scenario, "--max-m", "1", "--format", "text"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "oracle: skipped"
+    @pytest.mark.parametrize(
+        "height,mult,oracle",
+        [(12, 5, {"cut_sets": [[1, 11]], "agrees": True}), (13, 1, "skipped")],
+        ids=["at-cap", "above-cap"],
+    )
+    def test_limit_runs_the_oracle_up_to_its_height_cap(
+        self, monkeypatch, capsys, height, mult, oracle
+    ):
+        """Any multiplicity is checked up to height 12; above it, "skipped"."""
+        scenario = json.dumps({"height": height, "points": [
+            {"val": [1, 0, height - 1], "mult": mult}, {"val": [0, 1, height - 1]}]})
+        for fmt in ("json", "text"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+            assert main(["limit", "-", "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                assert json.loads(out)["oracle"] == oracle
+            else:
+                assert out.splitlines()[-1] == f"oracle: {oracle}"
 
     @pytest.mark.parametrize(
         "command,scenario",
@@ -236,30 +249,30 @@ class TestExitCodes:
         assert "V=5253 E=10403 F=5151" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "command,hint",
-        [(["limit"], True), (["fiber"], True), (["render", "svg"], False),
-         (["stability"], False), (["weights"], False), (["normalize"], False)],
+        "command",
+        [["limit"], ["fiber"], ["render", "svg"], ["stability"], ["weights"], ["normalize"]],
+        ids=lambda command: command[0],
     )
-    def test_height_zero_names_the_flag_only_where_it_exists(
-        self, monkeypatch, capsys, command, hint
-    ):
-        message = "error: height 0 means no degeneration"
-        if hint:
-            message += " (use --allow-smooth)"
+    def test_every_command_refuses_height_zero_with_one_line(self, monkeypatch, capsys, command):
         for scenario in ('{"height":0}', '{"tuple":[0]}', '{"tuple":[0,0],"cuts":[]}'):
             monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
             assert main([*command, "-"]) == 2, scenario
-            assert capsys.readouterr().err == message + "\n", scenario
+            captured = capsys.readouterr()
+            assert captured.out == "", scenario
+            assert captured.err == "error: height 0 means no degeneration\n", scenario
 
     def test_each_command_takes_only_the_options_it_reads(self):
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        """Each command registers only the options its handler reads, as the
+        README's table says, and every example in the README parses."""
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
         options = {
             name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
             for name, p in sub.choices.items()
         }
         assert options == {
-            "limit": {"--format", "--render", "--out", "--allow-smooth", "--max-k", "--max-m"},
-            "fiber": {"--format", "--render", "--out", "--allow-smooth"},
+            "limit": {"--format", "--render", "--out"},
+            "fiber": {"--format", "--render", "--out"},
             "stability": {"--format", "--render", "--out"},
             "weights": {"--format", "--out"},
             "normalize": {"--out"},
@@ -267,28 +280,29 @@ class TestExitCodes:
             "verify": {"--max-k", "--max-m"},
         }
         assert _readme_option_table() == options
+        examples = _readme_commands()
+        assert len(examples) == 7
+        for argv in examples:
+            parser.parse_args(argv)  # an unknown option exits 2
         assert run_cli("normalize", "-", "--format", "text", stdin="{}").returncode == 2
 
     @pytest.mark.parametrize(
         "command,scenario,json_out",
         [
             (["limit"], DATA / "s1_worked_pair.json", GOLDENS / "s1_worked_pair.limit.json"),
-            (["limit", "--allow-smooth"], '{"height":0}', _SMOOTH_JSON),
             (["fiber"], DATA / "s3_mixed_point.json", None),
-            (["fiber", "--allow-smooth"], '{"height":0}', _SMOOTH_JSON),
             (["stability"], DATA / "s4_unstable_corner.json",
              GOLDENS / "s4_unstable_corner.stability.json"),
             (["weights"], DATA / "s1_worked_pair.json", None),
             (["weights"], '{"height":2,"cuts":[1],"points":[{"val":[0,0,2]}]}',
              _UNSTABILIZABLE_JSON),
         ],
-        ids=["limit", "limit-smooth", "fiber", "fiber-smooth", "stability", "weights",
-             "weights-unstabilizable"],
+        ids=["limit", "fiber", "stability", "weights", "weights-unstabilizable"],
     )
     def test_text_format_prints_no_json(self, monkeypatch, capsys, command, scenario, json_out):
         """Every report honours ``--format``: text mode never prints JSON, and
-        JSON mode prints the golden file, or the fixed text of the height-0
-        and unstabilizable reports, where one is given."""
+        JSON mode prints the golden file, or the fixed text of the
+        unstabilizable report, where one is given."""
         outputs = {}
         for fmt in ("json", "text"):
             if isinstance(scenario, str):
@@ -394,6 +408,13 @@ class TestCommands:
         result = run_cli("fiber", str(DATA / "s3_mixed_point.json"), "--format", "text")
         assert b"V=6 E=8 F=3" in result.stdout
 
+    @pytest.mark.parametrize("fmt,built", [("text", 0), ("json", 1)])
+    def test_fiber_builds_its_json_only_to_print_it(self, capsys, fmt, built):
+        with calls_by_name("complex_to_json") as counts:
+            assert main(["fiber", str(DATA / "s3_mixed_point.json"), "--format", fmt]) == 0
+        assert counts["complex_to_json"] == built
+        assert capsys.readouterr().out
+
     def test_weights_table(self):
         result = run_cli("weights", str(DATA / "s1_worked_pair.json"))
         payload = json.loads(result.stdout)
@@ -468,14 +489,6 @@ class TestCommands:
     def test_stdin_scenario(self):
         result = run_cli("limit", "-", stdin='{"height":1,"points":[{"val":[0,0,1],"mult":1}]}')
         assert result.returncode == 0
-
-    def test_smooth_rejected_then_allowed(self, tmp_path):
-        scenario = tmp_path / "smooth.json"
-        scenario.write_text('{"height":0,"points":[]}')
-        assert run_cli("limit", str(scenario)).returncode == 2
-        result = run_cli("limit", str(scenario), "--allow-smooth")
-        assert result.returncode == 0
-        assert json.loads(result.stdout)["smooth"] is True
 
     def test_out_flag(self, tmp_path):
         out = tmp_path / "report.json"

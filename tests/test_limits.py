@@ -17,7 +17,8 @@ from degenlab import (
     stability_report,
     unique_stable_subdivision_oracle,
 )
-from guards import traced_peak_mb
+from degenlab.limits import MAX_ORACLE_HEIGHT, _stable_cut_sets
+from guards import lines_run, traced_peak_mb
 
 
 class TestFlatLimit:
@@ -96,36 +97,28 @@ class TestOracle:
         ]
 
     def test_height_cap(self):
+        assert MAX_ORACLE_HEIGHT == 12
         with pytest.raises(RefuseBruteForce):
-            unique_stable_subdivision_oracle([((9, 0, 0), 1)], 9)
-        # overridable
-        winners = unique_stable_subdivision_oracle(
-            [((9, 0, 0), 1)], 9, max_height=9
-        )
-        assert len(winners) == 1
-
-    def test_multiplicity_cap(self):
-        with pytest.raises(RefuseBruteForce):
-            unique_stable_subdivision_oracle([((1, 1, 0), 5)], 2)
-        winners = unique_stable_subdivision_oracle(
-            [((1, 1, 0), 5)], 2, max_multiplicity=5
-        )
-        assert winners == [NormalForm(2, (1,))]
+            unique_stable_subdivision_oracle([((13, 0, 0), 1)], 13)
+        assert unique_stable_subdivision_oracle([((12, 0, 0), 1)], 12) == [
+            NormalForm(12, ())
+        ]
 
 
 @st.composite
 def oracle_instances(draw):
-    """Height k <= 10 and up to four points, multiplicities 1-2, total <= 4."""
+    """Height k <= 10 and up to five points, multiplicities 1-5, some of them
+    repeating an earlier point's valuation."""
     k = draw(st.integers(min_value=1, max_value=10))
-    points, total = [], 0
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        m = draw(st.integers(min_value=1, max_value=2))
-        if total + m > 4:
-            break
-        a = draw(st.integers(min_value=0, max_value=k))
-        b = draw(st.integers(min_value=0, max_value=k - a))
-        points.append(((a, b, k - a - b), m))
-        total += m
+    points = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if points and draw(st.booleans()):
+            valuation = draw(st.sampled_from([v for v, _ in points]))
+        else:
+            a = draw(st.integers(min_value=0, max_value=k))
+            b = draw(st.integers(min_value=0, max_value=k - a))
+            valuation = (a, b, k - a - b)
+        points.append((valuation, draw(st.integers(min_value=1, max_value=5))))
     return k, points
 
 
@@ -140,7 +133,7 @@ def test_oracle_winners_are_the_stable_placements(instance):
         nf = NormalForm(k, tuple(s for s in range(1, k) if mask >> (s - 1) & 1))
         if stability_report(place(nf, points)).lw_stable:
             stable.append(nf)
-    assert unique_stable_subdivision_oracle(points, k, max_height=k) == sorted(
+    assert unique_stable_subdivision_oracle(points, k) == sorted(
         stable, key=lambda nf: nf.cuts
     )
 
@@ -149,11 +142,29 @@ def test_oracle_memory_is_bounded():
     """At height 12 the oracle walks 2048 cut sets and keeps none of them."""
     k = 12
     points = [((1, k - 3, 2), 1), ((k - 2, 1, 1), 1), ((2, 2, k - 4), 1)]
-    winners, peak = traced_peak_mb(
-        unique_stable_subdivision_oracle, points, k, max_height=k
-    )
+    winners, peak = traced_peak_mb(unique_stable_subdivision_oracle, points, k)
     assert winners == [NormalForm(k, (1, 2, 3, 10, 11))]
     assert peak < 2
+
+
+def test_oracle_work_depends_on_the_height_alone():
+    """The cut-set search tries 2^(k-1) cut sets up to the cap and none above
+    it, and reads each distinct valuation once: 100 copies of every point run
+    the same lines of the search as one copy."""
+    k = 12
+    positions = [(a, b, k - a - b) for a in range(k + 1) for b in range(k + 1 - a)]
+    once = [(v, 1) for v in positions]
+    with lines_run(_stable_cut_sets) as single:
+        winners = unique_stable_subdivision_oracle(once, k)
+    with lines_run(_stable_cut_sets) as copies:
+        assert unique_stable_subdivision_oracle(once * 100, k) == winners
+    assert len(positions) == 91 and len(winners) == 1
+    assert single["levels = set(cuts)"] == 2 ** (k - 1)
+    assert copies == single
+    with lines_run(_stable_cut_sets) as above:
+        with pytest.raises(RefuseBruteForce):
+            unique_stable_subdivision_oracle([((k + 1, 0, 0), 1)], k + 1)
+    assert not above
 
 
 class TestAssociatedPair:
