@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .base import canonical_tuple, normal_form
-from .configurations import normalize_pair, place, stability_report
+from .configurations import SupportPoint, normalize_pair, place, stability_report
 from .dual_complex import build_fibre, complex_counts
 from .errors import (
     CriterionViolated,
@@ -100,7 +100,8 @@ def _cmd_limit(args) -> int:
     sc = _read_scenario(args)
     if sc.height is None:
         raise ValidationError("limit needs a height")
-    points = [(p.valuations, p.multiplicity) for p in sc.points]
+    # built once for the limit and the oracle; the limit configuration carries no schemes
+    points = tuple(SupportPoint(p.valuations, p.multiplicity) for p in sc.points)
     # without cuts or a tuple the declared fibre is undivided, which every limit refines
     report = associated_pair(points, sc.height, sc.normal_form())
     if args.render:

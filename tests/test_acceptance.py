@@ -9,10 +9,12 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 from degenlab import (
     NormalForm,
     VertexKind,
+    bounded_weight,
     build_fibre,
     complex_counts,
 )
@@ -28,7 +30,7 @@ from degenlab.verify import (
 
 from oracles import arrangement_counts
 from regen_goldens import CASES, DATA, GOLDENS, cli_env
-from test_dual_complex import kinds_of
+from strategies import random_bound_case
 
 
 def report(number: int, name: str, detail: str, elapsed: float) -> None:
@@ -41,7 +43,7 @@ def test_criterion_1_figure_reproduction():
     start = time.perf_counter()
     two = build_fibre(NormalForm(2, (1,)))
     elapsed_two = time.perf_counter() - start
-    assert kinds_of(two) == {
+    assert Counter(v.kind for v in two.dual_complex.vertices) == {
         VertexKind.CORNER_Y1: 1,
         VertexKind.CORNER_Y2: 1,
         VertexKind.CORNER_Y3: 1,
@@ -53,7 +55,7 @@ def test_criterion_1_figure_reproduction():
     start = time.perf_counter()
     three = build_fibre(NormalForm(3, (1, 2)))
     elapsed_three = time.perf_counter() - start
-    counts = kinds_of(three)
+    counts = Counter(v.kind for v in three.dual_complex.vertices)
     assert counts == {
         VertexKind.CORNER_Y1: 1,
         VertexKind.CORNER_Y2: 1,
@@ -121,12 +123,11 @@ def test_criterion_5_positivity():
 
 
 def test_criterion_6_bounded_weight_bound():
-    from test_weights import _random_bound_case
-
     rng = random.Random(20260809)
     start = time.perf_counter()
     for _ in range(10_000):
-        _random_bound_case(rng, max_m=4)
+        cfg, s = random_bound_case(rng, max_m=4)
+        assert all(abs(b) <= 2 * cfg.m * cfg.m for b in bounded_weight(cfg, s)[1])
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(6, "bounded-weight bound", "10000 randomized local schemes", elapsed)

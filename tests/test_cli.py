@@ -415,6 +415,20 @@ class TestCommands:
         assert counts["complex_to_json"] == built
         assert capsys.readouterr().out
 
+    def test_limit_builds_each_point_once(self, monkeypatch, capsys):
+        """At height 12 with all 91 positions, ``limit`` builds 91 points in
+        parsing and 91 scheme-free ones that the limit and the oracle share,
+        beside 5 normal forms: 187 ``__post_init__`` calls, 278 when the
+        limit and the oracle each built their own."""
+        k = 12
+        points = [{"val": [a, b, k - a - b]} for a in range(k + 1) for b in range(k + 1 - a)]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"height": k, "points": points})))
+        with calls_by_name("__post_init__") as counts:
+            assert main(["limit", "-"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["oracle"]["agrees"] and len(report["configuration"]["points"]) == 91
+        assert counts["__post_init__"] <= 187
+
     def test_weights_table(self):
         result = run_cli("weights", str(DATA / "s1_worked_pair.json"))
         payload = json.loads(result.stdout)

@@ -1,7 +1,9 @@
 """Dual complexes of expanded fibres against the arrangement oracle."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from degenlab import (
     ExpandedFibre,
@@ -21,19 +23,13 @@ from oracles import (
     reference_dual_complex,
 )
 from guards import traced_peak_mb
-
-
-def kinds_of(fibre):
-    out = {}
-    for v in fibre.dual_complex.vertices:
-        out[v.kind] = out.get(v.kind, 0) + 1
-    return out
+from strategies import normal_forms
 
 
 def test_undivided_triangle():
     f = build_fibre(NormalForm(1, ()))
     assert complex_counts(f) == (3, 3, 1)
-    assert kinds_of(f) == {
+    assert Counter(v.kind for v in f.dual_complex.vertices) == {
         VertexKind.CORNER_Y1: 1,
         VertexKind.CORNER_Y2: 1,
         VertexKind.CORNER_Y3: 1,
@@ -43,7 +39,7 @@ def test_undivided_triangle():
 def test_one_cut_inventory():
     f = build_fibre(NormalForm(2, (1,)))
     assert complex_counts(f) == (6, 8, 3)
-    assert kinds_of(f) == {
+    assert Counter(v.kind for v in f.dual_complex.vertices) == {
         VertexKind.CORNER_Y1: 1,
         VertexKind.CORNER_Y2: 1,
         VertexKind.CORNER_Y3: 1,
@@ -56,7 +52,7 @@ def test_one_cut_inventory():
 def test_two_cut_inventory_with_quadric():
     f = build_fibre(NormalForm(3, (1, 2)))
     assert complex_counts(f) == (10, 15, 6)
-    counts = kinds_of(f)
+    counts = Counter(v.kind for v in f.dual_complex.vertices)
     assert counts[VertexKind.PURE_DELTA1] == 2
     assert counts[VertexKind.PURE_DELTA2] == 2
     assert counts[VertexKind.MIXED] == 2
@@ -186,21 +182,13 @@ def test_build_fibre_builds_the_complex_and_a_bare_fibre_does_not():
     assert bare == build_fibre(nf)
 
 
-@st.composite
-def normal_forms(draw):
-    k = draw(st.integers(min_value=1, max_value=60))
-    cuts = draw(st.lists(st.integers(min_value=1, max_value=max(k - 1, 1)),
-                         max_size=min(15, k - 1), unique=True))
-    return NormalForm(k, tuple(sorted(cuts)))
-
-
 def _cross(o, p, q):
     """Orientation of q against the directed line o -> p, in (a, b) coordinates."""
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
 
 
-@settings(max_examples=120, deadline=None)
-@given(normal_forms())
+@settings(max_examples=120)
+@given(normal_forms(60, 15))
 def test_locate_agrees_with_the_geometry_of_the_complex(nf):
     """Every integral point lands in a stratum whose geometry contains it."""
     k, cuts = nf.height, nf.cuts
@@ -230,8 +218,8 @@ def test_locate_agrees_with_the_geometry_of_the_complex(nf):
             assert all(t > 0 for t in turns) or all(t < 0 for t in turns)
 
 
-@settings(max_examples=200, deadline=None)
-@given(normal_forms())
+@settings(max_examples=200)
+@given(normal_forms(60, 15))
 def test_order_matches_the_position_lookup_reference(nf):
     """Vertices, edges and cells in the reference's order, and ``locate``
     sends every vertex position to its own index."""

@@ -5,7 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degenlab.scenario import dumps
+from degenlab import NormalForm, build_fibre
+from degenlab.scenario import complex_to_json, dumps
+from guards import traced_peak_mb
 
 
 def reference(value) -> str:
@@ -25,7 +27,7 @@ _values = st.recursive(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_values)
 def test_writes_the_text_of_json_dumps(value):
     assert dumps(value) == reference(value)
@@ -50,3 +52,16 @@ def test_an_integer_past_the_digit_limit_is_refused_by_both(wrap):
         reference(value)
     with pytest.raises(ValueError):
         dumps(value)
+
+
+def test_complex_json_memory_grows_quadratically():
+    """The payload and text of a complex of n cuts are O(n^2): from 25 to 100
+    cuts the ``tracemalloc`` peak goes from 0.55 to 8.06 MB, 14.6-fold where
+    a cubic path would be about sixty-fourfold."""
+    peaks = {}
+    for n in (25, 100):
+        fibre = build_fibre(NormalForm(n + 1, tuple(range(1, n + 1))))
+        text, peaks[n] = traced_peak_mb(lambda: dumps(complex_to_json(fibre)))
+        assert json.loads(text)["cuts"] == list(fibre.cuts)
+    assert peaks[100] <= 20 * peaks[25]
+    assert peaks[100] < 10.5

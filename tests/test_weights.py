@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from guards import calls_by_name
+from strategies import lift_tuples, presented_points, random_bound_case, support_points
 from degenlab import (
     BaseTuple,
     Chart,
@@ -26,7 +27,6 @@ from degenlab import (
     VanishingPattern,
     admissible_1ps,
     bounded_weight,
-    build_fibre,
     constructive_linearization,
     default_scale,
     exists_stabilizing_linearization,
@@ -280,46 +280,8 @@ class TestBoundedWeight:
         # the acceptance suite runs the full 10^4 sweep; spot check here
         rng = random.Random(7)
         for _ in range(500):
-            _random_bound_case(rng, max_m=4)
-
-
-def _random_bound_case(rng: random.Random, max_m: int) -> None:
-    k = rng.randint(1, 5)
-    n_cuts = rng.randint(0, min(3, k - 1))
-    cuts = tuple(sorted(rng.sample(range(1, k), n_cuts)))
-    nf = NormalForm(k, cuts)
-    levels = list(cuts)
-    m = rng.randint(1, max_m)
-    # split m into at most 2 fat points at vertices
-    sizes = [m] if m == 1 or rng.random() < 0.5 else [m - 1, 1]
-    fibre = build_fibre(nf)
-    vertices = [tuple(v.position) for v in fibre.dual_complex.vertices]
-    points = []
-    for size in sizes:
-        pos = rng.choice(vertices)
-        charts = []
-        for j, v in enumerate(levels, start=1):
-            if pos[0] == v:
-                charts.append((j, Chart.DELTA1))
-            if pos[1] == k - v:
-                charts.append((j, Chart.DELTA2))
-        monomials = [{}]
-        for _ in range(size - 1):
-            mono = {}
-            if charts:
-                degree = rng.randint(0, size)
-                for _ in range(degree):
-                    key = rng.choice(charts)
-                    mono[key] = mono.get(key, 0) + 1
-            monomials.append(mono)
-        points.append(SupportPoint(pos, size, LocalMonomialScheme.of(monomials)))
-    cfg = place(nf, points)
-    pattern = cfg.presentation.vanishing_pattern()
-    svecs = list(pattern.sign_vectors) or [(0,) * len(levels)]
-    s = rng.choice(svecs)
-    _, coeffs = bounded_weight(cfg, s)
-    total = sum(p.multiplicity for p in points)
-    assert all(abs(b) <= 2 * total * total for b in coeffs)
+            cfg, s = random_bound_case(rng, max_m=4)
+            assert all(abs(b) <= 2 * cfg.m * cfg.m for b in bounded_weight(cfg, s)[1])
 
 
 class TestConstructiveLinearization:
@@ -462,45 +424,6 @@ class TestExistence:
             assert (found is not None) == (constructive is not None)
 
 
-@st.composite
-def weight_cases(draw):
-    """Plain-data inputs: a presentation with unit slots, fat points with
-    valid and invalid local schemes, a lift whose length may be wrong, an
-    integer subgroup whose length may be wrong, and a scale factor."""
-    k = draw(st.integers(1, 4))
-    n = draw(st.sampled_from([1, 2, 3, 0]))
-    marks = sorted(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
-    exponents = tuple(b - a for a, b in zip([0, *marks], [*marks, k]))
-    levels = [sum(exponents[: j + 1]) for j in range(n)]
-    points = []
-    for _ in range(draw(st.integers(0, 3))):
-        a = draw(st.integers(0, k))
-        b = draw(st.integers(0, k - a))
-        mult = draw(st.integers(1, 3))
-        through = [(j, "delta1") for j, v in enumerate(levels, 1) if a == v]
-        through += [(j, "delta2") for j, v in enumerate(levels, 1) if b == k - v]
-        anywhere = st.tuples(st.integers(0, n + 1), st.sampled_from(["delta1", "delta2"]))
-        keys = st.sampled_from(through) if through and draw(st.booleans()) else anywhere
-        monomials = st.dictionaries(keys, st.integers(1, mult), max_size=2)
-        shape = draw(st.sampled_from(["reduced", "fat", "fat", "any"]))
-        scheme = None
-        if shape == "fat":
-            scheme = [{}, *draw(st.lists(monomials, min_size=mult - 1, max_size=mult - 1))]
-        elif shape == "any":
-            scheme = draw(st.lists(monomials, min_size=1, max_size=4))
-        points.append(((a, b, k - a - b), mult, scheme))
-    lift = st.tuples(*[st.integers(0, 3)] * 4).filter(
-        lambda x: x[0] + x[1] >= 1 and x[2] + x[3] >= 1
-    )
-    # one draw in five gives the lift or the subgroup a wrong length
-    wrong = st.sampled_from([False, False, False, False, True])
-    lift_count = draw(st.sampled_from([max(n - 1, 0), n + 1])) if draw(wrong) else n
-    lifts = draw(st.lists(lift, min_size=lift_count, max_size=lift_count))
-    s_count = n + 1 if draw(wrong) else n
-    s = draw(st.lists(st.integers(-3, 3), min_size=s_count, max_size=s_count))
-    return exponents, points, tuple(lifts), tuple(s), draw(st.sampled_from([1, 2, 5, 9, 12, 0]))
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -518,18 +441,20 @@ def _expect(*steps):
         return exc.args[0]
 
 
-@settings(max_examples=400, deadline=None)
-@given(weight_cases())
-def test_weight_functions_match_the_definition(case):
+@settings(max_examples=400)
+@given(presented_points(4, 3, 3, schemes="any"), st.data())
+def test_weight_functions_match_the_definition(case, data):
     """Value and error class of each weight function against the reference,
-    with each function's order of checks."""
-    exponents, points, lifts, s, l = case
-    cfg = place(make_base_tuple(list(exponents)), [
-        SupportPoint(val, mult, None if scheme is None else LocalMonomialScheme.of(
-            [{(level, Chart(chart)): e for (level, chart), e in m.items()} for m in scheme]
-        ))
-        for val, mult, scheme in points
-    ])
+    with each function's order of checks, on valid and invalid local schemes,
+    lifts and subgroups of a wrong length, and a scale that may be 0."""
+    exponents, points = case
+    n = len(exponents) - 1
+    lifts = data.draw(lift_tuples(n, wrong_length=True))
+    # one draw in five gives the subgroup a wrong length
+    s_count = data.draw(st.sampled_from([n] * 4 + [n + 1]))
+    s = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=s_count, max_size=s_count)))
+    l = data.draw(st.sampled_from([1, 2, 5, 9, 12, 0]))
+    cfg = place(make_base_tuple(list(exponents)), support_points(points))
     lin = Linearization(tuple(LevelLift(*x) for x in lifts))
 
     def scale():
@@ -576,36 +501,15 @@ def test_weight_functions_match_the_definition(case):
     )
 
 
-@st.composite
-def lift_table_cases(draw):
-    """A presentation with unit slots, points anywhere in the triangle (most
-    off the vertices) of multiplicity up to 3, and a lift whose length is
-    wrong in one draw in five."""
-    k = draw(st.integers(1, 6))
-    n = draw(st.integers(0, 4))
-    marks = sorted(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
-    exponents = tuple(b - a for a, b in zip([0, *marks], [*marks, k]))
-    points = []
-    for _ in range(draw(st.integers(0, 4))):
-        a = draw(st.integers(0, k))
-        b = draw(st.integers(0, k - a))
-        points.append(((a, b, k - a - b), draw(st.integers(1, 3))))
-    lift = st.tuples(*[st.integers(0, 3)] * 4).filter(
-        lambda x: x[0] + x[1] >= 1 and x[2] + x[3] >= 1
-    )
-    wrong = draw(st.sampled_from([False, False, False, False, True]))
-    lift_count = draw(st.sampled_from([max(n - 1, 0), n + 1])) if wrong else n
-    lifts = draw(st.lists(lift, min_size=lift_count, max_size=lift_count))
-    return exponents, points, tuple(lifts)
-
-
-@settings(max_examples=400, deadline=None)
-@given(lift_table_cases())
-def test_lift_table_reads_the_sides_the_flow_resolves(case):
+@settings(max_examples=400)
+@given(presented_points(6, 4, 4), st.data())
+def test_lift_table_reads_the_sides_the_flow_resolves(case, data):
     """Level by level, the table read by comparison is the oracle's flow at
-    s_j = -1 and at s_j = +1, value or error class; reading a presentation's
-    cached facts leaves its value semantics alone."""
-    exponents, points, lifts = case
+    s_j = -1 and at s_j = +1, value or error class, with a lift of a wrong
+    length in one draw in five; reading a presentation's cached facts leaves
+    its value semantics alone."""
+    exponents, points = case
+    lifts = data.draw(lift_tuples(len(exponents) - 1, wrong_length=True))
     presentation = make_base_tuple(list(exponents))
     cfg = place(presentation, points)
     lin = Linearization(tuple(LevelLift(*x) for x in lifts))
@@ -625,3 +529,26 @@ def test_lift_table_reads_the_sides_the_flow_resolves(case):
     fresh = BaseTuple(exponents)
     assert presentation == fresh and hash(presentation) == hash(fresh)
     assert repr(presentation) == repr(fresh) == f"BaseTuple(exponents={exponents!r})"
+
+
+@settings(max_examples=100)
+@given(presented_points(6, 3, 3, at_vertices=True, schemes="valid"), st.data())
+def test_sign_vector_test_is_exact_on_the_integer_box(case, data):
+    """The sign-vector test is exact for integer subgroups: on presentations
+    with unit slots, valid local schemes and valid lifts, ``is_git_stable``
+    holds exactly when the reference invariant is positive at every nonzero
+    admissible s in [-2, 2]^n."""
+    exponents, points = case
+    lifts = data.draw(lift_tuples(len(exponents) - 1))
+    l = data.draw(st.sampled_from([1, 2, 5, 9]))
+    cfg = place(BaseTuple(exponents), support_points(points))
+    lin = Linearization(tuple(LevelLift(*x) for x in lifts))
+    positive = []
+    for s in product(range(-2, 3), repeat=len(lifts)):
+        try:
+            oracles.check_subgroup(exponents, s)
+        except oracles.Refused:
+            continue
+        if any(s):
+            positive.append(oracles.invariant(exponents, points, s, lifts, l) > 0)
+    assert is_git_stable(cfg, lin, l) == all(positive)
