@@ -3,7 +3,9 @@
 Every subcommand but ``verify`` takes a scenario file (or ``-`` for stdin),
 and each registers only the options its handler reads.  Every report but
 the diagram of ``render`` and the suite lines of ``verify`` leaves through
-``_report``: JSON, or text under ``--format``, then the ``--render`` diagram.
+``_report``: JSON, or text under ``--format``.  ``render`` is the one command
+that draws; the ``configuration`` object of a ``limit`` or ``stability``
+report is itself a scenario that ``render`` reads.
 Exit codes: 0 for success, 1 when a stability verdict is negative or an
 oracle disagrees (the verdict is still printed), 2 for input errors and
 unwritable reports.
@@ -67,7 +69,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report(args, payload, lines=None, fibre=None, cfg=None) -> None:
+def _report(args, payload, lines=None) -> None:
     """Write a command's report; every command but ``render`` and ``verify``
     writes through here.
 
@@ -75,25 +77,13 @@ def _report(args, payload, lines=None, fibre=None, cfg=None) -> None:
     that the format needs is called.  The report is ``dumps(payload())``, or
     under ``--format text`` the lines that ``lines()`` returns (one
     ``key: value`` line per field of ``payload()`` when ``lines`` is None),
-    to stdout or ``--out``.  Then, given a fibre, the ``--render`` diagram
-    goes to stdout.
+    to stdout or ``--out``.
     """
     if getattr(args, "format", "json") == "text":
         text = lines() if lines else [f"{key}: {value}" for key, value in payload().items()]
         _emit(args, "\n".join(text) + "\n")
     else:
         _emit(args, dumps(payload()))
-    if fibre is not None and args.render:
-        sys.stdout.write(render_fibre(fibre, cfg, args.render))
-
-
-def _check_complex_size(fibre_or_nf) -> None:
-    """Refuse a dual complex with more cuts than ``MAX_COMPLEX_CUTS``."""
-    n = len(fibre_or_nf.cuts)
-    if n > MAX_COMPLEX_CUTS:
-        raise ValidationError(
-            f"a dual complex of {n} cuts is too large (at most {MAX_COMPLEX_CUTS})"
-        )
 
 
 def _cmd_limit(args) -> int:
@@ -104,8 +94,6 @@ def _cmd_limit(args) -> int:
     points = tuple(SupportPoint(p.valuations, p.multiplicity) for p in sc.points)
     # without cuts or a tuple the declared fibre is undivided, which every limit refines
     report = associated_pair(points, sc.height, sc.normal_form())
-    if args.render:
-        _check_complex_size(report.fibre)
     exit_code = 0
     try:
         winners = unique_stable_subdivision_oracle(points, sc.height)
@@ -122,13 +110,17 @@ def _cmd_limit(args) -> int:
         f"points placed at {[loc.stratum + ':' + str(loc.index) for loc in cfg.placements]}",
         f"stable: lw={report.stability.lw_stable} sws={report.stability.sws_stable}",
         f"oracle: {oracle}",
-    ], report.fibre, cfg)
+    ])
     return exit_code
 
 
 def _scenario_fibre(sc: Scenario):
+    """The dual complex of the scenario's fibre, refused above ``MAX_COMPLEX_CUTS``."""
     nf = sc.normal_form()
-    _check_complex_size(nf)
+    if len(nf.cuts) > MAX_COMPLEX_CUTS:
+        raise ValidationError(
+            f"a dual complex of {len(nf.cuts)} cuts is too large (at most {MAX_COMPLEX_CUTS})"
+        )
     return build_fibre(nf)
 
 
@@ -152,14 +144,12 @@ def _cmd_fiber(args) -> int:
             "vertices: " + ", ".join(f"{k}={n}" for k, n in sorted(kinds.items())),
         ]
 
-    _report(args, lambda: complex_to_json(fibre), lines, fibre)
+    _report(args, lambda: complex_to_json(fibre), lines)
     return 0
 
 
 def _cmd_stability(args) -> int:
     cfg = _scenario_configuration(_read_scenario(args))
-    if args.render:
-        _check_complex_size(cfg.fibre)
     report = stability_report(cfg)
     _report(args, lambda: {
         "configuration": configuration_to_json(cfg),
@@ -171,7 +161,7 @@ def _cmd_stability(args) -> int:
         f"ws_stable: {report.ws_stable}",
         f"sws_stable: {report.sws_stable}",
         f"unoccupied levels: {list(report.unoccupied_levels)}",
-    ], cfg.fibre, cfg)
+    ])
     return 0 if report.lw_stable else 1
 
 
@@ -262,8 +252,6 @@ _ARGUMENTS = {
     "scenario": dict(help="scenario JSON file, or - for stdin"),
     "render_format": dict(choices=FORMATS),
     "--format": dict(choices=("json", "text"), default="json"),
-    "--render": dict(choices=FORMATS, default=None,
-                     help="also print a diagram in this format"),
     "--out": dict(default=None, help="write the report here"),
     "--max-k": dict(type=int, default=4, help="height cap of the suites"),
     "--max-m": dict(type=int, default=2, help="multiplicity cap of the suites"),
@@ -286,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("limit", "flat limit of valued points", _cmd_limit, "scenario",
-            "--format", "--render", "--out")
+            "--format", "--out")
     command("fiber", "dual complex of a fibre", _cmd_fiber, "scenario",
-            "--format", "--render", "--out")
+            "--format", "--out")
     command("stability", "stability verdicts", _cmd_stability, "scenario",
-            "--format", "--render", "--out")
+            "--format", "--out")
     command("weights", "weight table for subgroups", _cmd_weights, "scenario",
             "--format", "--out")
     command("normalize", "normal form of a presentation", _cmd_normalize, "scenario",

@@ -18,7 +18,7 @@ whatever the multiplicities; heights above ``MAX_ORACLE_HEIGHT`` are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .base import BaseTuple, NormalForm
 from .configurations import (
@@ -75,11 +75,6 @@ def flat_limit(points: Iterable, k: int) -> LimitReport:
     if k < 1:
         raise InvalidInput(f"height must be >= 1, got {k}")
     pts = _as_points(points)
-    for p in pts:
-        if sum(p.valuations) != k:
-            raise HeightMismatch(
-                f"point {p.valuations} does not have height {k}"
-            )
     powers = sorted({p.a for p in pts} | {k - p.b for p in pts})
     base = BaseTuple(tuple([b - a for a, b in zip([0, *powers], [*powers, k])]))
     cfg = place(base, pts)
@@ -158,7 +153,7 @@ def extend_special(
     cfg: PointConfiguration,
     refined_points: Iterable | None = None,
     refined_height: int | None = None,
-    drift_profiles: Sequence | Mapping | None = None,
+    drift_profiles: Sequence | None = None,
 ) -> LimitReport:
     """Stable extension of a pair already living over an expanded fibre.
 
@@ -166,7 +161,8 @@ def extend_special(
     associated pair of the refined data, checked for compatibility against
     the current subdivision.  Without refinement the pair extends to itself,
     provided all points sharing a bubble drift together; distinguishable
-    drift cannot be resolved from valuations alone.
+    drift cannot be resolved from valuations alone.  ``drift_profiles``
+    holds one profile per point, in the order of ``cfg.points``.
     """
     if not is_sws_stable(cfg):
         raise InvalidInput("only stable pairs admit a canonical extension")
@@ -180,14 +176,13 @@ def extend_special(
             )
         return associated_pair(refined_points, refined_height, cfg.fibre.nf)
     if drift_profiles is not None:
-        profiles = (
-            dict(enumerate(drift_profiles))
-            if not isinstance(drift_profiles, Mapping)
-            else dict(drift_profiles)
-        )
+        if len(drift_profiles) != len(cfg.points):
+            raise InvalidInput(
+                f"{len(drift_profiles)} drift profiles for {len(cfg.points)} points"
+            )
         by_bubble: dict = {}
-        for i, loc in enumerate(cfg.placements):
-            by_bubble.setdefault(loc, set()).add(profiles.get(i))
+        for loc, profile in zip(cfg.placements, drift_profiles):
+            by_bubble.setdefault(loc, set()).add(profile)
         mixed = [loc for loc, seen in by_bubble.items() if len(seen) > 1]
         if mixed:
             raise NeedsRefinedInput(

@@ -46,6 +46,7 @@ from .configurations import (
     place,
 )
 from .dual_complex import ExpandedFibre, Location, build_fibre, complex_counts
+from .errors import DegenLabError
 from .limits import flat_limit, unique_stable_subdivision_oracle
 from .weights import _lift_table, constructive_linearization, exists_stabilizing_linearization
 
@@ -237,24 +238,35 @@ def _configs(
     return map(tuple.__new__, repeat(PointConfiguration), fields)
 
 
+def _config_failure(name: str, cfg: PointConfiguration, problem: str) -> SuiteResult:
+    """A failed suite that names the configuration it failed on."""
+    return SuiteResult(
+        name,
+        False,
+        f"presentation {cfg.presentation.exponents} points "
+        f"{[p.valuations for p in cfg.points]}: {problem}",
+    )
+
+
 def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     """A stabilizing lift exists exactly when every level is occupied.
 
     The constructive lift is re-verified at the dominating scale inside
-    ``exists_stabilizing_linearization``.
+    ``exists_stabilizing_linearization``; a lift that fails it, or any other
+    ``DegenLabError``, fails the suite at that configuration.
     """
     checked = 0
     for _, configs in _presentation_configs(max_k, max_m):
         for cfg in configs:
             occupied = is_ws_stable(cfg)
-            lin = exists_stabilizing_linearization(cfg)
+            try:
+                lin = exists_stabilizing_linearization(cfg)
+            except DegenLabError as exc:
+                return _config_failure("stability-equivalence", cfg, str(exc))
             if (lin is not None) != occupied:
-                return SuiteResult(
-                    "stability-equivalence",
-                    False,
-                    f"presentation {cfg.presentation.exponents} points "
-                    f"{[p.valuations for p in cfg.points]}: occupancy {occupied} "
-                    f"but linearization {'found' if lin else 'missing'}",
+                found = "found" if lin else "missing"
+                return _config_failure(
+                    "stability-equivalence", cfg, f"occupancy {occupied} but linearization {found}"
                 )
             checked += 1
     return SuiteResult(
@@ -270,6 +282,8 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     The term of s at level j is ``s_j * table[j][s_j > 0]``, so each (level,
     sign) entry that some admissible s uses is checked once per
     configuration; a failure names the first s that uses a failing entry.
+    A ``DegenLabError`` from the constructive lift of an occupied
+    configuration fails the suite at that configuration.
     """
     checked = 0
     for presentation, configs in _presentation_configs(max_k, max_m):
@@ -283,7 +297,10 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
         for cfg in configs:
             if not is_ws_stable(cfg):
                 continue
-            table = _lift_table(cfg, constructive_linearization(cfg))
+            try:
+                table = _lift_table(cfg, constructive_linearization(cfg))
+            except DegenLabError as exc:
+                return _config_failure("positivity", cfg, str(exc))
             for j, s_j, s in entries:
                 term = s_j * table[j][s_j > 0]
                 if term <= 0:
@@ -317,12 +334,8 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
             normalized = normalize_pair(cfg)
             sws_normalized = is_sws_stable(normalized)
             if lw != sws_normalized:
-                return SuiteResult(
-                    "bijection",
-                    False,
-                    f"presentation {cfg.presentation.exponents} points "
-                    f"{[p.valuations for p in cfg.points]}: lw={lw} "
-                    f"normalized sws={sws_normalized}",
+                return _config_failure(
+                    "bijection", cfg, f"lw={lw} normalized sws={sws_normalized}"
                 )
             # on a zero-free presentation ``normalized`` is ``cfg``: its sws
             # verdict is ``sws_normalized``, which equals ``lw`` here

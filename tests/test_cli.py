@@ -11,8 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from degenlab import parse_scenario, ParseError, ValidationError
-from degenlab.cli import build_parser, main
+from degenlab import (
+    ParseError,
+    TropicalIncompatibility,
+    ValidationError,
+    associated_pair,
+    parse_scenario,
+    place,
+)
+from degenlab.cli import _ARGUMENTS, build_parser, main
+from degenlab.render import FORMATS, render_fibre
 from degenlab.scenario import (
     dumps,
     parse_scenario as parse,
@@ -223,15 +231,8 @@ class TestExitCodes:
         [
             (["fiber"], {"height": 202, "cuts": list(range(1, 102))}),
             (["render", "svg"], {"height": 202, "cuts": list(range(1, 102))}),
-            (["fiber", "--render", "dot"], {"height": 202, "cuts": list(range(1, 102))}),
-            (["stability", "--render", "svg"], {
-                "height": 202, "cuts": list(range(1, 102)),
-                "points": [{"val": [1, 0, 201], "mult": 1}]}),
-            (["limit", "--render", "tikz"], {
-                "height": 202,
-                "points": [{"val": [a, 202 - a, 0], "mult": 1} for a in range(1, 102)]}),
         ],
-        ids=["fiber", "render", "fiber-render", "stability-render", "limit-render"],
+        ids=["fiber", "render"],
     )
     def test_dual_complex_above_the_cut_bound_is_refused(
         self, monkeypatch, capsys, command, scenario
@@ -271,9 +272,9 @@ class TestExitCodes:
             for name, p in sub.choices.items()
         }
         assert options == {
-            "limit": {"--format", "--render", "--out"},
-            "fiber": {"--format", "--render", "--out"},
-            "stability": {"--format", "--render", "--out"},
+            "limit": {"--format", "--out"},
+            "fiber": {"--format", "--out"},
+            "stability": {"--format", "--out"},
             "weights": {"--format", "--out"},
             "normalize": {"--out"},
             "render": {"--out"},
@@ -281,10 +282,30 @@ class TestExitCodes:
         }
         assert _readme_option_table() == options
         examples = _readme_commands()
-        assert len(examples) == 7
+        assert len(examples) == 9
         for argv in examples:
             parser.parse_args(argv)  # an unknown option exits 2
         assert run_cli("normalize", "-", "--format", "text", stdin="{}").returncode == 2
+
+    def test_every_entry_of_the_option_table_is_registered(self):
+        """An argument that no command registers has no place in ``_ARGUMENTS``."""
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        registered = {
+            name
+            for p in sub.choices.values()
+            for a in p._actions
+            for name in a.option_strings or [a.dest]
+        }
+        assert set(_ARGUMENTS) <= registered
+
+    @pytest.mark.parametrize("command", ["limit", "fiber", "stability"])
+    def test_only_render_draws(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([command, str(DATA / "s1_worked_pair.json"), "--render", "svg"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --render svg" in captured.err
 
     @pytest.mark.parametrize(
         "command,scenario,json_out",
@@ -542,3 +563,42 @@ class TestRoundTrips:
         sub = run_cli("stability", str(DATA / "s1_worked_pair.json"))
         assert code == sub.returncode == 0
         assert captured.out.encode() == sub.stdout
+
+
+def _scenarios_with_a_limit() -> list[Path]:
+    """The data scenarios whose limit refines their declared fibre."""
+    found = []
+    for path in sorted(DATA.glob("*.json")):
+        sc = parse(path.read_text(encoding="utf-8"))
+        try:
+            associated_pair(sc.points, sc.height, sc.normal_form())
+        except TropicalIncompatibility:
+            continue
+        found.append(path)
+    return found
+
+
+def test_four_data_scenarios_have_a_limit():
+    assert [p.stem for p in _scenarios_with_a_limit()] == [
+        "s1_worked_pair", "s2_corner_point", "s3_mixed_point", "s5_quadric_config"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("path", _scenarios_with_a_limit(), ids=lambda path: path.stem)
+def test_report_configuration_replays_through_render(monkeypatch, capsys, path, fmt):
+    """The ``configuration`` of a ``limit`` or ``stability`` report is a
+    scenario, and ``render`` draws it as the library draws the report's own
+    configuration, byte for byte."""
+    sc = parse(path.read_text(encoding="utf-8"))
+    report = associated_pair(sc.points, sc.height, sc.normal_form())
+    presentation = sc.presentation()
+    cfg = place(presentation if presentation is not None else sc.normal_form(), sc.points)
+    for command, want in (
+        ("limit", render_fibre(report.fibre, report.configuration, fmt)),
+        ("stability", render_fibre(cfg.fibre, cfg, fmt)),
+    ):
+        assert main([command, str(path)]) in (0, 1)
+        configuration = json.loads(capsys.readouterr().out)["configuration"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(configuration)))
+        assert main(["render", fmt, "-"]) == 0
+        assert capsys.readouterr().out == want, command

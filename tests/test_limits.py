@@ -53,7 +53,7 @@ class TestFlatLimit:
         assert report.stability.sws_stable
 
     def test_rejects_bad_height(self):
-        with pytest.raises(HeightMismatch):
+        with pytest.raises(HeightMismatch, match=r"^point \(1, 1, 0\) does not have height 3$"):
             flat_limit([((1, 1, 0), 1)], 3)
         with pytest.raises(InvalidInput):
             flat_limit([], 0)
@@ -220,6 +220,11 @@ class TestExtendSpecial:
         cfg = place(NormalForm(2, (1,)), [((1, 0, 1), 1), ((1, 0, 1), 1)])
         with pytest.raises(NeedsRefinedInput):
             extend_special(cfg, drift_profiles=["left", "right"])
+
+    def test_one_profile_per_point(self):
+        cfg = place(NormalForm(2, (1,)), [((1, 0, 1), 1), ((1, 0, 1), 1)])
+        with pytest.raises(InvalidInput, match="^1 drift profiles for 2 points$"):
+            extend_special(cfg, drift_profiles=["left"])
 
     def test_requires_stable_input(self):
         cfg = place(NormalForm(2, (1,)), [((0, 0, 2), 1)])

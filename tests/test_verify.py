@@ -5,8 +5,9 @@ from ast import literal_eval
 
 import pytest
 
-from degenlab import configurations, limits, verify
+from degenlab import CriterionViolated, configurations, limits, verify, weights
 from degenlab.base import BaseTuple, canonical_tuple, normal_form
+from degenlab.cli import main
 from degenlab.configurations import place, stability_report, stabilizer_rank
 from degenlab.verify import presentations, run_all, weighted_configurations
 
@@ -73,23 +74,44 @@ def test_limit_oracle_resumes_no_generator():
 
 
 @pytest.mark.parametrize(
-    "suite,name,broken",
+    "suite,module,name,broken",
     [
-        (verify.check_stability_equivalence, "exists_stabilizing_linearization",
+        (verify.check_stability_equivalence, verify, "exists_stabilizing_linearization",
          lambda original: lambda cfg: None),
-        (verify.check_positivity, "_lift_table",
+        (verify.check_stability_equivalence, weights, "is_git_stable",
+         lambda original: lambda cfg, lin, l: False),
+        (verify.check_positivity, verify, "_lift_table",
          lambda original: lambda cfg, lin: [(-neg, -pos) for neg, pos in original(cfg, lin)]),
-        (verify.check_bijection, "is_lw_stable", lambda original: lambda cfg: False),
+        (verify.check_bijection, verify, "is_lw_stable", lambda original: lambda cfg: False),
     ],
-    ids=["stability-equivalence", "positivity", "bijection"],
+    ids=["stability-equivalence", "stability-equivalence-lift", "positivity", "bijection"],
 )
-def test_each_suite_fails_on_a_broken_verdict(monkeypatch, suite, name, broken):
-    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+def test_each_suite_fails_on_a_broken_verdict(monkeypatch, suite, module, name, broken):
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
     result = suite(max_k=3, max_m=2)
     assert not result.ok
     named = re.match(r"presentation (\([\d, ]*\)) ", result.detail)
     assert named, result.detail
     assert literal_eval(named.group(1)) in {p.exponents for p in presentations(3)}
+
+
+def test_a_raising_lift_fails_its_suites_and_verify_prints_every_line(monkeypatch, capsys):
+    """An error raised for one configuration fails its suite with a detail
+    naming that configuration; ``verify`` still prints all six lines."""
+
+    def raising(cfg):
+        raise CriterionViolated("no lift")
+
+    monkeypatch.setattr(verify, "constructive_linearization", raising)
+    result = verify.check_positivity(max_k=3, max_m=2)
+    assert not result.ok
+    assert re.fullmatch(r"presentation \([\d, ]*\) points \[.*\]: no lift", result.detail)
+    monkeypatch.setattr(weights, "is_git_stable", lambda cfg, lin, l: False)
+    assert main(["verify", "--max-k", "3", "--max-m", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["[PASS]"] * 3 + ["[FAIL]"] * 2 + ["[PASS]"]
+    assert lines[3].endswith(": internal error: constructive linearization failed verification")
+    assert lines[4].endswith(": no lift")
 
 
 @pytest.mark.parametrize(
