@@ -22,7 +22,9 @@ locations.
 A configuration costs a tuple (``PointConfiguration`` is a ``NamedTuple``,
 built in C from the shared fields) and the verdicts asked of it: occupancy
 is tested before a lift is built, so only occupied configurations reach the
-constructive lift, which reads each placement once.  Every verdict over the
+one side-count pass of the weight calculus, which reads each placement once
+and feeds the constructive lift, its sign table and, in
+stability-equivalence, the stability re-check.  Every verdict over the
 placements is a plain loop, with no generator frame per point or per
 configuration.  The limit oracle's occupancy test is the cut set lying
 inside the levels hit by the points, which it lists once per call.
@@ -48,7 +50,7 @@ from .configurations import (
 from .dual_complex import ExpandedFibre, Location, build_fibre, complex_counts
 from .errors import DegenLabError
 from .limits import flat_limit, unique_stable_subdivision_oracle
-from .weights import _lift_table, constructive_linearization, exists_stabilizing_linearization
+from .weights import _constructive_lift, _lift_table, _sides, exists_stabilizing_linearization
 
 __all__ = [
     "SuiteResult",
@@ -282,8 +284,9 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     The term of s at level j is ``s_j * table[j][s_j > 0]``, so each (level,
     sign) entry that some admissible s uses is checked once per
     configuration; a failure names the first s that uses a failing entry.
-    A ``DegenLabError`` from the constructive lift of an occupied
-    configuration fails the suite at that configuration.
+    The lift and its table read one side-count pass.  A ``DegenLabError``
+    from the constructive lift of an occupied configuration fails the suite
+    at that configuration.
     """
     checked = 0
     for presentation, configs in _presentation_configs(max_k, max_m):
@@ -297,8 +300,9 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
         for cfg in configs:
             if not is_ws_stable(cfg):
                 continue
+            sides = _sides(cfg)
             try:
-                table = _lift_table(cfg, constructive_linearization(cfg))
+                table = _lift_table(cfg, _constructive_lift(cfg, sides), sides)
             except DegenLabError as exc:
                 return _config_failure("positivity", cfg, str(exc))
             for j, s_j, s in entries:

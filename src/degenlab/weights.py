@@ -29,10 +29,14 @@ weight function reads a per-level sign table of coefficients at ``s_j = -1``
 and ``s_j = +1``, built (and the local schemes validated) once per call.
 The flow itself is defined, on plain valuations, by the test oracle
 (``tests/oracles._limit_side`` and ``combinatorial_terms``).  The lift
-tables, the constructive lift and the scheme check read each point's sides
-from its placement: ``a`` and ``k - b`` order against a level value exactly
-as the ``Location``'s half-level coordinates ``x`` and ``y`` order against
-the value's coordinate ``2p``.
+tables and the constructive lift read each point's sides from its
+placement: ``a`` and ``k - b`` order against a level value exactly as the
+``Location``'s half-level coordinates ``x`` and ``y`` order against the
+value's coordinate ``2p``.  One side-count pass, ``_sides``, reads every
+placement once and counts, per level, the multiplicity on each side of it;
+the constructive lift and the lift table are arithmetic over those counts,
+so a caller that needs both (the stability re-check, the positivity suite)
+counts the sides once.
 
 Stability for a fixed lift and scale factor means a strictly positive
 invariant for every admissible nonzero subgroup; by piecewise linearity it
@@ -159,21 +163,57 @@ def _terms(table: Sequence[Sequence[int]], s: Sequence[int]) -> list[int]:
     return [s_j * pair[s_j > 0] for pair, s_j in zip(table, s)]
 
 
-def _placed(cfg: PointConfiguration) -> list[tuple[int, int, int]]:
-    """``(x, y, multiplicity)`` per point: each placement read once."""
-    return [(loc.x, loc.y, p.multiplicity) for p, loc in zip(cfg.points, cfg.placements)]
+_Sides = tuple[int, list[tuple[int, int, int, int]]]
 
 
-def _lift_table(cfg: PointConfiguration, lin: Linearization) -> list[tuple[int, int]]:
+def _sides(cfg: PointConfiguration) -> _Sides:
+    """``(m, counts)``: the total multiplicity and, per level coordinate c,
+    the multiplicities ``(lt, eq1, gt, eq2)`` with ``x < c``, ``x = c``,
+    ``y > c`` and ``y = c``.
+
+    The one side-count pass: each placement is read once, and this is where
+    the lift and its table compare a point's half-level coordinates with a
+    level.
+    """
+    m = 0
+    placed = []
+    for p, loc in zip(cfg.points, cfg.placements):
+        mult = p.multiplicity
+        m += mult
+        placed.append((loc.x, loc.y, mult))
+    counts = []
+    for c in cfg.presentation.level_coords:
+        lt = eq1 = gt = eq2 = 0
+        for x, y, mult in placed:
+            if x < c:
+                lt += mult
+            elif x == c:
+                eq1 += mult
+            if y > c:
+                gt += mult
+            elif y == c:
+                eq2 += mult
+        counts.append((lt, eq1, gt, eq2))
+    return m, counts
+
+
+def _lift_table(
+    cfg: PointConfiguration, lin: Linearization, sides: _Sides | None = None
+) -> list[tuple[int, int]]:
     """Combinatorial sign table ``(c_j at s_j = -1, c_j at s_j = +1)``.
 
     The flow is defined by ``tests/oracles._limit_side``: level j sends a
     point to a fixpoint of each chart by its side and the sign of s_j, so
     ``table[j]`` is ``(-t, t')`` for the oracle's ``combinatorial_terms``
-    t at s_j = -1 and t' at s_j = +1.  The sides are read here from the
-    placement: at level coordinate c, the first-family chart is at (1:0)
-    when ``x <= c`` for s_j = -1 and when ``x < c`` for s_j = +1; the
-    second-family chart is at (1:0) when ``y > c`` and when ``y >= c``.
+    t at s_j = -1 and t' at s_j = +1.  At level coordinate c, the
+    first-family chart is at (1:0) when ``x <= c`` for s_j = -1 and when
+    ``x < c`` for s_j = +1; the second-family chart is at (1:0) when
+    ``y > c`` and when ``y >= c``.  So with the side counts of ``_sides``
+    (computed here unless given) and the lift ``(a, b, c, d)``,
+
+        neg_j = -a (lt + eq1) + b (m - lt - eq1) + c gt - d (m - gt),
+        pos_j = -a lt + b (m - lt) + c (gt + eq2) - d (m - gt - eq2).
+
     Reads no scheme.
     """
     coords = cfg.presentation.level_coords
@@ -181,14 +221,14 @@ def _lift_table(cfg: PointConfiguration, lin: Linearization) -> list[tuple[int, 
         raise InvalidInput(
             f"linearization has {len(lin)} levels, presentation needs {len(coords)}"
         )
-    placed = _placed(cfg)
+    m, counts = _sides(cfg) if sides is None else sides
     table = []
-    for c, (lift_a, lift_b, lift_c, lift_d) in zip(coords, lin.levels):
-        neg = pos = 0
-        for x, y, m in placed:
-            neg += m * ((-lift_a if x <= c else lift_b) + (lift_c if y > c else -lift_d))
-            pos += m * ((-lift_a if x < c else lift_b) + (lift_c if y >= c else -lift_d))
-        table.append((neg, pos))
+    for (lt, eq1, gt, eq2), (lift_a, lift_b, lift_c, lift_d) in zip(counts, lin.levels):
+        below, above = lt + eq1, gt + eq2
+        table.append((
+            -lift_a * below + lift_b * (m - below) + lift_c * gt - lift_d * (m - gt),
+            -lift_a * lt + lift_b * (m - lt) + lift_c * above - lift_d * (m - above),
+        ))
     return table
 
 
@@ -296,32 +336,26 @@ def constructive_linearization(cfg: PointConfiguration) -> Linearization:
     strictly on its (1:0) side, and give the second chart the neutral pair
     (0, 1).  Otherwise a point must sit on the second-family component;
     mirror the construction with m'' the multiplicity on its (1:0) side.
-    Each placement is read once, as ``(x, y, multiplicity)``, and one plain
-    loop per level finds both on-level tests, m' and m''.
+    Both are read from the side counts of ``_sides``: m' is the ``x < c``
+    count, m'' the ``y > c`` count, and a point sits on a component when
+    its ``=`` count is positive.
 
     Level values never decrease, so the first level that no point occupies
     names the smallest unoccupied value, and ``CriterionViolated`` names it.
     """
-    placed = _placed(cfg)
-    m = cfg.m
+    return _constructive_lift(cfg, _sides(cfg))
+
+
+def _constructive_lift(cfg: PointConfiguration, sides: _Sides) -> Linearization:
+    """``constructive_linearization`` over side counts already taken."""
+    m, counts = sides
     new = tuple.__new__  # as ``LevelLift._make``, minus its checks
     lifts = []
-    for c, v in zip(cfg.presentation.level_coords, cfg.presentation.level_values):
-        on1 = on2 = False
-        m1 = m2 = 0
-        for x, y, mult in placed:
-            if x == c:
-                on1 = True
-            elif x < c:
-                m1 += mult
-            if y > c:
-                m2 += mult
-            elif y == c:
-                on2 = True
-        if on1:
-            lifts.append(new(LevelLift, (m * (m - m1), m * (m1 + 1), 0, 1)))
-        elif on2:
-            lifts.append(new(LevelLift, (0, 1, m * (m - m2), m * (m2 + 1))))
+    for (lt, eq1, gt, eq2), v in zip(counts, cfg.presentation.level_values):
+        if eq1:
+            lifts.append(new(LevelLift, (m * (m - lt), m * (lt + 1), 0, 1)))
+        elif eq2:
+            lifts.append(new(LevelLift, (0, 1, m * (m - gt), m * (gt + 1))))
         else:
             raise CriterionViolated(
                 f"no point of the support occupies the level at cut value {v}"
@@ -340,9 +374,18 @@ def is_git_stable(cfg: PointConfiguration, lin: Linearization, l: int) -> bool:
     """
     if l < 1:
         raise InvalidInput(f"scale factor must be >= 1, got {l}")
+    return _git_stable(cfg, lin, l)
+
+
+def _git_stable(
+    cfg: PointConfiguration, lin: Linearization, l: int, sides: _Sides | None = None
+) -> bool:
+    """``is_git_stable`` at a checked scale, over side counts if given."""
     table = [
         (b_neg + l * c_neg, b_pos + l * c_pos)
-        for (b_neg, b_pos), (c_neg, c_pos) in zip(_scheme_table(cfg), _lift_table(cfg, lin))
+        for (b_neg, b_pos), (c_neg, c_pos) in zip(
+            _scheme_table(cfg), _lift_table(cfg, lin, sides)
+        )
     ]
     for s in cfg.presentation.vanishing_pattern().sign_vectors:
         total = 0
@@ -361,12 +404,14 @@ def exists_stabilizing_linearization(
 
     Occupancy is tested first, by ``is_ws_stable``, so an unoccupied
     configuration builds no lift and raises nothing.  The returned lift is
-    re-verified through the stability test at the dominating scale factor.
+    re-verified through the stability test at the dominating scale factor;
+    the lift and the re-check read one side-count pass.
     """
     if not is_ws_stable(cfg):
         return None
-    lin = constructive_linearization(cfg)
-    if not is_git_stable(cfg, lin, default_scale(cfg.m)):
+    sides = _sides(cfg)
+    lin = _constructive_lift(cfg, sides)
+    if not _git_stable(cfg, lin, default_scale(sides[0]), sides):
         raise DegenLabError(
             "internal error: constructive linearization failed verification"
         )

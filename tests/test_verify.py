@@ -78,10 +78,11 @@ def test_limit_oracle_resumes_no_generator():
     [
         (verify.check_stability_equivalence, verify, "exists_stabilizing_linearization",
          lambda original: lambda cfg: None),
-        (verify.check_stability_equivalence, weights, "is_git_stable",
-         lambda original: lambda cfg, lin, l: False),
+        (verify.check_stability_equivalence, weights, "_git_stable",
+         lambda original: lambda cfg, lin, l, sides: False),
         (verify.check_positivity, verify, "_lift_table",
-         lambda original: lambda cfg, lin: [(-neg, -pos) for neg, pos in original(cfg, lin)]),
+         lambda original: lambda cfg, lin, sides: [
+             (-neg, -pos) for neg, pos in original(cfg, lin, sides)]),
         (verify.check_bijection, verify, "is_lw_stable", lambda original: lambda cfg: False),
     ],
     ids=["stability-equivalence", "stability-equivalence-lift", "positivity", "bijection"],
@@ -99,14 +100,14 @@ def test_a_raising_lift_fails_its_suites_and_verify_prints_every_line(monkeypatc
     """An error raised for one configuration fails its suite with a detail
     naming that configuration; ``verify`` still prints all six lines."""
 
-    def raising(cfg):
+    def raising(cfg, sides):
         raise CriterionViolated("no lift")
 
-    monkeypatch.setattr(verify, "constructive_linearization", raising)
+    monkeypatch.setattr(verify, "_constructive_lift", raising)
     result = verify.check_positivity(max_k=3, max_m=2)
     assert not result.ok
     assert re.fullmatch(r"presentation \([\d, ]*\) points \[.*\]: no lift", result.detail)
-    monkeypatch.setattr(weights, "is_git_stable", lambda cfg, lin, l: False)
+    monkeypatch.setattr(weights, "_git_stable", lambda cfg, lin, l, sides: False)
     assert main(["verify", "--max-k", "3", "--max-m", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["[PASS]"] * 3 + ["[FAIL]"] * 2 + ["[PASS]"]

@@ -114,13 +114,17 @@ def test_stability_sweep_lists_sign_vectors_once_per_presentation():
     assert counts == {"sign_vectors": len(list(presentations(3)))}
 
 
-def test_stability_sweep_lifts_only_occupied_configurations():
+@pytest.mark.parametrize(
+    "suite", [check_positivity, check_stability_equivalence], ids=lambda suite: suite.__name__
+)
+def test_sweeps_count_sides_once_per_occupied_configuration(suite):
     """Occupancy is tested before a lift is built: of the 2,970
     configurations at k <= 3, m <= 2, only the 1,280 occupied ones reach
-    the constructive lift."""
-    with calls_by_name("constructive_linearization") as counts:
-        assert check_stability_equivalence(max_k=3, max_m=2).ok
-    assert counts == {"constructive_linearization": 1280}
+    the side-count pass, and each counts its sides once for the lift, its
+    table and the stability re-check."""
+    with calls_by_name("_sides") as counts:
+        assert suite(max_k=3, max_m=2).ok
+    assert counts == {"_sides": 1280}
 
 
 @pytest.mark.parametrize(
@@ -529,6 +533,22 @@ def test_lift_table_reads_the_sides_the_flow_resolves(case, data):
     fresh = BaseTuple(exponents)
     assert presentation == fresh and hash(presentation) == hash(fresh)
     assert repr(presentation) == repr(fresh) == f"BaseTuple(exponents={exponents!r})"
+
+
+@settings(max_examples=300)
+@given(presented_points(6, 4, 4, at_vertices=True))
+def test_existence_is_the_valuation_oracle(case):
+    """On 300 presentations with unit slots and up to four points of
+    multiplicity 1-3, at vertices or anywhere: ``exists_stabilizing_linearization``
+    returns None exactly when a level value is unoccupied by the valuations,
+    and otherwise the constructive lift the oracle reads from them."""
+    exponents, points = case
+    lin = exists_stabilizing_linearization(place(BaseTuple(exponents), points))
+    if oracles.unoccupied(exponents, points):
+        assert lin is None
+    else:
+        assert lin is not None
+        assert list(lin.levels) == oracles.constructive_lifts(exponents, points)
 
 
 @settings(max_examples=100)
