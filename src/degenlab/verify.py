@@ -22,9 +22,12 @@ locations.
 A configuration costs a tuple (``PointConfiguration`` is a ``NamedTuple``,
 built in C from the shared fields) and the verdicts asked of it: occupancy
 is tested before a lift is built, so only occupied configurations reach the
-one side-count pass of the weight calculus, which reads each placement once
-and feeds the constructive lift, its sign table and, in
-stability-equivalence, the stability re-check.  Every verdict over the
+one side-count pass of the weight calculus, which reads each placement once.
+The swept points carry no local scheme, so the constructive lift, its sign
+table and, in stability-equivalence, the stability re-check read a
+configuration only through its presentation and those side counts: per
+presentation they run once per side-count profile, and the later
+configurations of a profile reuse the result.  Every verdict over the
 placements is a plain loop, with no generator frame per point or per
 configuration.  The limit oracle's occupancy test is the cut set lying
 inside the levels hit by the points, which it lists once per call.
@@ -253,18 +256,30 @@ def _config_failure(name: str, cfg: PointConfiguration, problem: str) -> SuiteRe
 def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     """A stabilizing lift exists exactly when every level is occupied.
 
-    The constructive lift is re-verified at the dominating scale inside
-    ``exists_stabilizing_linearization``; a lift that fails it, or any other
-    ``DegenLabError``, fails the suite at that configuration.
+    ``exists_stabilizing_linearization`` is called on every unoccupied
+    configuration and on the first occupied one of each side-count profile
+    of a presentation, whose lift the rest of the profile reuse.  A lift
+    that fails its re-verification at the dominating scale, or any other
+    ``DegenLabError``, fails the suite at that configuration: the first of
+    its profile, so the first in sweep order to fail.
     """
     checked = 0
     for _, configs in _presentation_configs(max_k, max_m):
+        lifts = {}  # side-count profile -> its lift
         for cfg in configs:
             occupied = is_ws_stable(cfg)
-            try:
-                lin = exists_stabilizing_linearization(cfg)
-            except DegenLabError as exc:
-                return _config_failure("stability-equivalence", cfg, str(exc))
+            lin = None
+            if occupied:
+                m, counts = _sides(cfg)
+                profile = (m, *counts)
+                lin = lifts.get(profile)
+            if lin is None:
+                try:
+                    lin = exists_stabilizing_linearization(cfg)
+                except DegenLabError as exc:
+                    return _config_failure("stability-equivalence", cfg, str(exc))
+                if occupied:
+                    lifts[profile] = lin
             if (lin is not None) != occupied:
                 found = "found" if lin else "missing"
                 return _config_failure(
@@ -282,11 +297,13 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     """Per-level terms of the constructive weight are positive off zero.
 
     The term of s at level j is ``s_j * table[j][s_j > 0]``, so each (level,
-    sign) entry that some admissible s uses is checked once per
-    configuration; a failure names the first s that uses a failing entry.
-    The lift and its table read one side-count pass.  A ``DegenLabError``
-    from the constructive lift of an occupied configuration fails the suite
-    at that configuration.
+    sign) entry that some admissible s uses is checked once per table; a
+    failure names the first s that uses a failing entry.  The lift and its
+    table are built from one side-count pass and checked once per
+    side-count profile of a presentation, at its first occupied
+    configuration, and every occupied configuration counts its
+    ``len(signs)`` pairs.  A ``DegenLabError`` from the constructive lift
+    fails the suite at the first configuration of its profile.
     """
     checked = 0
     for presentation, configs in _presentation_configs(max_k, max_m):
@@ -297,10 +314,15 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                 if s_j:
                     first_use.setdefault((j, s_j), s)
         entries = [(j, s_j, s) for (j, s_j), s in first_use.items()]
+        passed = set()  # side-count profiles whose table is positive
         for cfg in configs:
             if not is_ws_stable(cfg):
                 continue
-            sides = _sides(cfg)
+            m, counts = sides = _sides(cfg)
+            profile = (m, *counts)
+            if profile in passed:
+                checked += len(signs)
+                continue
             try:
                 table = _lift_table(cfg, _constructive_lift(cfg, sides), sides)
             except DegenLabError as exc:
@@ -315,6 +337,7 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                         f"{[p.valuations for p in cfg.points]} s={s}: "
                         f"level {j + 1} term {term}",
                     )
+            passed.add(profile)
             checked += len(signs)
     return SuiteResult("positivity", True, f"{checked} (configuration, s) pairs")
 

@@ -78,24 +78,60 @@ def local_scheme(draw, exponents, val, multiplicity, valid):
     return draw(st.lists(monomials, min_size=1, max_size=4))
 
 
-@st.composite
-def presented_points(draw, max_height, max_levels, max_points, at_vertices=False, schemes=None):
-    """``(exponents, points)``: a presentation of height at most ``max_height``
-    with at most ``max_levels`` torus levels, unit slots (zero entries)
-    included, and up to ``max_points`` points of multiplicity 1-3, anywhere
-    or with ``at_vertices`` also at the vertices of its fibre.  With
-    ``schemes`` "valid" or "any", each point carries a ``local_scheme``."""
+def presentation(draw, max_height, max_levels, min_levels=0):
+    """The vanishing orders of a presentation of height at most
+    ``max_height`` with ``min_levels`` to ``max_levels`` torus levels, unit
+    slots (zero entries) included."""
     k = draw(st.integers(1, max_height))
-    marks = sorted(draw(st.lists(st.integers(0, k), max_size=max_levels)))
-    exponents = tuple(b - a for a, b in zip([0, *marks], [*marks, k]))
-    vertices = ()
-    if at_vertices:
-        vertices = [pos for _, pos, _ in reference_dual_complex(k, sorted(set(marks) - {0, k}))[0]]
-    points = points_of(draw, k, max_points, vertices=vertices)
+    marks = sorted(draw(st.lists(st.integers(0, k), min_size=min_levels, max_size=max_levels)))
+    return tuple(b - a for a, b in zip([0, *marks], [*marks, k]))
+
+
+def fibre_vertices(exponents):
+    """The valuations of the vertices of the presentation's fibre."""
+    k, levels = sum(exponents), accumulate(exponents[:-1])
+    return [pos for _, pos, _ in reference_dual_complex(k, sorted(set(levels) - {0, k}))[0]]
+
+
+@st.composite
+def presented_points(draw, max_height, max_levels, max_points, at_vertices=False, schemes=None,
+                     min_levels=0):
+    """``(exponents, points)``: a ``presentation`` and up to ``max_points``
+    points of multiplicity 1-3, anywhere or with ``at_vertices`` also at the
+    vertices of its fibre.  With ``schemes`` "valid" or "any", each point
+    carries a ``local_scheme``."""
+    exponents = presentation(draw, max_height, max_levels, min_levels)
+    vertices = fibre_vertices(exponents) if at_vertices else ()
+    points = points_of(draw, sum(exponents), max_points, vertices=vertices)
     if schemes:
         points = [(val, mult, local_scheme(draw, exponents, val, mult, schemes == "valid"))
                   for val, mult in points]
     return exponents, points
+
+
+@st.composite
+def side_twins(draw, max_height, max_levels, max_points):
+    """``(exponents, points, twin)``: a presentation with at least one torus
+    level and two scheme-free point lists with the same multiplicity on each
+    side of every level.  A valuation's sides at level value v are the orders
+    of a and of k - b against v; the twin sends each unit of multiplicity of
+    ``points`` to another valuation with the same sides at every level, where
+    there is one, and merges the units that land on one valuation."""
+    exponents = presentation(draw, max_height, max_levels, min_levels=1)
+    k, levels = sum(exponents), list(accumulate(exponents[:-1]))
+
+    def sides(val):
+        a, b, _ = val
+        return [((a > v) - (a < v), (k - b > v) - (k - b < v)) for v in levels]
+
+    points = points_of(draw, k, max_points, vertices=fibre_vertices(exponents))
+    triangle = [(a, b, k - a - b) for a in range(k + 1) for b in range(k + 1 - a)]
+    units = Counter()
+    for val, mult in points:
+        own = sides(val)
+        same = [other for other in triangle if other != val and sides(other) == own]
+        units.update(draw(st.sampled_from(same or [val])) for _ in range(mult))
+    return exponents, points, sorted(units.items())
 
 
 _LIFT = st.tuples(*[st.integers(0, 3)] * 4).filter(lambda x: x[0] + x[1] >= 1 and x[2] + x[3] >= 1)

@@ -38,6 +38,15 @@ def test_presentation_configs_are_the_placed_configurations():
     assert len(shared) == 15
 
 
+def test_swept_points_carry_no_scheme():
+    """Stability-equivalence and positivity lift once per side-count
+    profile, which is sound only because the lift, its table and the
+    stability test read no more of a scheme-free point than its sides."""
+    for k in range(1, 6):
+        for points in weighted_configurations(k, 3):
+            assert all(p.scheme is None for p in points), (k, points)
+
+
 def test_occupancy_on_the_shared_locations_is_the_valuation_rule():
     """Unit slots give the level values 0 and k, occupied by a = 0, b = k
     and by a = k, b = 0."""

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from guards import calls_by_name
-from strategies import lift_tuples, presented_points, random_bound_case, support_points
+from strategies import lift_tuples, presented_points, random_bound_case, side_twins, support_points
 from degenlab import (
     BaseTuple,
     Chart,
@@ -43,7 +44,7 @@ from degenlab.verify import (
     check_stability_equivalence,
     presentations,
 )
-from degenlab.weights import _lift_table
+from degenlab.weights import _lift_table, _sides
 
 
 class TestLinearizationValidation:
@@ -115,16 +116,36 @@ def test_stability_sweep_lists_sign_vectors_once_per_presentation():
 
 
 @pytest.mark.parametrize(
-    "suite", [check_positivity, check_stability_equivalence], ids=lambda suite: suite.__name__
+    "suite,sides",
+    [(check_positivity, 1280), (check_stability_equivalence, 1280 + 669)],
+    ids=["check_positivity", "check_stability_equivalence"],
 )
-def test_sweeps_count_sides_once_per_occupied_configuration(suite):
+def test_sweeps_count_sides_once_per_occupied_configuration(suite, sides):
     """Occupancy is tested before a lift is built: of the 2,970
     configurations at k <= 3, m <= 2, only the 1,280 occupied ones reach
-    the side-count pass, and each counts its sides once for the lift, its
-    table and the stability re-check."""
+    the side-count pass, and each counts its sides once, for the profile
+    that its lift is looked up by.  Stability-equivalence lifts the first
+    configuration of each of the 669 profiles through
+    ``exists_stabilizing_linearization``, which counts them once more for
+    the lift, its table and the stability re-check."""
     with calls_by_name("_sides") as counts:
         assert suite(max_k=3, max_m=2).ok
-    assert counts == {"_sides": 1280}
+    assert counts == {"_sides": sides}
+
+
+@pytest.mark.parametrize(
+    "suite,verdicts",
+    [(check_positivity, {}), (check_stability_equivalence, {"_git_stable": 669})],
+    ids=["check_positivity", "check_stability_equivalence"],
+)
+def test_sweeps_lift_once_per_side_count_profile(suite, verdicts):
+    """The 1,280 occupied configurations at k <= 3, m <= 2 have 669
+    distinct (presentation, side counts) profiles; each suite builds the
+    lift and its table, and stability-equivalence re-checks it, once per
+    profile."""
+    with calls_by_name("_constructive_lift", "_lift_table", "_git_stable") as counts:
+        assert suite(max_k=3, max_m=2).ok
+    assert counts == {"_constructive_lift": 669, "_lift_table": 669, **verdicts}
 
 
 @pytest.mark.parametrize(
@@ -536,10 +557,11 @@ def test_lift_table_reads_the_sides_the_flow_resolves(case, data):
 
 
 @settings(max_examples=300)
-@given(presented_points(6, 4, 4, at_vertices=True))
+@given(presented_points(6, 4, 4, at_vertices=True, min_levels=1))
 def test_existence_is_the_valuation_oracle(case):
-    """On 300 presentations with unit slots and up to four points of
-    multiplicity 1-3, at vertices or anywhere: ``exists_stabilizing_linearization``
+    """On 300 presentations with at least one torus level, unit slots and up
+    to four points of multiplicity 1-3, at vertices or anywhere (with no
+    level, every verdict would hold vacuously): ``exists_stabilizing_linearization``
     returns None exactly when a level value is unoccupied by the valuations,
     and otherwise the constructive lift the oracle reads from them."""
     exponents, points = case
@@ -549,6 +571,32 @@ def test_existence_is_the_valuation_oracle(case):
     else:
         assert lin is not None
         assert list(lin.levels) == oracles.constructive_lifts(exponents, points)
+
+
+@settings(max_examples=200)
+@given(side_twins(6, 3, 4), st.data())
+def test_equal_side_counts_give_equal_lifts_and_verdicts(case, data):
+    """What lets ``verify`` lift once per side-count profile: two
+    scheme-free configurations on one presentation with equal ``_sides``
+    get the same constructive lift (or the same refusal), and the same sign
+    table and stability verdict at ``default_scale`` under that lift and
+    under any other."""
+    exponents, points, twin = case
+    first, second = (place(BaseTuple(exponents), pts) for pts in (points, twin))
+    sides = _sides(first)
+    assert _sides(second) == sides
+    l = default_scale(sides[0])
+    lifts = [Linearization(tuple(LevelLift(*x) for x in data.draw(lift_tuples(len(exponents) - 1))))]
+    try:
+        lifts.append(constructive_linearization(first))
+    except CriterionViolated as exc:
+        with pytest.raises(CriterionViolated, match=re.escape(str(exc))):
+            constructive_linearization(second)
+    else:
+        assert constructive_linearization(second) == lifts[-1]
+    for lin in lifts:
+        assert _lift_table(first, lin) == _lift_table(second, lin)
+        assert is_git_stable(first, lin, l) == is_git_stable(second, lin, l)
 
 
 @settings(max_examples=100)
