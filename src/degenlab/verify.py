@@ -15,19 +15,24 @@ of a presentation share its ``BaseTuple`` and its fibre, so what is kept on
 those is computed once per presentation or normal form: the level values
 and coordinates, the vanishing pattern with its admissible sign vectors
 (read by the stability test and by positivity) and the zero-free tuple that
-``normalize_pair`` and ``stabilizer_rank`` read.  Every configuration still
-goes through the verdict functions; its occupancy is an OR over its shared
-locations.
+``normalize_pair`` and ``stabilizer_rank`` read.  Occupancy is an OR over a
+configuration's shared locations.
 
-A configuration costs a tuple (``PointConfiguration`` is a ``NamedTuple``,
-built in C from the shared fields) and the verdicts asked of it: occupancy
-is tested before a lift is built, so only occupied configurations reach the
-one side-count pass of the weight calculus, which reads each placement once.
-The swept points carry no local scheme, so the constructive lift, its sign
-table and, in stability-equivalence, the stability re-check read a
-configuration only through its presentation and those side counts: per
-presentation they run once per side-count profile, and the later
-configurations of a profile reuse the result.  Every verdict over the
+A verdict runs once per value of what it reads, at the first configuration
+in sweep order that has that value, and the later configurations read the
+stored result; so a verdict that fails, fails at the same configuration as
+when every configuration computed it.  Occupancy is tested for every
+configuration, and only occupied ones reach the one side-count pass of the
+weight calculus, which reads each placement once.  The swept points carry
+no local scheme, so the constructive lift, its sign table and, in
+stability-equivalence, the stability re-check read a configuration only
+through its side counts and its presentation's vanishing pattern, which
+fixes the admissible sign vectors: they run once per (vanishing pattern,
+side counts) over the whole suite, whatever the level values.  Li–Wu
+stability reads only the fibre and the points, so the bijection suite
+decides it, normalizes and compares once per (normal form, multiset), at
+the normal form's first presentation; the later presentations only test
+that they are not strictly stable where it fails.  Every verdict over the
 placements is a plain loop, with no generator frame per point or per
 configuration.  The limit oracle's occupancy test is the cut set lying
 inside the levels hit by the points, which it lists once per call.
@@ -257,15 +262,18 @@ def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     """A stabilizing lift exists exactly when every level is occupied.
 
     ``exists_stabilizing_linearization`` is called on every unoccupied
-    configuration and on the first occupied one of each side-count profile
-    of a presentation, whose lift the rest of the profile reuse.  A lift
-    that fails its re-verification at the dominating scale, or any other
-    ``DegenLabError``, fails the suite at that configuration: the first of
-    its profile, so the first in sweep order to fail.
+    configuration and on the first occupied one of each (vanishing pattern,
+    side counts) over the whole sweep, whose lift every later occupied
+    configuration with that pattern and those counts reuses, on any
+    presentation.  A lift that fails its re-verification at the dominating
+    scale, or any other ``DegenLabError``, fails the suite at that
+    configuration: the first of its group, so the first in sweep order to
+    fail.
     """
     checked = 0
-    for _, configs in _presentation_configs(max_k, max_m):
-        lifts = {}  # side-count profile -> its lift
+    lifts_of = {}  # vanishing pattern -> side-count profile -> its lift
+    for presentation, configs in _presentation_configs(max_k, max_m):
+        lifts = lifts_of.setdefault(presentation.vanishing_pattern(), {})
         for cfg in configs:
             occupied = is_ws_stable(cfg)
             lin = None
@@ -298,30 +306,35 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
 
     The term of s at level j is ``s_j * table[j][s_j > 0]``, so each (level,
     sign) entry that some admissible s uses is checked once per table; a
-    failure names the first s that uses a failing entry.  The lift and its
-    table are built from one side-count pass and checked once per
-    side-count profile of a presentation, at its first occupied
-    configuration, and every occupied configuration counts its
-    ``len(signs)`` pairs.  A ``DegenLabError`` from the constructive lift
-    fails the suite at the first configuration of its profile.
+    failure names the first s that uses a failing entry.  The entries are
+    listed once per vanishing pattern.  The lift and its table are built
+    from one side-count pass and checked once per (vanishing pattern, side
+    counts) over the whole sweep, at its first occupied configuration, and
+    every occupied configuration counts its ``len(signs)`` pairs.  A
+    ``DegenLabError`` from the constructive lift fails the suite at the
+    first configuration of its group.
     """
     checked = 0
+    patterns = {}  # vanishing pattern -> (its entries, len(signs), profiles that pass)
     for presentation, configs in _presentation_configs(max_k, max_m):
-        signs = presentation.vanishing_pattern().sign_vectors
-        first_use: dict[tuple[int, int], tuple[int, ...]] = {}
-        for s in signs:
-            for j, s_j in enumerate(s):
-                if s_j:
-                    first_use.setdefault((j, s_j), s)
-        entries = [(j, s_j, s) for (j, s_j), s in first_use.items()]
-        passed = set()  # side-count profiles whose table is positive
+        pattern = presentation.vanishing_pattern()
+        if pattern not in patterns:
+            signs = pattern.sign_vectors
+            first_use: dict[tuple[int, int], tuple[int, ...]] = {}
+            for s in signs:
+                for j, s_j in enumerate(s):
+                    if s_j:
+                        first_use.setdefault((j, s_j), s)
+            entries = [(j, s_j, s) for (j, s_j), s in first_use.items()]
+            patterns[pattern] = entries, len(signs), set()
+        entries, pairs, passed = patterns[pattern]
         for cfg in configs:
             if not is_ws_stable(cfg):
                 continue
             m, counts = sides = _sides(cfg)
             profile = (m, *counts)
             if profile in passed:
-                checked += len(signs)
+                checked += pairs
                 continue
             try:
                 table = _lift_table(cfg, _constructive_lift(cfg, sides), sides)
@@ -338,12 +351,20 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                         f"level {j + 1} term {term}",
                     )
             passed.add(profile)
-            checked += len(signs)
+            checked += pairs
     return SuiteResult("positivity", True, f"{checked} (configuration, s) pairs")
 
 
 def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
-    """Finite-automorphism stability matches normalized strict stability."""
+    """Finite-automorphism stability matches normalized strict stability.
+
+    ``is_lw_stable``, ``normalize_pair`` and the comparison with the
+    normalized ``is_sws_stable`` run once per (normal form, multiset), at
+    the normal form's first presentation in sweep order, which keeps the
+    Li–Wu verdicts in a list, one per multiset, until its height ends.
+    Every later presentation that is not zero-free reads that list to test
+    that no configuration is strictly stable without being Li–Wu stable.
+    """
     checked = 0
     zero_free_seen: dict[NormalForm, int] = {}
     for presentation in presentations(max_k):
@@ -355,29 +376,41 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
         return SuiteResult(
             "bijection", False, f"classes without a unique zero-free presentation: {bad}"
         )
-    for _, configs in _presentation_configs(max_k, max_m):
-        for cfg in configs:
-            lw = is_lw_stable(cfg)
-            normalized = normalize_pair(cfg)
-            sws_normalized = is_sws_stable(normalized)
-            if lw != sws_normalized:
-                return _config_failure(
-                    "bijection", cfg, f"lw={lw} normalized sws={sws_normalized}"
-                )
-            # on a zero-free presentation ``normalized`` is ``cfg``: its sws
-            # verdict is ``sws_normalized``, which equals ``lw`` here
-            if not lw and normalized is not cfg and is_sws_stable(cfg):
-                return SuiteResult(
-                    "bijection",
-                    False,
-                    f"sws without lw at {cfg.presentation.exponents}",
-                )
-            checked += 1
+    height, lw_of = 0, {}  # normal form -> the Li–Wu verdict of each multiset
+    for presentation, configs in _presentation_configs(max_k, max_m):
+        if presentation.height != height:
+            height, lw_of = presentation.height, {}
+        nf = normal_form(presentation)
+        verdicts = lw_of.get(nf)
+        if verdicts is None:
+            verdicts = lw_of[nf] = []
+            for cfg in configs:
+                lw = is_lw_stable(cfg)
+                normalized = normalize_pair(cfg)
+                sws_normalized = is_sws_stable(normalized)
+                if lw != sws_normalized:
+                    return _config_failure(
+                        "bijection", cfg, f"lw={lw} normalized sws={sws_normalized}"
+                    )
+                # on a zero-free presentation ``normalized`` is ``cfg``: its
+                # sws verdict is ``sws_normalized``, which equals ``lw`` here
+                if not lw and normalized is not cfg and is_sws_stable(cfg):
+                    return _sws_without_lw(cfg)
+                verdicts.append(lw)
+        elif 0 in presentation.exponents:
+            for cfg, lw in zip(configs, verdicts):
+                if not lw and is_sws_stable(cfg):
+                    return _sws_without_lw(cfg)
+        checked += len(verdicts)
     return SuiteResult(
         "bijection",
         True,
         f"{checked} configurations over {len(zero_free_seen)} classes",
     )
+
+
+def _sws_without_lw(cfg: PointConfiguration) -> SuiteResult:
+    return SuiteResult("bijection", False, f"sws without lw at {cfg.presentation.exponents}")
 
 
 def run_all(max_k: int = 5, max_m: int = 3) -> list[SuiteResult]:

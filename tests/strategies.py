@@ -111,27 +111,46 @@ def presented_points(draw, max_height, max_levels, max_points, at_vertices=False
 
 @st.composite
 def side_twins(draw, max_height, max_levels, max_points):
-    """``(exponents, points, twin)``: a presentation with at least one torus
-    level and two scheme-free point lists with the same multiplicity on each
-    side of every level.  A valuation's sides at level value v are the orders
-    of a and of k - b against v; the twin sends each unit of multiplicity of
-    ``points`` to another valuation with the same sides at every level, where
-    there is one, and merges the units that land on one valuation."""
+    """``(exponents, points, twin_exponents, twin)``: a presentation with at
+    least one torus level, a second presentation with the same vanishing
+    pattern (each nonzero vanishing order grown by 0-2, so possibly the
+    same one), and a scheme-free point list on each with the same
+    multiplicity on each side of every level.  A valuation's sides at level
+    value v are the orders of a and of k - b against v; the twin sends each
+    unit of multiplicity of ``points`` to a valuation of the second
+    presentation with the same sides at every level, and merges the units
+    that land on one valuation.  Growing the gaps between the levels keeps
+    every side pattern of the first presentation on the second."""
     exponents = presentation(draw, max_height, max_levels, min_levels=1)
-    k, levels = sum(exponents), list(accumulate(exponents[:-1]))
+    twin_exponents = tuple(g + draw(st.integers(0, 2)) if g else 0 for g in exponents)
 
-    def sides(val):
-        a, b, _ = val
-        return [((a > v) - (a < v), (k - b > v) - (k - b < v)) for v in levels]
+    def sides(val, exps):
+        (a, b, _), k = val, sum(exps)
+        return [((a > v) - (a < v), (k - b > v) - (k - b < v)) for v in accumulate(exps[:-1])]
 
-    points = points_of(draw, k, max_points, vertices=fibre_vertices(exponents))
+    points = points_of(draw, sum(exponents), max_points, vertices=fibre_vertices(exponents))
+    k = sum(twin_exponents)
     triangle = [(a, b, k - a - b) for a in range(k + 1) for b in range(k + 1 - a)]
     units = Counter()
     for val, mult in points:
-        own = sides(val)
-        same = [other for other in triangle if other != val and sides(other) == own]
-        units.update(draw(st.sampled_from(same or [val])) for _ in range(mult))
-    return exponents, points, sorted(units.items())
+        own = sides(val, exponents)
+        same = [other for other in triangle if sides(other, twin_exponents) == own]
+        units.update(draw(st.sampled_from(same)) for _ in range(mult))
+    return exponents, points, twin_exponents, sorted(units.items())
+
+
+@st.composite
+def slotted_points(draw, max_height, max_levels, max_slots, max_points):
+    """``(exponents, slots, points)``: a ``presentation``, one to
+    ``max_slots`` distinct positions at which ``base.standard_embed`` inserts
+    unit slots, and up to ``max_points`` points of multiplicity 1-3, anywhere
+    or at the vertices of its fibre."""
+    exponents = presentation(draw, max_height, max_levels)
+    count = draw(st.integers(1, max_slots))
+    slots = draw(st.lists(st.integers(0, len(exponents) + count - 1), min_size=count,
+                          max_size=count, unique=True))
+    points = points_of(draw, sum(exponents), max_points, vertices=fibre_vertices(exponents))
+    return exponents, slots, points
 
 
 _LIFT = st.tuples(*[st.integers(0, 3)] * 4).filter(lambda x: x[0] + x[1] >= 1 and x[2] + x[3] >= 1)

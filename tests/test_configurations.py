@@ -23,11 +23,12 @@ from degenlab import (
     place,
     stability_report,
     stabilizer_rank,
+    standard_embed,
 )
 
 import oracles
 from guards import traced_peak_mb
-from strategies import presented_points
+from strategies import presented_points, slotted_points
 
 
 def vertex_kind(cfg, i):
@@ -90,6 +91,28 @@ def test_lw_stability():
     assert not is_lw_stable(place(NormalForm(2, (1,)), [((0, 0, 2), 1)]))
     # presentation with a trailing unit direction, no expanded levels
     assert is_lw_stable(place(make_base_tuple([2, 0]), [((0, 2, 0), 1)]))
+
+
+@settings(max_examples=300)
+@given(slotted_points(6, 3, 2, 4))
+def test_unit_slots_change_no_li_wu_verdict(case):
+    """What lets ``verify`` decide Li–Wu stability once per (normal form,
+    multiset): the same points on a presentation and on it with unit slots
+    inserted get the same ``is_lw_stable`` verdict and the same normalized
+    pair, and the verdict is the valuation rule: every point on two or
+    more lines, and every level value of the zero-free presentation
+    occupied."""
+    exponents, slots, points = case
+    presentation = BaseTuple(exponents)
+    cfg = place(presentation, points)
+    slotted = place(standard_embed(presentation, slots), points)
+    assert is_lw_stable(slotted) == is_lw_stable(cfg)
+    assert normalize_pair(slotted) == normalize_pair(cfg)
+    k = presentation.height
+    cuts = sorted({v for v in accumulate(exponents[:-1]) if 0 < v < k})
+    zero_free = [b - a for a, b in zip([0, *cuts], [*cuts, k])]
+    on_lines = all(oracles._lines_through(k, cuts, a, b) >= 2 for (a, b, _), _ in points)
+    assert is_lw_stable(cfg) == (on_lines and not oracles.unoccupied(zero_free, points))
 
 
 class TestWeakStrictStability:

@@ -5,10 +5,14 @@ from ast import literal_eval
 
 import pytest
 
-from degenlab import CriterionViolated, configurations, limits, verify, weights
+from degenlab import (
+    CriterionViolated, DegenLabError, NormalForm, configurations, limits, verify, weights,
+)
 from degenlab.base import BaseTuple, canonical_tuple, normal_form
 from degenlab.cli import main
-from degenlab.configurations import place, stability_report, stabilizer_rank
+from degenlab.configurations import (
+    is_sws_stable, is_ws_stable, normalize_pair, place, stability_report, stabilizer_rank,
+)
 from degenlab.verify import presentations, run_all, weighted_configurations
 
 import oracles
@@ -39,9 +43,11 @@ def test_presentation_configs_are_the_placed_configurations():
 
 
 def test_swept_points_carry_no_scheme():
-    """Stability-equivalence and positivity lift once per side-count
-    profile, which is sound only because the lift, its table and the
-    stability test read no more of a scheme-free point than its sides."""
+    """Stability-equivalence and positivity lift once per (vanishing
+    pattern, side counts) over the whole sweep, which is sound only because
+    the lift, its table and the stability test read no more of a
+    scheme-free configuration than its side counts and the sign vectors of
+    its vanishing pattern: a local scheme would add the bounded weight."""
     for k in range(1, 6):
         for points in weighted_configurations(k, 3):
             assert all(p.scheme is None for p in points), (k, points)
@@ -103,6 +109,104 @@ def test_each_suite_fails_on_a_broken_verdict(monkeypatch, suite, module, name, 
     named = re.match(r"presentation (\([\d, ]*\)) ", result.detail)
     assert named, result.detail
     assert literal_eval(named.group(1)) in {p.exponents for p in presentations(3)}
+
+
+def named(cfg, problem, at=""):
+    return (f"presentation {cfg.presentation.exponents} points "
+            f"{[p.valuations for p in cfg.points]}{at}: {problem}")
+
+
+def ungrouped_stability_equivalence(max_k, max_m):
+    """The first FAIL detail when every configuration is lifted, or None."""
+    for _, configs in verify._presentation_configs(max_k, max_m):
+        for cfg in configs:
+            occupied = is_ws_stable(cfg)
+            try:
+                lin = weights.exists_stabilizing_linearization(cfg)
+            except DegenLabError as exc:
+                return named(cfg, str(exc))
+            if (lin is not None) != occupied:
+                found = "found" if lin else "missing"
+                return named(cfg, f"occupancy {occupied} but linearization {found}")
+    return None
+
+
+def ungrouped_positivity(max_k, max_m):
+    """The first FAIL detail when every occupied configuration is lifted and
+    every term of every admissible s is tested, or None."""
+    for presentation, configs in verify._presentation_configs(max_k, max_m):
+        for cfg in configs:
+            if not is_ws_stable(cfg):
+                continue
+            sides = weights._sides(cfg)
+            try:
+                table = verify._lift_table(cfg, weights._constructive_lift(cfg, sides), sides)
+            except DegenLabError as exc:
+                return named(cfg, str(exc))
+            for s in presentation.vanishing_pattern().sign_vectors:
+                for j, s_j in enumerate(s):
+                    term = s_j * table[j][s_j > 0]
+                    if s_j and term <= 0:
+                        return named(cfg, f"level {j + 1} term {term}", at=f" s={s}")
+    return None
+
+
+def ungrouped_bijection(max_k, max_m):
+    """The first FAIL detail when every configuration computes every verdict, or None."""
+    for presentation, configs in verify._presentation_configs(max_k, max_m):
+        for cfg in configs:
+            lw = verify.is_lw_stable(cfg)
+            sws_normalized = is_sws_stable(normalize_pair(cfg))
+            if lw != sws_normalized:
+                return named(cfg, f"lw={lw} normalized sws={sws_normalized}")
+            if not lw and 0 in presentation.exponents and is_sws_stable(cfg):
+                return f"sws without lw at {presentation.exponents}"
+    return None
+
+
+PATTERN = BaseTuple((1, 1)).vanishing_pattern()  # also that of (1, 2) and (2, 1)
+
+
+def broken_on_one_key(original, flip):
+    """``original``, whose last argument is the side counts, but ``flip``ped
+    on configurations with ``PATTERN`` and m = 1."""
+
+    def broken(cfg, *args):
+        result = original(cfg, *args)
+        m, _ = args[-1]
+        hit = m == 1 and cfg.presentation.vanishing_pattern() == PATTERN
+        return flip(result) if hit else result
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "suite,reference,module,name,broken",
+    [
+        (verify.check_stability_equivalence, ungrouped_stability_equivalence, weights,
+         "_git_stable", lambda original: broken_on_one_key(original, lambda stable: False)),
+        (verify.check_positivity, ungrouped_positivity, verify, "_lift_table",
+         lambda original: broken_on_one_key(
+             original, lambda table: [(-neg, -pos) for neg, pos in table])),
+        (verify.check_bijection, ungrouped_bijection, verify, "is_lw_stable",
+         lambda original: lambda cfg: original(cfg) and cfg.fibre.nf != NormalForm(3, (2,))),
+    ],
+    ids=["stability-equivalence", "positivity", "bijection"],
+)
+def test_a_grouped_suite_fails_where_the_ungrouped_loop_does(monkeypatch, suite, reference, module,
+                                                             name, broken):
+    """Each suite runs a verdict once per group (a (vanishing pattern, side
+    counts) lift, a (normal form, multiset) Li–Wu verdict) at the group's
+    first configuration in sweep order.  Broken for one group key that
+    later presentations share, it fails with the detail of a loop that
+    computes every verdict at every configuration."""
+    assert PATTERN != next(presentations(3)).vanishing_pattern()
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    expected = reference(3, 2)
+    assert expected is not None
+    result = suite(max_k=3, max_m=2)
+    assert not result.ok
+    assert result.detail == expected
 
 
 def test_a_raising_lift_fails_its_suites_and_verify_prints_every_line(monkeypatch, capsys):

@@ -3,7 +3,6 @@
 import io
 import json
 import random
-import re
 from itertools import product
 
 import pytest
@@ -107,25 +106,31 @@ def test_sign_vectors_are_the_chain_rule_in_product_order():
 
 
 def test_stability_sweep_lists_sign_vectors_once_per_presentation():
-    """At k <= 3 every presentation has an occupied configuration with
-    m <= 2, so each one's sign vectors are listed, and listed once; no
-    configuration evaluates the chain rule."""
-    with calls_by_name("sign_vectors", "admissible_1ps") as counts:
-        assert check_stability_equivalence(max_k=3, max_m=2).ok
-    assert counts == {"sign_vectors": len(list(presentations(3)))}
+    """Each presentation keeps its vanishing pattern's sign vectors, so the
+    sweeps list them at most once per presentation and no configuration
+    evaluates the chain rule.  At k <= 3 the 65 presentations have 25
+    vanishing patterns: positivity lists each pattern's entries once;
+    stability-equivalence lists the sign vectors of each presentation that
+    first re-checks the lift of a (pattern, side counts) group, 36 of the
+    65."""
+    for suite, listings in [(check_positivity, 25), (check_stability_equivalence, 36)]:
+        with calls_by_name("sign_vectors", "admissible_1ps") as counts:
+            assert suite(max_k=3, max_m=2).ok
+        assert counts == {"sign_vectors": listings}, suite.__name__
+    assert len(list(presentations(3))) == 65
 
 
 @pytest.mark.parametrize(
     "suite,sides",
-    [(check_positivity, 1280), (check_stability_equivalence, 1280 + 669)],
+    [(check_positivity, 1280), (check_stability_equivalence, 1280 + 302)],
     ids=["check_positivity", "check_stability_equivalence"],
 )
 def test_sweeps_count_sides_once_per_occupied_configuration(suite, sides):
     """Occupancy is tested before a lift is built: of the 2,970
     configurations at k <= 3, m <= 2, only the 1,280 occupied ones reach
-    the side-count pass, and each counts its sides once, for the profile
-    that its lift is looked up by.  Stability-equivalence lifts the first
-    configuration of each of the 669 profiles through
+    the side-count pass, and each counts its sides once, for the group that
+    its lift is looked up by.  Stability-equivalence lifts the first
+    configuration of each of the 302 groups through
     ``exists_stabilizing_linearization``, which counts them once more for
     the lift, its table and the stability re-check."""
     with calls_by_name("_sides") as counts:
@@ -135,17 +140,29 @@ def test_sweeps_count_sides_once_per_occupied_configuration(suite, sides):
 
 @pytest.mark.parametrize(
     "suite,verdicts",
-    [(check_positivity, {}), (check_stability_equivalence, {"_git_stable": 669})],
+    [(check_positivity, {}), (check_stability_equivalence, {"_git_stable": 302})],
     ids=["check_positivity", "check_stability_equivalence"],
 )
 def test_sweeps_lift_once_per_side_count_profile(suite, verdicts):
-    """The 1,280 occupied configurations at k <= 3, m <= 2 have 669
-    distinct (presentation, side counts) profiles; each suite builds the
-    lift and its table, and stability-equivalence re-checks it, once per
-    profile."""
+    """The 1,280 occupied configurations at k <= 3, m <= 2 have 302
+    distinct (vanishing pattern, side counts) groups over the whole sweep
+    (669 (presentation, side counts) profiles); each suite builds the lift
+    and its table, and stability-equivalence re-checks it, once per
+    group."""
     with calls_by_name("_constructive_lift", "_lift_table", "_git_stable") as counts:
         assert suite(max_k=3, max_m=2).ok
-    assert counts == {"_constructive_lift": 669, "_lift_table": 669, **verdicts}
+    assert counts == {"_constructive_lift": 302, "_lift_table": 302, **verdicts}
+
+
+def test_bijection_decides_li_wu_once_per_normal_form_and_multiset():
+    """The 2,970 configurations at k <= 3, m <= 2 are 330 (normal form,
+    multiset) pairs: the 7 normal forms of heights 1-3 times the 10, 28 and
+    66 multisets of m <= 2 at each height.  Li–Wu stability reads only the
+    fibre and the points, so the suite decides it, and normalizes, once per
+    pair."""
+    with calls_by_name("is_lw_stable", "normalize_pair") as counts:
+        assert check_bijection(max_k=3, max_m=2).ok
+    assert counts == {"is_lw_stable": 330, "normalize_pair": 330}
 
 
 @pytest.mark.parametrize(
@@ -576,23 +593,26 @@ def test_existence_is_the_valuation_oracle(case):
 @settings(max_examples=200)
 @given(side_twins(6, 3, 4), st.data())
 def test_equal_side_counts_give_equal_lifts_and_verdicts(case, data):
-    """What lets ``verify`` lift once per side-count profile: two
-    scheme-free configurations on one presentation with equal ``_sides``
-    get the same constructive lift (or the same refusal), and the same sign
-    table and stability verdict at ``default_scale`` under that lift and
-    under any other."""
-    exponents, points, twin = case
-    first, second = (place(BaseTuple(exponents), pts) for pts in (points, twin))
+    """What lets ``verify`` lift once per (vanishing pattern, side counts):
+    two scheme-free configurations with equal ``_sides``, on presentations
+    with one vanishing pattern and the same or other vanishing orders, get
+    the same constructive lift (or the refusal at the same level), and the
+    same sign table and stability verdict at ``default_scale`` under that
+    lift and under any other.  Only the refusal names a level value."""
+    exponents, points, twin_exponents, twin = case
+    first, second = place(BaseTuple(exponents), points), place(BaseTuple(twin_exponents), twin)
     sides = _sides(first)
     assert _sides(second) == sides
     l = default_scale(sides[0])
     lifts = [Linearization(tuple(LevelLift(*x) for x in data.draw(lift_tuples(len(exponents) - 1))))]
-    try:
-        lifts.append(constructive_linearization(first))
-    except CriterionViolated as exc:
-        with pytest.raises(CriterionViolated, match=re.escape(str(exc))):
-            constructive_linearization(second)
+    empty = [j for j, (_, eq1, _, eq2) in enumerate(sides[1]) if not eq1 and not eq2]
+    if empty:
+        for cfg in (first, second):
+            value = cfg.presentation.level_values[empty[0]]
+            with pytest.raises(CriterionViolated, match=f"at cut value {value}$"):
+                constructive_linearization(cfg)
     else:
+        lifts.append(constructive_linearization(first))
         assert constructive_linearization(second) == lifts[-1]
     for lin in lifts:
         assert _lift_table(first, lin) == _lift_table(second, lin)
