@@ -57,7 +57,6 @@ from .errors import (
     InvalidComparison,
     InvalidInput,
     InvalidLocalScheme,
-    NeedsRefinedInput,
     NoLimit,
     ParseError,
     RefuseBruteForce,
@@ -67,7 +66,6 @@ from .errors import (
 from .limits import (
     LimitReport,
     associated_pair,
-    extend_special,
     flat_limit,
     unique_stable_subdivision_oracle,
 )

@@ -33,10 +33,6 @@ class TropicalIncompatibility(DegenLabError):
     """A limit subdivision does not refine the declared generic fibre."""
 
 
-class NeedsRefinedInput(DegenLabError):
-    """Valuation-only data cannot separate the points; finer input required."""
-
-
 class RefuseBruteForce(DegenLabError):
     """Exhaustive search refused because the instance exceeds the size cap."""
 

@@ -18,14 +18,13 @@ whatever the multiplicities; heights above ``MAX_ORACLE_HEIGHT`` are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .base import BaseTuple, NormalForm
 from .configurations import (
     PointConfiguration,
     StabilityReport,
     _as_points,
-    is_sws_stable,
     place,
     stability_report,
 )
@@ -33,7 +32,6 @@ from .dual_complex import ExpandedFibre, refines
 from .errors import (
     HeightMismatch,
     InvalidInput,
-    NeedsRefinedInput,
     RefuseBruteForce,
     TropicalIncompatibility,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "flat_limit",
     "unique_stable_subdivision_oracle",
     "associated_pair",
-    "extend_special",
 ]
 
 # The oracle walks 2^(k-1) cut sets, so its time doubles with each unit of
@@ -148,45 +145,3 @@ def associated_pair(points: Iterable, k: int, coarse: NormalForm) -> LimitReport
         )
     return report
 
-
-def extend_special(
-    cfg: PointConfiguration,
-    refined_points: Iterable | None = None,
-    refined_height: int | None = None,
-    drift_profiles: Sequence | None = None,
-) -> LimitReport:
-    """Stable extension of a pair already living over an expanded fibre.
-
-    With refined valuations at a finer height, the extension is the
-    associated pair of the refined data, checked for compatibility against
-    the current subdivision.  Without refinement the pair extends to itself,
-    provided all points sharing a bubble drift together; distinguishable
-    drift cannot be resolved from valuations alone.  ``drift_profiles``
-    holds one profile per point, in the order of ``cfg.points``.
-    """
-    if not is_sws_stable(cfg):
-        raise InvalidInput("only stable pairs admit a canonical extension")
-    if refined_points is not None:
-        if refined_height is None:
-            raise InvalidInput("refined points need a refined height")
-        if refined_height % cfg.height != 0:
-            raise InvalidInput(
-                f"refined height {refined_height} is not a multiple of "
-                f"{cfg.height}"
-            )
-        return associated_pair(refined_points, refined_height, cfg.fibre.nf)
-    if drift_profiles is not None:
-        if len(drift_profiles) != len(cfg.points):
-            raise InvalidInput(
-                f"{len(drift_profiles)} drift profiles for {len(cfg.points)} points"
-            )
-        by_bubble: dict = {}
-        for loc, profile in zip(cfg.placements, drift_profiles):
-            by_bubble.setdefault(loc, set()).add(profile)
-        mixed = [loc for loc, seen in by_bubble.items() if len(seen) > 1]
-        if mixed:
-            raise NeedsRefinedInput(
-                "points sharing a bubble have distinct drift profiles; "
-                "supply refined valuations to separate them"
-            )
-    return LimitReport(cfg.presentation, cfg.fibre, cfg, stability_report(cfg))

@@ -22,20 +22,20 @@ A verdict runs once per value of what it reads, at the first configuration
 in sweep order that has that value, and the later configurations read the
 stored result; so a verdict that fails, fails at the same configuration as
 when every configuration computed it.  Occupancy is tested for every
-configuration, and only occupied ones reach the one side-count pass of the
-weight calculus, which reads each placement once.  The swept points carry
-no local scheme, so the constructive lift, its sign table and, in
-stability-equivalence, the stability re-check read a configuration only
-through its side counts and its presentation's vanishing pattern, which
-fixes the admissible sign vectors: they run once per (vanishing pattern,
-side counts) over the whole suite, whatever the level values.  Li–Wu
-stability reads only the fibre and the points, so the bijection suite
-decides it, normalizes and compares once per (normal form, multiset), at
-the normal form's first presentation; the later presentations only test
-that they are not strictly stable where it fails.  Every verdict over the
-placements is a plain loop, with no generator frame per point or per
-configuration.  The limit oracle's occupancy test is the cut set lying
-inside the levels hit by the points, which it lists once per call.
+configuration, and only occupied ones reach ``weights.profile``, which
+reads each placement once.  The swept points carry no local scheme, so the
+constructive lift, its sign table and, in stability-equivalence, the
+stability re-check read a configuration only through its profile and its
+presentation's vanishing pattern, which fixes the admissible sign vectors:
+they run once per (vanishing pattern, profile) over the whole suite,
+whatever the level values.  Li–Wu stability reads only the fibre and the
+points, so the bijection suite decides it, normalizes and compares once per
+(normal form, multiset), at the normal form's first presentation; the later
+presentations only test that they are not strictly stable where it fails.
+Every verdict over the placements is a plain loop, with no generator frame
+per point or per configuration.  The limit oracle's occupancy test is the
+cut set lying inside the levels hit by the points, which it lists once per
+call.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .configurations import (
 from .dual_complex import ExpandedFibre, Location, build_fibre, complex_counts
 from .errors import DegenLabError
 from .limits import flat_limit, unique_stable_subdivision_oracle
-from .weights import _constructive_lift, _lift_table, _sides, exists_stabilizing_linearization
+from .weights import exists_stabilizing_linearization, profile
 
 __all__ = [
     "SuiteResult",
@@ -263,31 +263,30 @@ def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
 
     ``exists_stabilizing_linearization`` is called on every unoccupied
     configuration and on the first occupied one of each (vanishing pattern,
-    side counts) over the whole sweep, whose lift every later occupied
-    configuration with that pattern and those counts reuses, on any
+    profile) over the whole sweep, whose lift every later occupied
+    configuration with that pattern and that profile reuses, on any
     presentation.  A lift that fails its re-verification at the dominating
     scale, or any other ``DegenLabError``, fails the suite at that
     configuration: the first of its group, so the first in sweep order to
     fail.
     """
     checked = 0
-    lifts_of = {}  # vanishing pattern -> side-count profile -> its lift
+    lifts_of = {}  # vanishing pattern -> profile -> its lift
     for presentation, configs in _presentation_configs(max_k, max_m):
         lifts = lifts_of.setdefault(presentation.vanishing_pattern(), {})
         for cfg in configs:
             occupied = is_ws_stable(cfg)
             lin = None
             if occupied:
-                m, counts = _sides(cfg)
-                profile = (m, *counts)
-                lin = lifts.get(profile)
+                key = profile(cfg)
+                lin = lifts.get(key)
             if lin is None:
                 try:
                     lin = exists_stabilizing_linearization(cfg)
                 except DegenLabError as exc:
                     return _config_failure("stability-equivalence", cfg, str(exc))
                 if occupied:
-                    lifts[profile] = lin
+                    lifts[key] = lin
             if (lin is not None) != occupied:
                 found = "found" if lin else "missing"
                 return _config_failure(
@@ -308,9 +307,9 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     sign) entry that some admissible s uses is checked once per table; a
     failure names the first s that uses a failing entry.  The entries are
     listed once per vanishing pattern.  The lift and its table are built
-    from one side-count pass and checked once per (vanishing pattern, side
-    counts) over the whole sweep, at its first occupied configuration, and
-    every occupied configuration counts its ``len(signs)`` pairs.  A
+    from one profile and checked once per (vanishing pattern, profile) over
+    the whole sweep, at its first occupied configuration, and every
+    occupied configuration counts its ``len(signs)`` pairs.  A
     ``DegenLabError`` from the constructive lift fails the suite at the
     first configuration of its group.
     """
@@ -331,13 +330,12 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
         for cfg in configs:
             if not is_ws_stable(cfg):
                 continue
-            m, counts = sides = _sides(cfg)
-            profile = (m, *counts)
-            if profile in passed:
+            key = profile(cfg)
+            if key in passed:
                 checked += pairs
                 continue
             try:
-                table = _lift_table(cfg, _constructive_lift(cfg, sides), sides)
+                table = key.lift_table(key.lift(presentation.level_values))
             except DegenLabError as exc:
                 return _config_failure("positivity", cfg, str(exc))
             for j, s_j, s in entries:
@@ -350,7 +348,7 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                         f"{[p.valuations for p in cfg.points]} s={s}: "
                         f"level {j + 1} term {term}",
                     )
-            passed.add(profile)
+            passed.add(key)
             checked += pairs
     return SuiteResult("positivity", True, f"{checked} (configuration, s) pairs")
 

@@ -24,19 +24,24 @@ the limit positions (per unit of multiplicity: ``-a_j s_j`` at ``(1:0)`` and
 for the second), while the bounded part comes from the local monomial
 structure and satisfies ``|b_j| <= 2 m^2`` regardless of the lift.  Level j
 of the flow reads only the sign of ``s_j``, so ``total(s)`` is the sum of
-``s_j (b_j + l c_j)`` with both coefficients read at ``sign(s_j)``: every
-weight function reads a per-level sign table of coefficients at ``s_j = -1``
-and ``s_j = +1``, built (and the local schemes validated) once per call.
-The flow itself is defined, on plain valuations, by the test oracle
-(``tests/oracles._limit_side`` and ``combinatorial_terms``).  The lift
-tables and the constructive lift read each point's sides from its
-placement: ``a`` and ``k - b`` order against a level value exactly as the
+``s_j (b_j + l c_j)`` with both coefficients read at ``sign(s_j)``: the
+bounded one is ``b_j = sign(s_j) d_j`` for the scheme degree d_j of level
+j, so ``bounded(s) = sum |s_j| d_j``, and the combinatorial one is read
+from a per-level sign table at ``s_j = -1`` and ``s_j = +1``.  The flow
+itself is defined, on plain valuations, by the test oracle
+(``tests/oracles._limit_side`` and ``combinatorial_terms``).
+
+As in the torus-factor form of the Hilbert–Mumford criterion of
+Gulbrandsen–Halle–Hulek, a configuration enters the combinatorial part only
+through its ``profile``: the total multiplicity and, per level, the
+multiplicity on each side of it.  ``profile`` reads every placement once:
+``a`` and ``k - b`` order against a level value exactly as the
 ``Location``'s half-level coordinates ``x`` and ``y`` order against the
-value's coordinate ``2p``.  One side-count pass, ``_sides``, reads every
-placement once and counts, per level, the multiplicity on each side of it;
-the constructive lift and the lift table are arithmetic over those counts,
-so a caller that needs both (the stability re-check, the positivity suite)
-counts the sides once.
+value's coordinate ``2p``.  The constructive lift (``Profile.lift``) and the
+sign table (``Profile.lift_table``) are arithmetic over the profile, which
+reads no scheme; ``_scheme_degrees`` alone reads the degrees d_j and
+validates the schemes.  Each public function builds one profile, and equal
+profiles give equal lifts and tables.
 
 Stability for a fixed lift and scale factor means a strictly positive
 invariant for every admissible nonzero subgroup; by piecewise linearity it
@@ -59,6 +64,8 @@ __all__ = [
     "LevelLift",
     "Linearization",
     "LocalMonomialScheme",
+    "Profile",
+    "profile",
     "admissible_1ps",
     "weight_rows",
     "bounded_weight",
@@ -158,22 +165,68 @@ def _check_limit(cfg: PointConfiguration, s: Sequence[int]) -> None:
         raise NoLimit(f"subgroup {tuple(s)} has no limit over {cfg.presentation.exponents}")
 
 
-def _terms(table: Sequence[Sequence[int]], s: Sequence[int]) -> list[int]:
-    """Per-level terms ``s_j * table[j][sign(s_j)]``, zero where s_j is."""
-    return [s_j * pair[s_j > 0] for pair, s_j in zip(table, s)]
+class Profile(NamedTuple):
+    """A configuration as the weight calculus reads it, built by ``profile``.
+
+    ``m`` is the total multiplicity and ``sides[j] = (lt, eq1, gt, eq2)``
+    the multiplicities with ``x < c``, ``x = c``, ``y > c`` and ``y = c``
+    at the coordinate c of level j.
+    """
+
+    m: int
+    sides: tuple[tuple[int, int, int, int], ...]
+
+    def lift(self, level_values: Sequence[int]) -> Linearization:
+        """The constructive lift of ``constructive_linearization``, which
+        names an unoccupied level by its value in ``level_values``."""
+        m = self.m
+        new = tuple.__new__  # as ``LevelLift._make``, minus its checks
+        lifts = []
+        for (lt, eq1, gt, eq2), v in zip(self.sides, level_values):
+            if eq1:
+                lifts.append(new(LevelLift, (m * (m - lt), m * (lt + 1), 0, 1)))
+            elif eq2:
+                lifts.append(new(LevelLift, (0, 1, m * (m - gt), m * (gt + 1))))
+            else:
+                raise CriterionViolated(
+                    f"no point of the support occupies the level at cut value {v}"
+                )
+        return Linearization(tuple(lifts))
+
+    def lift_table(self, lin: Linearization) -> list[tuple[int, int]]:
+        """Combinatorial sign table ``(c_j at s_j = -1, c_j at s_j = +1)``.
+
+        The flow is defined by ``tests/oracles._limit_side``: level j sends a
+        point to a fixpoint of each chart by its side and the sign of s_j, so
+        ``table[j]`` is ``(-t, t')`` for the oracle's ``combinatorial_terms``
+        t at s_j = -1 and t' at s_j = +1.  At level coordinate c, the
+        first-family chart is at (1:0) when ``x <= c`` for s_j = -1 and when
+        ``x < c`` for s_j = +1; the second-family chart is at (1:0) when
+        ``y > c`` and when ``y >= c``.  So with the lift ``(a, b, c, d)``,
+
+            neg_j = -a (lt + eq1) + b (m - lt - eq1) + c gt - d (m - gt),
+            pos_j = -a lt + b (m - lt) + c (gt + eq2) - d (m - gt - eq2).
+        """
+        if len(lin) != len(self.sides):
+            raise InvalidInput(
+                f"linearization has {len(lin)} levels, presentation needs {len(self.sides)}"
+            )
+        m = self.m
+        table = []
+        for (lt, eq1, gt, eq2), (lift_a, lift_b, lift_c, lift_d) in zip(self.sides, lin.levels):
+            below, above = lt + eq1, gt + eq2
+            table.append((
+                -lift_a * below + lift_b * (m - below) + lift_c * gt - lift_d * (m - gt),
+                -lift_a * lt + lift_b * (m - lt) + lift_c * above - lift_d * (m - above),
+            ))
+        return table
 
 
-_Sides = tuple[int, list[tuple[int, int, int, int]]]
+def profile(cfg: PointConfiguration) -> Profile:
+    """The configuration's ``Profile``, from one read of each placement.
 
-
-def _sides(cfg: PointConfiguration) -> _Sides:
-    """``(m, counts)``: the total multiplicity and, per level coordinate c,
-    the multiplicities ``(lt, eq1, gt, eq2)`` with ``x < c``, ``x = c``,
-    ``y > c`` and ``y = c``.
-
-    The one side-count pass: each placement is read once, and this is where
-    the lift and its table compare a point's half-level coordinates with a
-    level.
+    This is where the lift and its table compare a point's half-level
+    coordinates with a level; no scheme is read.
     """
     m = 0
     placed = []
@@ -181,7 +234,7 @@ def _sides(cfg: PointConfiguration) -> _Sides:
         mult = p.multiplicity
         m += mult
         placed.append((loc.x, loc.y, mult))
-    counts = []
+    sides = []
     for c in cfg.presentation.level_coords:
         lt = eq1 = gt = eq2 = 0
         for x, y, mult in placed:
@@ -193,60 +246,24 @@ def _sides(cfg: PointConfiguration) -> _Sides:
                 gt += mult
             elif y == c:
                 eq2 += mult
-        counts.append((lt, eq1, gt, eq2))
-    return m, counts
+        sides.append((lt, eq1, gt, eq2))
+    return tuple.__new__(Profile, (m, tuple(sides)))  # as ``Profile._make``
 
 
-def _lift_table(
-    cfg: PointConfiguration, lin: Linearization, sides: _Sides | None = None
-) -> list[tuple[int, int]]:
-    """Combinatorial sign table ``(c_j at s_j = -1, c_j at s_j = +1)``.
-
-    The flow is defined by ``tests/oracles._limit_side``: level j sends a
-    point to a fixpoint of each chart by its side and the sign of s_j, so
-    ``table[j]`` is ``(-t, t')`` for the oracle's ``combinatorial_terms``
-    t at s_j = -1 and t' at s_j = +1.  At level coordinate c, the
-    first-family chart is at (1:0) when ``x <= c`` for s_j = -1 and when
-    ``x < c`` for s_j = +1; the second-family chart is at (1:0) when
-    ``y > c`` and when ``y >= c``.  So with the side counts of ``_sides``
-    (computed here unless given) and the lift ``(a, b, c, d)``,
-
-        neg_j = -a (lt + eq1) + b (m - lt - eq1) + c gt - d (m - gt),
-        pos_j = -a lt + b (m - lt) + c (gt + eq2) - d (m - gt - eq2).
-
-    Reads no scheme.
-    """
-    coords = cfg.presentation.level_coords
-    if len(lin) != len(coords):
-        raise InvalidInput(
-            f"linearization has {len(lin)} levels, presentation needs {len(coords)}"
-        )
-    m, counts = _sides(cfg) if sides is None else sides
-    table = []
-    for (lt, eq1, gt, eq2), (lift_a, lift_b, lift_c, lift_d) in zip(counts, lin.levels):
-        below, above = lt + eq1, gt + eq2
-        table.append((
-            -lift_a * below + lift_b * (m - below) + lift_c * gt - lift_d * (m - gt),
-            -lift_a * lt + lift_b * (m - lt) + lift_c * above - lift_d * (m - above),
-        ))
-    return table
-
-
-def _scheme_table(cfg: PointConfiguration) -> list[tuple[int, int]]:
-    """Sign table of the bounded weight; the one place schemes are validated.
+def _scheme_degrees(cfg: PointConfiguration) -> list[int]:
+    """Per-level scheme degrees d_j; the one place schemes are validated.
 
     A nontrivial scheme sits at a vertex and uses only charts through its
     point, which flows to the side where the chart coordinate has weight
-    sign(s_j): each exponent at level j adds sign(s_j) to b_j.
+    sign(s_j): each exponent at level j adds sign(s_j) to b_j, so
+    ``b_j = sign(s_j) d_j``.
     """
     coords = cfg.presentation.level_coords
-    degrees = None  # allocated at the first point that carries a scheme
+    degrees = [0] * len(coords)
     for p, loc in zip(cfg.points, cfg.placements):
         scheme = p.scheme
         if scheme is None:
             continue
-        if degrees is None:
-            degrees = [0] * len(coords)
         if not isinstance(scheme, LocalMonomialScheme):
             raise InvalidLocalScheme(f"unsupported local scheme {scheme!r}")
         monomials = scheme.monomials
@@ -273,9 +290,7 @@ def _scheme_table(cfg: PointConfiguration) -> list[tuple[int, int]]:
                         f"point {p.valuations} is not on that component"
                     )
                 degrees[j] += exp
-    if degrees is None:
-        return [(0, 0)] * len(coords)
-    return [(-d, d) for d in degrees]
+    return degrees
 
 
 def bounded_weight(
@@ -287,9 +302,7 @@ def bounded_weight(
     zero where s_j is.
     """
     _check_limit(cfg, s)
-    coeffs = tuple(
-        pair[s_j > 0] if s_j else 0 for pair, s_j in zip(_scheme_table(cfg), s)
-    )
+    coeffs = tuple(((s_j > 0) - (s_j < 0)) * d for d, s_j in zip(_scheme_degrees(cfg), s))
     return sum(b * s_j for b, s_j in zip(coeffs, s)), coeffs
 
 
@@ -306,8 +319,9 @@ def weight_rows(
     else:
         for s in subgroups:
             _check_limit(cfg, s)
-    schemes, lifts = _scheme_table(cfg), _lift_table(cfg, lin)
-    return [(s, sum(_terms(schemes, s)), sum(_terms(lifts, s))) for s in subgroups]
+    degrees, table = _scheme_degrees(cfg), profile(cfg).lift_table(lin)
+    return [(s, sum([abs(s_j) * d for d, s_j in zip(degrees, s)]),
+             sum([s_j * pair[s_j > 0] for pair, s_j in zip(table, s)])) for s in subgroups]
 
 
 def hm_invariant(
@@ -336,31 +350,14 @@ def constructive_linearization(cfg: PointConfiguration) -> Linearization:
     strictly on its (1:0) side, and give the second chart the neutral pair
     (0, 1).  Otherwise a point must sit on the second-family component;
     mirror the construction with m'' the multiplicity on its (1:0) side.
-    Both are read from the side counts of ``_sides``: m' is the ``x < c``
+    Both are read from the configuration's ``profile``: m' is the ``x < c``
     count, m'' the ``y > c`` count, and a point sits on a component when
-    its ``=`` count is positive.
+    its ``=`` count is positive.  No scheme is read.
 
     Level values never decrease, so the first level that no point occupies
     names the smallest unoccupied value, and ``CriterionViolated`` names it.
     """
-    return _constructive_lift(cfg, _sides(cfg))
-
-
-def _constructive_lift(cfg: PointConfiguration, sides: _Sides) -> Linearization:
-    """``constructive_linearization`` over side counts already taken."""
-    m, counts = sides
-    new = tuple.__new__  # as ``LevelLift._make``, minus its checks
-    lifts = []
-    for (lt, eq1, gt, eq2), v in zip(counts, cfg.presentation.level_values):
-        if eq1:
-            lifts.append(new(LevelLift, (m * (m - lt), m * (lt + 1), 0, 1)))
-        elif eq2:
-            lifts.append(new(LevelLift, (0, 1, m * (m - gt), m * (gt + 1))))
-        else:
-            raise CriterionViolated(
-                f"no point of the support occupies the level at cut value {v}"
-            )
-    return Linearization(tuple(lifts))
+    return profile(cfg).lift(cfg.presentation.level_values)
 
 
 def is_git_stable(cfg: PointConfiguration, lin: Linearization, l: int) -> bool:
@@ -374,22 +371,19 @@ def is_git_stable(cfg: PointConfiguration, lin: Linearization, l: int) -> bool:
     """
     if l < 1:
         raise InvalidInput(f"scale factor must be >= 1, got {l}")
-    return _git_stable(cfg, lin, l)
+    return _stable(cfg, _scheme_degrees(cfg), profile(cfg).lift_table(lin), l)
 
 
-def _git_stable(
-    cfg: PointConfiguration, lin: Linearization, l: int, sides: _Sides | None = None
+def _stable(
+    cfg: PointConfiguration, degrees: list[int], table: list[tuple[int, int]], l: int
 ) -> bool:
-    """``is_git_stable`` at a checked scale, over side counts if given."""
-    table = [
-        (b_neg + l * c_neg, b_pos + l * c_pos)
-        for (b_neg, b_pos), (c_neg, c_pos) in zip(
-            _scheme_table(cfg), _lift_table(cfg, lin, sides)
-        )
-    ]
+    """The sign-vector loop: is ``sum s_j (sign(s_j) d_j + l c_j)`` positive
+    at every admissible sign vector, for the scheme degrees d_j and the
+    lift's sign table of c_j?"""
+    coeffs = [(l * c_neg - d, l * c_pos + d) for d, (c_neg, c_pos) in zip(degrees, table)]
     for s in cfg.presentation.vanishing_pattern().sign_vectors:
         total = 0
-        for pair, s_j in zip(table, s):
+        for pair, s_j in zip(coeffs, s):
             if s_j:
                 total += s_j * pair[s_j > 0]
         if total <= 0:
@@ -405,13 +399,13 @@ def exists_stabilizing_linearization(
     Occupancy is tested first, by ``is_ws_stable``, so an unoccupied
     configuration builds no lift and raises nothing.  The returned lift is
     re-verified through the stability test at the dominating scale factor;
-    the lift and the re-check read one side-count pass.
+    the lift and the re-check read one profile.
     """
     if not is_ws_stable(cfg):
         return None
-    sides = _sides(cfg)
-    lin = _constructive_lift(cfg, sides)
-    if not _git_stable(cfg, lin, default_scale(sides[0]), sides):
+    key = profile(cfg)
+    lin = key.lift(cfg.presentation.level_values)
+    if not _stable(cfg, _scheme_degrees(cfg), key.lift_table(lin), default_scale(key.m)):
         raise DegenLabError(
             "internal error: constructive linearization failed verification"
         )

@@ -462,21 +462,17 @@ class TestCommands:
 
     def test_weights_reads_its_rows_from_one_table(self, monkeypatch, capsys):
         """242 admissible sign vectors on five zero-free levels: one lift table
-        for the rows and one for the verdict."""
-        from degenlab import weights
-
-        built = []
-        lift_table = weights._lift_table
-        monkeypatch.setattr(
-            weights, "_lift_table", lambda *args: built.append(args) or lift_table(*args)
-        )
+        for the rows and one for the verdict, each from the one profile that
+        its public function builds, beside the lift's own."""
         points = ",".join(f'{{"val":[{v},0,{6 - v}]}}' for v in range(1, 6))
         monkeypatch.setattr(
             "sys.stdin", io.StringIO(f'{{"tuple":[1,1,1,1,1,1],"points":[{points}]}}')
         )
-        assert main(["weights", "-"]) == 0
+        with calls_by_name("profile", "lift_table") as counts:
+            assert main(["weights", "-"]) == 0
         assert len(json.loads(capsys.readouterr().out)["rows"]) == 242
-        assert len(built) <= 2
+        assert counts["lift_table"] <= 2
+        assert counts["profile"] <= 3
 
     def test_weights_explicit_subgroup(self, tmp_path):
         scenario = tmp_path / "w.json"

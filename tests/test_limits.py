@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 from degenlab import (
     HeightMismatch,
     InvalidInput,
-    NeedsRefinedInput,
     NormalForm,
     RefuseBruteForce,
     TropicalIncompatibility,
     associated_pair,
-    extend_special,
     flat_limit,
     place,
     stability_report,
@@ -181,55 +179,13 @@ class TestAssociatedPair:
         report = associated_pair([((0, 0, 3), 1)], 3, NormalForm(1, ()))
         assert report.fibre.nf.cuts == ()
 
-
-class TestExtendSpecial:
-    def base_cfg(self):
-        return place(NormalForm(2, (1,)), [((1, 0, 1), 1), ((1, 1, 0), 1)])
-
     def test_refined_points_consistent(self):
-        cfg = place(NormalForm(2, (1,)), [((1, 1, 0), 1), ((1, 0, 1), 1)])
-        report = extend_special(
-            cfg,
-            refined_points=[((2, 2, 0), 1), ((2, 0, 2), 1)],
-            refined_height=4,
-        )
+        report = associated_pair([((2, 2, 0), 1), ((2, 0, 2), 1)], 4, NormalForm(2, (1,)))
         assert report.fibre.nf == NormalForm(4, (2,))
 
     def test_refined_points_inconsistent(self):
-        cfg = place(NormalForm(2, (1,)), [((1, 1, 0), 1), ((1, 0, 1), 1)])
         with pytest.raises(TropicalIncompatibility):
-            extend_special(
-                cfg,
-                refined_points=[((1, 3, 0), 1), ((3, 0, 1), 1)],
-                refined_height=4,
-            )
-
-    def test_identity_without_refinement(self):
-        cfg = self.base_cfg()
-        report = extend_special(cfg)
-        assert report.configuration == cfg
-        assert report.stability.sws_stable
-
-    def test_uniform_profiles_ok(self):
-        cfg = place(NormalForm(2, (1,)), [((1, 0, 1), 2)])
-        report = extend_special(cfg, drift_profiles=["slow"])
-        assert report.configuration == cfg
-
-    def test_mixed_profiles_rejected(self):
-        # two points sharing the bubble but drifting differently
-        cfg = place(NormalForm(2, (1,)), [((1, 0, 1), 1), ((1, 0, 1), 1)])
-        with pytest.raises(NeedsRefinedInput):
-            extend_special(cfg, drift_profiles=["left", "right"])
-
-    def test_one_profile_per_point(self):
-        cfg = place(NormalForm(2, (1,)), [((1, 0, 1), 1), ((1, 0, 1), 1)])
-        with pytest.raises(InvalidInput, match="^1 drift profiles for 2 points$"):
-            extend_special(cfg, drift_profiles=["left"])
-
-    def test_requires_stable_input(self):
-        cfg = place(NormalForm(2, (1,)), [((0, 0, 2), 1)])
-        with pytest.raises(InvalidInput):
-            extend_special(cfg)
+            associated_pair([((1, 3, 0), 1), ((3, 0, 1), 1)], 4, NormalForm(2, (1,)))
 
 
 def test_tropical_compatibility_of_refinements():

@@ -44,9 +44,9 @@ def test_presentation_configs_are_the_placed_configurations():
 
 def test_swept_points_carry_no_scheme():
     """Stability-equivalence and positivity lift once per (vanishing
-    pattern, side counts) over the whole sweep, which is sound only because
+    pattern, profile) over the whole sweep, which is sound only because
     the lift, its table and the stability test read no more of a
-    scheme-free configuration than its side counts and the sign vectors of
+    scheme-free configuration than its profile and the sign vectors of
     its vanishing pattern: a local scheme would add the bounded weight."""
     for k in range(1, 6):
         for points in weighted_configurations(k, 3):
@@ -93,11 +93,10 @@ def test_limit_oracle_resumes_no_generator():
     [
         (verify.check_stability_equivalence, verify, "exists_stabilizing_linearization",
          lambda original: lambda cfg: None),
-        (verify.check_stability_equivalence, weights, "_git_stable",
-         lambda original: lambda cfg, lin, l, sides: False),
-        (verify.check_positivity, verify, "_lift_table",
-         lambda original: lambda cfg, lin, sides: [
-             (-neg, -pos) for neg, pos in original(cfg, lin, sides)]),
+        (verify.check_stability_equivalence, weights, "_stable",
+         lambda original: lambda cfg, degrees, table, l: False),
+        (verify.check_positivity, weights.Profile, "lift_table",
+         lambda original: lambda key, lin: [(-neg, -pos) for neg, pos in original(key, lin)]),
         (verify.check_bijection, verify, "is_lw_stable", lambda original: lambda cfg: False),
     ],
     ids=["stability-equivalence", "stability-equivalence-lift", "positivity", "bijection"],
@@ -138,9 +137,9 @@ def ungrouped_positivity(max_k, max_m):
         for cfg in configs:
             if not is_ws_stable(cfg):
                 continue
-            sides = weights._sides(cfg)
+            key = verify.profile(cfg)
             try:
-                table = verify._lift_table(cfg, weights._constructive_lift(cfg, sides), sides)
+                table = key.lift_table(key.lift(presentation.level_values))
             except DegenLabError as exc:
                 return named(cfg, str(exc))
             for s in presentation.vanishing_pattern().sign_vectors:
@@ -167,14 +166,20 @@ def ungrouped_bijection(max_k, max_m):
 PATTERN = BaseTuple((1, 1)).vanishing_pattern()  # also that of (1, 2) and (2, 1)
 
 
+class Negated(weights.Profile):
+    """A profile whose lift table is negated."""
+
+    def lift_table(self, lin):
+        return [(-neg, -pos) for neg, pos in super().lift_table(lin)]
+
+
 def broken_on_one_key(original, flip):
-    """``original``, whose last argument is the side counts, but ``flip``ped
-    on configurations with ``PATTERN`` and m = 1."""
+    """``original``, whose first argument is the configuration, but
+    ``flip``ped on configurations with ``PATTERN`` and m = 1."""
 
     def broken(cfg, *args):
         result = original(cfg, *args)
-        m, _ = args[-1]
-        hit = m == 1 and cfg.presentation.vanishing_pattern() == PATTERN
+        hit = cfg.m == 1 and cfg.presentation.vanishing_pattern() == PATTERN
         return flip(result) if hit else result
 
     return broken
@@ -184,10 +189,9 @@ def broken_on_one_key(original, flip):
     "suite,reference,module,name,broken",
     [
         (verify.check_stability_equivalence, ungrouped_stability_equivalence, weights,
-         "_git_stable", lambda original: broken_on_one_key(original, lambda stable: False)),
-        (verify.check_positivity, ungrouped_positivity, verify, "_lift_table",
-         lambda original: broken_on_one_key(
-             original, lambda table: [(-neg, -pos) for neg, pos in table])),
+         "_stable", lambda original: broken_on_one_key(original, lambda stable: False)),
+        (verify.check_positivity, ungrouped_positivity, verify, "profile",
+         lambda original: broken_on_one_key(original, lambda key: Negated(*key))),
         (verify.check_bijection, ungrouped_bijection, verify, "is_lw_stable",
          lambda original: lambda cfg: original(cfg) and cfg.fibre.nf != NormalForm(3, (2,))),
     ],
@@ -195,8 +199,8 @@ def broken_on_one_key(original, flip):
 )
 def test_a_grouped_suite_fails_where_the_ungrouped_loop_does(monkeypatch, suite, reference, module,
                                                              name, broken):
-    """Each suite runs a verdict once per group (a (vanishing pattern, side
-    counts) lift, a (normal form, multiset) Li–Wu verdict) at the group's
+    """Each suite runs a verdict once per group (a (vanishing pattern,
+    profile) lift, a (normal form, multiset) Li–Wu verdict) at the group's
     first configuration in sweep order.  Broken for one group key that
     later presentations share, it fails with the detail of a loop that
     computes every verdict at every configuration."""
@@ -213,14 +217,17 @@ def test_a_raising_lift_fails_its_suites_and_verify_prints_every_line(monkeypatc
     """An error raised for one configuration fails its suite with a detail
     naming that configuration; ``verify`` still prints all six lines."""
 
-    def raising(cfg, sides):
-        raise CriterionViolated("no lift")
+    class Refusing(weights.Profile):
+        def lift(self, level_values):
+            raise CriterionViolated("no lift")
 
-    monkeypatch.setattr(verify, "_constructive_lift", raising)
+    # only ``verify``'s own profiles refuse to lift, so stability-equivalence
+    # still lifts through ``exists_stabilizing_linearization``
+    monkeypatch.setattr(verify, "profile", lambda cfg: Refusing(*weights.profile(cfg)))
     result = verify.check_positivity(max_k=3, max_m=2)
     assert not result.ok
     assert re.fullmatch(r"presentation \([\d, ]*\) points \[.*\]: no lift", result.detail)
-    monkeypatch.setattr(weights, "_git_stable", lambda cfg, lin, l, sides: False)
+    monkeypatch.setattr(weights, "_stable", lambda cfg, degrees, table, l: False)
     assert main(["verify", "--max-k", "3", "--max-m", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["[PASS]"] * 3 + ["[FAIL]"] * 2 + ["[PASS]"]

@@ -43,7 +43,7 @@ from degenlab.verify import (
     check_stability_equivalence,
     presentations,
 )
-from degenlab.weights import _lift_table, _sides
+from degenlab.weights import profile
 
 
 class TestLinearizationValidation:
@@ -111,7 +111,7 @@ def test_stability_sweep_lists_sign_vectors_once_per_presentation():
     evaluates the chain rule.  At k <= 3 the 65 presentations have 25
     vanishing patterns: positivity lists each pattern's entries once;
     stability-equivalence lists the sign vectors of each presentation that
-    first re-checks the lift of a (pattern, side counts) group, 36 of the
+    first re-checks the lift of a (pattern, profile) group, 36 of the
     65."""
     for suite, listings in [(check_positivity, 25), (check_stability_equivalence, 36)]:
         with calls_by_name("sign_vectors", "admissible_1ps") as counts:
@@ -128,30 +128,30 @@ def test_stability_sweep_lists_sign_vectors_once_per_presentation():
 def test_sweeps_count_sides_once_per_occupied_configuration(suite, sides):
     """Occupancy is tested before a lift is built: of the 2,970
     configurations at k <= 3, m <= 2, only the 1,280 occupied ones reach
-    the side-count pass, and each counts its sides once, for the group that
-    its lift is looked up by.  Stability-equivalence lifts the first
+    ``profile``, and each builds its profile once, for the group that its
+    lift is looked up by.  Stability-equivalence lifts the first
     configuration of each of the 302 groups through
-    ``exists_stabilizing_linearization``, which counts them once more for
-    the lift, its table and the stability re-check."""
-    with calls_by_name("_sides") as counts:
+    ``exists_stabilizing_linearization``, which builds it once more for the
+    lift, its table and the stability re-check."""
+    with calls_by_name("profile") as counts:
         assert suite(max_k=3, max_m=2).ok
-    assert counts == {"_sides": sides}
+    assert counts == {"profile": sides}
 
 
 @pytest.mark.parametrize(
     "suite,verdicts",
-    [(check_positivity, {}), (check_stability_equivalence, {"_git_stable": 302})],
+    [(check_positivity, {}), (check_stability_equivalence, {"_stable": 302})],
     ids=["check_positivity", "check_stability_equivalence"],
 )
 def test_sweeps_lift_once_per_side_count_profile(suite, verdicts):
     """The 1,280 occupied configurations at k <= 3, m <= 2 have 302
-    distinct (vanishing pattern, side counts) groups over the whole sweep
-    (669 (presentation, side counts) profiles); each suite builds the lift
-    and its table, and stability-equivalence re-checks it, once per
-    group."""
-    with calls_by_name("_constructive_lift", "_lift_table", "_git_stable") as counts:
+    distinct (vanishing pattern, profile) groups over the whole sweep (669
+    (presentation, profile) groups); each suite builds the lift and its
+    table, and stability-equivalence runs the sign-vector loop of the
+    re-check, once per group."""
+    with calls_by_name("lift", "lift_table", "_stable") as counts:
         assert suite(max_k=3, max_m=2).ok
-    assert counts == {"_constructive_lift": 302, "_lift_table": 302, **verdicts}
+    assert counts == {"lift": 302, "lift_table": 302, **verdicts}
 
 
 def test_bijection_decides_li_wu_once_per_normal_form_and_multiset():
@@ -351,6 +351,24 @@ class TestConstructiveLinearization:
         cfg = place(NormalForm(2, (1,)), [((0, 0, 2), 1)])
         with pytest.raises(CriterionViolated):
             constructive_linearization(cfg)
+
+    def test_reads_no_scheme(self, monkeypatch, capsys):
+        """An invalid scheme (one monomial at multiplicity 2) neither turns
+        the refusal of an unoccupied level into a scheme error nor changes
+        the lift of an occupied configuration."""
+        scenario = '{"height":2,"cuts":[1],"points":[{"val":[0,0,2],"mult":2,"scheme":[[]]}]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+        assert main(["weights", "-"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "stabilizable": False,
+            "reason": "no point of the support occupies the level at cut value 1",
+        }
+        invalid = LocalMonomialScheme.of([{}])
+        schemed = place(NormalForm(2, (1,)), [SupportPoint((1, 0, 1), 2, invalid)])
+        with pytest.raises(InvalidLocalScheme):
+            is_git_stable(schemed, Linearization((LevelLift(1, 1, 1, 1),)), 1)
+        plain = place(NormalForm(2, (1,)), [((1, 0, 1), 2)])
+        assert constructive_linearization(schemed) == constructive_linearization(plain)
 
 
 class TestGitStability:
@@ -564,7 +582,7 @@ def test_lift_table_reads_the_sides_the_flow_resolves(case, data):
         )
         return [(-neg, pos) for neg, pos in zip(below, above)]
 
-    assert _outcome(_lift_table, cfg, lin) == _expect(
+    assert _outcome(profile(cfg).lift_table, lin) == _expect(
         lambda: oracles.check_lifts(exponents, lifts), by_flow
     )
     presentation.vanishing_pattern()
@@ -593,19 +611,20 @@ def test_existence_is_the_valuation_oracle(case):
 @settings(max_examples=200)
 @given(side_twins(6, 3, 4), st.data())
 def test_equal_side_counts_give_equal_lifts_and_verdicts(case, data):
-    """What lets ``verify`` lift once per (vanishing pattern, side counts):
-    two scheme-free configurations with equal ``_sides``, on presentations
-    with one vanishing pattern and the same or other vanishing orders, get
-    the same constructive lift (or the refusal at the same level), and the
-    same sign table and stability verdict at ``default_scale`` under that
-    lift and under any other.  Only the refusal names a level value."""
+    """Equal profiles give equal lifts, tables and verdicts, which lets
+    ``verify`` lift once per (vanishing pattern, profile): two scheme-free
+    configurations with equal ``profile``, on presentations with one
+    vanishing pattern and the same or other vanishing orders, get the same
+    constructive lift (or the refusal at the same level), and the same sign
+    table and stability verdict at ``default_scale`` under that lift and
+    under any other.  Only the refusal names a level value."""
     exponents, points, twin_exponents, twin = case
     first, second = place(BaseTuple(exponents), points), place(BaseTuple(twin_exponents), twin)
-    sides = _sides(first)
-    assert _sides(second) == sides
-    l = default_scale(sides[0])
+    key = profile(first)
+    assert profile(second) == key and hash(profile(second)) == hash(key)
+    l = default_scale(key.m)
     lifts = [Linearization(tuple(LevelLift(*x) for x in data.draw(lift_tuples(len(exponents) - 1))))]
-    empty = [j for j, (_, eq1, _, eq2) in enumerate(sides[1]) if not eq1 and not eq2]
+    empty = [j for j, (_, eq1, _, eq2) in enumerate(key.sides) if not eq1 and not eq2]
     if empty:
         for cfg in (first, second):
             value = cfg.presentation.level_values[empty[0]]
@@ -615,7 +634,7 @@ def test_equal_side_counts_give_equal_lifts_and_verdicts(case, data):
         lifts.append(constructive_linearization(first))
         assert constructive_linearization(second) == lifts[-1]
     for lin in lifts:
-        assert _lift_table(first, lin) == _lift_table(second, lin)
+        assert profile(first).lift_table(lin) == profile(second).lift_table(lin)
         assert is_git_stable(first, lin, l) == is_git_stable(second, lin, l)
 
 
