@@ -45,6 +45,7 @@ __all__ = [
     "StabilityReport",
     "place",
     "is_admissible",
+    "occupied_bits",
     "stabilizer_rank",
     "is_lw_stable",
     "is_ws_stable",
@@ -166,10 +167,15 @@ def is_admissible(cfg: PointConfiguration) -> bool:
     return True
 
 
-def _occupied_bits(cfg: PointConfiguration) -> int:
-    """Bit c set for each half-level coordinate c of some point's a or k - b."""
+def occupied_bits(placements: tuple[Location, ...]) -> int:
+    """Bit c set for each half-level coordinate c of some point's a or k - b.
+
+    This is the one OR over the placements; the verdicts below and
+    ``verify``'s sweep, which ORs each multiset once for all presentations
+    of its normal form, read occupancy through it.
+    """
     bits = 0
-    for loc in cfg.placements:
+    for loc in placements:
         bits |= 1 << loc.x | 1 << loc.y
     return bits
 
@@ -189,7 +195,7 @@ def stabilizer_rank(cfg: PointConfiguration) -> int:
     corresponding torus factor then acts trivially on the whole support.
     The cuts are the level values of the zero-free presentation.
     """
-    return _rank(cfg, _occupied_bits(cfg))
+    return _rank(cfg, occupied_bits(cfg.placements))
 
 
 def _rank(cfg: PointConfiguration, occupied: int) -> int:
@@ -207,7 +213,7 @@ def is_ws_stable(cfg: PointConfiguration) -> bool:
     This is the criterion for the existence of a stabilizing linearization;
     see the weight calculus module for the constructive counterpart.
     """
-    return not cfg.presentation.level_bits & ~_occupied_bits(cfg)
+    return not cfg.presentation.level_bits & ~occupied_bits(cfg.placements)
 
 
 def is_sws_stable(cfg: PointConfiguration) -> bool:
@@ -226,7 +232,7 @@ def normalize_pair(cfg: PointConfiguration) -> PointConfiguration:
 def stability_report(cfg: PointConfiguration) -> StabilityReport:
     """All verdicts from one admissibility test and one pass over the placements."""
     admissible = is_admissible(cfg)
-    occupied = _occupied_bits(cfg)
+    occupied = occupied_bits(cfg.placements)
     unoccupied = _unoccupied(cfg.presentation, occupied)
     rank = _rank(cfg, occupied)
     return StabilityReport(

@@ -10,32 +10,37 @@ weighted point multisets are listed once per height.  The expanded fibre,
 and so the location of every point, depends only on the normal form: per
 normal form, one ``place`` call locates every triangle position, with its
 half-level coordinates, and each multiset's placements tuple is built once
-and shared by every presentation of that normal form.  The configurations
-of a presentation share its ``BaseTuple`` and its fibre, so what is kept on
-those is computed once per presentation or normal form: the level values
-and coordinates, the vanishing pattern with its admissible sign vectors
-(read by the stability test and by positivity) and the zero-free tuple that
-``normalize_pair`` and ``stabilizer_rank`` read.  Occupancy is an OR over a
-configuration's shared locations.
+and shared by every presentation of that normal form (``_Placed``).  So is
+what the suites read of a placements tuple: its occupied coordinates, from
+one ``occupied_bits``, and, counted on first need, its ``count_sides`` at
+every level coordinate of the normal form.  On a presentation, occupancy
+is one int test against its ``level_bits`` and the profile is the counts
+at its ``level_coords``, selected.  What the presentation itself reads is
+kept on its ``BaseTuple`` and computed once: the level values and
+coordinates, the vanishing pattern with its admissible sign vectors (read
+by the stability test and by positivity) and the zero-free tuple that
+``normalize_pair`` and ``stabilizer_rank`` read.  A ``PointConfiguration``
+is built only where a library verdict takes one or a failure names one.
 
 A verdict runs once per value of what it reads, at the first configuration
 in sweep order that has that value, and the later configurations read the
 stored result; so a verdict that fails, fails at the same configuration as
-when every configuration computed it.  Occupancy is tested for every
-configuration, and only occupied ones reach ``weights.profile``, which
-reads each placement once.  The swept points carry no local scheme, so the
-constructive lift, its sign table and, in stability-equivalence, the
-stability re-check read a configuration only through its profile and its
-presentation's vanishing pattern, which fixes the admissible sign vectors:
-they run once per (vanishing pattern, profile) over the whole suite,
-whatever the level values.  Li–Wu stability reads only the fibre and the
-points, so the bijection suite decides it, normalizes and compares once per
-(normal form, multiset), at the normal form's first presentation; the later
-presentations only test that they are not strictly stable where it fails.
-Every verdict over the placements is a plain loop, with no generator frame
-per point or per configuration.  The limit oracle's occupancy test is the
-cut set lying inside the levels hit by the points, which it lists once per
-call.
+when every configuration computed it.  The swept points carry no local
+scheme, so the constructive lift, its sign table and, in
+stability-equivalence, the stability re-check read a configuration only
+through its profile and its presentation's vanishing pattern, which fixes
+the admissible sign vectors: they run once per (vanishing pattern,
+profile) over the whole suite, whatever the level values.  On an
+unoccupied configuration ``exists_stabilizing_linearization`` reads only
+occupancy, so it runs once per (presentation, occupied coordinates).
+Li–Wu stability reads only the fibre and the points, so the bijection
+suite decides it, normalizes and compares once per (normal form,
+multiset), at the normal form's first presentation, and keeps the
+multisets that are admissible but not Li–Wu stable; the later
+presentations only test those for occupancy.  Every verdict over the
+placements is a plain loop, with no generator frame per point or per
+configuration.  The limit oracle's occupancy test is the cut set lying
+inside the levels hit by the points, which it lists once per call.
 """
 
 from __future__ import annotations
@@ -49,16 +54,17 @@ from .base import BaseTuple, NormalForm, make_base_tuple, normal_form, tau_move
 from .configurations import (
     PointConfiguration,
     SupportPoint,
+    is_admissible,
     is_lw_stable,
     is_sws_stable,
-    is_ws_stable,
     normalize_pair,
+    occupied_bits,
     place,
 )
-from .dual_complex import ExpandedFibre, Location, build_fibre, complex_counts
+from .dual_complex import build_fibre, complex_counts
 from .errors import DegenLabError
 from .limits import flat_limit, unique_stable_subdivision_oracle
-from .weights import exists_stabilizing_linearization, profile
+from .weights import Profile, count_sides, exists_stabilizing_linearization
 
 __all__ = [
     "SuiteResult",
@@ -210,42 +216,79 @@ def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
     )
 
 
-def _presentation_configs(
-    max_k: int, max_m: int
-) -> Iterator[tuple[BaseTuple, Iterator[PointConfiguration]]]:
-    """Every presentation with the lazy stream of its configurations.
+class _Placed:
+    """The multisets of one height as every presentation of one normal
+    form reads them.
 
-    Per height, the weighted multisets are listed once.  Per normal form,
-    ``place`` locates every triangle position once and each multiset's
-    placements tuple is read from that one placement; every presentation of
-    the normal form shares the fibre and those tuples, so each configuration
-    equals ``place(presentation, points)``.
+    ``place`` locates every triangle position once, and ``placements[i]``,
+    the locations of multiset i, is read from that one placement.  Beside
+    it, ``bits[i]`` is its ``occupied_bits`` and ``counts[i]`` its
+    ``count_sides`` at every level coordinate of the normal form, ``0, 2,
+    ..., 2n + 2``, counted on first need.  On a presentation, multiset i is
+    occupied when ``level_bits & ~bits[i]`` is 0, and its profile is
+    ``counts[i]`` with the sides at the presentation's ``level_coords``
+    selected (``key``).
+    """
+
+    __slots__ = ("fibre", "multisets", "placements", "bits", "counts", "coords")
+
+    def __init__(
+        self, nf: NormalForm, multisets: tuple[tuple[SupportPoint, ...], ...], every_position
+    ) -> None:
+        fibre, _, every_point, every_location = place(nf, every_position)
+        where = dict(zip((p.valuations for p in every_point), every_location))
+        self.fibre = fibre
+        self.multisets = multisets
+        self.placements = tuple(
+            [tuple([where[p.valuations] for p in points]) for points in multisets]
+        )
+        self.bits = [occupied_bits(placements) for placements in self.placements]
+        self.counts: list[tuple[int, tuple] | None] = [None] * len(multisets)
+        self.coords = range(0, 2 * len(nf.cuts) + 3, 2)
+
+    def key(self, i: int, at: list[int]) -> tuple[int, tuple]:
+        """The profile of multiset i on a presentation with these ``_at``,
+        as a plain ``(m, sides)`` tuple, which equals and hashes as the
+        ``Profile``."""
+        counts = self.counts[i]
+        if counts is None:
+            counts = self.counts[i] = count_sides(
+                self.multisets[i], self.placements[i], self.coords
+            )
+        m, sides = counts
+        return m, tuple(map(sides.__getitem__, at))
+
+    def config(self, presentation: BaseTuple, i: int) -> PointConfiguration:
+        """Multiset i on the presentation, equal to ``place(presentation, points)``."""
+        fields = (self.fibre, presentation, self.multisets[i], self.placements[i])
+        return tuple.__new__(PointConfiguration, fields)  # as ``_make``, minus its checks
+
+    def configs(self, presentation: BaseTuple) -> Iterator[PointConfiguration]:
+        """Every multiset on the presentation, one tuple per configuration built in C."""
+        fields = zip(repeat(self.fibre), repeat(presentation), self.multisets, self.placements)
+        return map(tuple.__new__, repeat(PointConfiguration), fields)
+
+
+def _sweep(max_k: int, max_m: int) -> Iterator[tuple[BaseTuple, _Placed]]:
+    """Every presentation with its normal form's ``_Placed`` multisets.
+
+    Per height, the weighted multisets are listed once; per normal form,
+    one ``_Placed`` is built and shared by every presentation of it.
     """
     for k, group in groupby(presentations(max_k), key=attrgetter("height")):
         multisets = tuple(weighted_configurations(k, max_m))
         every_position = [(pos, 1) for pos in triangle_positions(k)]
-        placed: dict[NormalForm, tuple[ExpandedFibre, tuple[tuple[Location, ...], ...]]] = {}
+        placed: dict[NormalForm, _Placed] = {}
         for presentation in group:
             nf = normal_form(presentation)
             if nf not in placed:
-                fibre, _, every_point, every_location = place(nf, every_position)
-                where = dict(zip((p.valuations for p in every_point), every_location))
-                placed[nf] = fibre, tuple(
-                    [tuple([where[p.valuations] for p in points]) for points in multisets]
-                )
-            yield presentation, _configs(presentation, multisets, *placed[nf])
+                placed[nf] = _Placed(nf, multisets, every_position)
+            yield presentation, placed[nf]
 
 
-def _configs(
-    presentation: BaseTuple,
-    multisets: tuple[tuple[SupportPoint, ...], ...],
-    fibre: ExpandedFibre,
-    placements: tuple[tuple[Location, ...], ...],
-) -> Iterator[PointConfiguration]:
-    # as ``PointConfiguration._make``, minus its checks, one tuple per
-    # configuration built in C
-    fields = zip(repeat(fibre), repeat(presentation), multisets, placements)
-    return map(tuple.__new__, repeat(PointConfiguration), fields)
+def _at(presentation: BaseTuple) -> list[int]:
+    """Where the presentation's level coordinates sit in ``_Placed.counts``."""
+    return [c >> 1 for c in presentation.level_coords]
 
 
 def _config_failure(name: str, cfg: PointConfiguration, problem: str) -> SuiteResult:
@@ -261,37 +304,41 @@ def _config_failure(name: str, cfg: PointConfiguration, problem: str) -> SuiteRe
 def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     """A stabilizing lift exists exactly when every level is occupied.
 
-    ``exists_stabilizing_linearization`` is called on every unoccupied
-    configuration and on the first occupied one of each (vanishing pattern,
-    profile) over the whole sweep, whose lift every later occupied
-    configuration with that pattern and that profile reuses, on any
-    presentation.  A lift that fails its re-verification at the dominating
-    scale, or any other ``DegenLabError``, fails the suite at that
-    configuration: the first of its group, so the first in sweep order to
-    fail.
+    ``exists_stabilizing_linearization`` is called on the first occupied
+    configuration of each (vanishing pattern, profile) over the whole
+    sweep, whose lift every later occupied configuration with that pattern
+    and that profile reuses, on any presentation.  On an unoccupied
+    configuration it reads only occupancy, so it is called once per
+    (presentation, occupied bits).  A lift that fails its re-verification
+    at the dominating scale, or any other ``DegenLabError``, fails the
+    suite at that configuration: the first of its group, so the first in
+    sweep order to fail.
     """
     checked = 0
     lifts_of = {}  # vanishing pattern -> profile -> its lift
-    for presentation, configs in _presentation_configs(max_k, max_m):
+    for presentation, placed in _sweep(max_k, max_m):
         lifts = lifts_of.setdefault(presentation.vanishing_pattern(), {})
-        for cfg in configs:
-            occupied = is_ws_stable(cfg)
-            lin = None
+        level_bits, at = presentation.level_bits, _at(presentation)
+        unoccupied = {}  # occupied bits -> None, on this presentation
+        for i, bits in enumerate(placed.bits):
+            occupied = not level_bits & ~bits
             if occupied:
-                key = profile(cfg)
-                lin = lifts.get(key)
-            if lin is None:
+                key, known = placed.key(i, at), lifts
+            else:
+                key, known = bits, unoccupied
+            if key not in known:
+                cfg = placed.config(presentation, i)
                 try:
                     lin = exists_stabilizing_linearization(cfg)
                 except DegenLabError as exc:
                     return _config_failure("stability-equivalence", cfg, str(exc))
-                if occupied:
-                    lifts[key] = lin
-            if (lin is not None) != occupied:
-                found = "found" if lin else "missing"
-                return _config_failure(
-                    "stability-equivalence", cfg, f"occupancy {occupied} but linearization {found}"
-                )
+                if (lin is not None) != occupied:
+                    found = "found" if lin else "missing"
+                    return _config_failure(
+                        "stability-equivalence", cfg,
+                        f"occupancy {occupied} but linearization {found}",
+                    )
+                known[key] = lin
             checked += 1
     return SuiteResult(
         "stability-equivalence",
@@ -307,15 +354,15 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     sign) entry that some admissible s uses is checked once per table; a
     failure names the first s that uses a failing entry.  The entries are
     listed once per vanishing pattern.  The lift and its table are built
-    from one profile and checked once per (vanishing pattern, profile) over
-    the whole sweep, at its first occupied configuration, and every
+    from one ``Profile`` and checked once per (vanishing pattern, profile)
+    over the whole sweep, at its first occupied configuration, and every
     occupied configuration counts its ``len(signs)`` pairs.  A
     ``DegenLabError`` from the constructive lift fails the suite at the
     first configuration of its group.
     """
     checked = 0
     patterns = {}  # vanishing pattern -> (its entries, len(signs), profiles that pass)
-    for presentation, configs in _presentation_configs(max_k, max_m):
+    for presentation, placed in _sweep(max_k, max_m):
         pattern = presentation.vanishing_pattern()
         if pattern not in patterns:
             signs = pattern.sign_vectors
@@ -327,17 +374,19 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
             entries = [(j, s_j, s) for (j, s_j), s in first_use.items()]
             patterns[pattern] = entries, len(signs), set()
         entries, pairs, passed = patterns[pattern]
-        for cfg in configs:
-            if not is_ws_stable(cfg):
+        level_bits, at = presentation.level_bits, _at(presentation)
+        for i, bits in enumerate(placed.bits):
+            if level_bits & ~bits:
                 continue
-            key = profile(cfg)
+            key = placed.key(i, at)
             if key in passed:
                 checked += pairs
                 continue
+            profile = Profile(*key)
             try:
-                table = key.lift_table(key.lift(presentation.level_values))
+                table = profile.lift_table(profile.lift(presentation.level_values))
             except DegenLabError as exc:
-                return _config_failure("positivity", cfg, str(exc))
+                return _config_failure("positivity", placed.config(presentation, i), str(exc))
             for j, s_j, s in entries:
                 term = s_j * table[j][s_j > 0]
                 if term <= 0:
@@ -345,7 +394,7 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                         "positivity",
                         False,
                         f"presentation {presentation.exponents} points "
-                        f"{[p.valuations for p in cfg.points]} s={s}: "
+                        f"{[p.valuations for p in placed.multisets[i]]} s={s}: "
                         f"level {j + 1} term {term}",
                     )
             passed.add(key)
@@ -358,10 +407,12 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
 
     ``is_lw_stable``, ``normalize_pair`` and the comparison with the
     normalized ``is_sws_stable`` run once per (normal form, multiset), at
-    the normal form's first presentation in sweep order, which keeps the
-    Li–Wu verdicts in a list, one per multiset, until its height ends.
-    Every later presentation that is not zero-free reads that list to test
-    that no configuration is strictly stable without being Li–Wu stable.
+    the normal form's first presentation in sweep order, which also keeps,
+    until its height ends, the multisets that are admissible but not Li–Wu
+    stable.  Strict stability is admissibility and occupancy, so every
+    later presentation that is not zero-free tests only those multisets'
+    occupancy to find a configuration that is strictly stable without
+    being Li–Wu stable.
     """
     checked = 0
     zero_free_seen: dict[NormalForm, int] = {}
@@ -374,15 +425,15 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
         return SuiteResult(
             "bijection", False, f"classes without a unique zero-free presentation: {bad}"
         )
-    height, lw_of = 0, {}  # normal form -> the Li–Wu verdict of each multiset
-    for presentation, configs in _presentation_configs(max_k, max_m):
+    height, suspects_of = 0, {}  # normal form -> its admissible multisets without Li–Wu
+    for presentation, placed in _sweep(max_k, max_m):
         if presentation.height != height:
-            height, lw_of = presentation.height, {}
-        nf = normal_form(presentation)
-        verdicts = lw_of.get(nf)
-        if verdicts is None:
-            verdicts = lw_of[nf] = []
-            for cfg in configs:
+            height, suspects_of = presentation.height, {}
+        nf = placed.fibre.nf
+        suspects = suspects_of.get(nf)
+        if suspects is None:
+            suspects = suspects_of[nf] = []
+            for i, cfg in enumerate(placed.configs(presentation)):
                 lw = is_lw_stable(cfg)
                 normalized = normalize_pair(cfg)
                 sws_normalized = is_sws_stable(normalized)
@@ -393,13 +444,15 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                 # on a zero-free presentation ``normalized`` is ``cfg``: its
                 # sws verdict is ``sws_normalized``, which equals ``lw`` here
                 if not lw and normalized is not cfg and is_sws_stable(cfg):
-                    return _sws_without_lw(cfg)
-                verdicts.append(lw)
+                    return _sws_without_lw(presentation)
+                if not lw and is_admissible(cfg):
+                    suspects.append(i)
         elif 0 in presentation.exponents:
-            for cfg, lw in zip(configs, verdicts):
-                if not lw and is_sws_stable(cfg):
-                    return _sws_without_lw(cfg)
-        checked += len(verdicts)
+            level_bits, bits = presentation.level_bits, placed.bits
+            for i in suspects:
+                if not level_bits & ~bits[i]:
+                    return _sws_without_lw(presentation)
+        checked += len(placed.multisets)
     return SuiteResult(
         "bijection",
         True,
@@ -407,8 +460,8 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     )
 
 
-def _sws_without_lw(cfg: PointConfiguration) -> SuiteResult:
-    return SuiteResult("bijection", False, f"sws without lw at {cfg.presentation.exponents}")
+def _sws_without_lw(presentation: BaseTuple) -> SuiteResult:
+    return SuiteResult("bijection", False, f"sws without lw at {presentation.exponents}")
 
 
 def run_all(max_k: int = 5, max_m: int = 3) -> list[SuiteResult]:

@@ -34,8 +34,8 @@ itself is defined, on plain valuations, by the test oracle
 As in the torus-factor form of the Hilbert–Mumford criterion of
 Gulbrandsen–Halle–Hulek, a configuration enters the combinatorial part only
 through its ``profile``: the total multiplicity and, per level, the
-multiplicity on each side of it.  ``profile`` reads every placement once:
-``a`` and ``k - b`` order against a level value exactly as the
+multiplicity on each side of it.  ``count_sides`` reads every placement
+once: ``a`` and ``k - b`` order against a level value exactly as the
 ``Location``'s half-level coordinates ``x`` and ``y`` order against the
 value's coordinate ``2p``.  The constructive lift (``Profile.lift``) and the
 sign table (``Profile.lift_table``) are arithmetic over the profile, which
@@ -53,10 +53,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .base import VanishingPattern
-from .configurations import PointConfiguration, is_ws_stable
+from .configurations import PointConfiguration, SupportPoint, is_ws_stable
+from .dual_complex import Location
 from .errors import CriterionViolated, DegenLabError, InvalidInput, InvalidLocalScheme, NoLimit
 
 __all__ = [
@@ -66,6 +67,7 @@ __all__ = [
     "LocalMonomialScheme",
     "Profile",
     "profile",
+    "count_sides",
     "admissible_1ps",
     "weight_rows",
     "bounded_weight",
@@ -223,19 +225,33 @@ class Profile(NamedTuple):
 
 
 def profile(cfg: PointConfiguration) -> Profile:
-    """The configuration's ``Profile``, from one read of each placement.
+    """The configuration's ``Profile``: its ``count_sides`` at the level
+    coordinates of its presentation.  No scheme is read."""
+    counts = count_sides(cfg.points, cfg.placements, cfg.presentation.level_coords)
+    return tuple.__new__(Profile, counts)  # as ``Profile._make``
+
+
+def count_sides(
+    points: Sequence[SupportPoint], placements: Sequence[Location], coords: Iterable[int]
+) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """``(m, sides)`` from one read of each placement: the total
+    multiplicity and, per coordinate c of ``coords``, the multiplicities
+    ``(lt, eq1, gt, eq2)`` with ``x < c``, ``x = c``, ``y > c`` and ``y = c``.
 
     This is where the lift and its table compare a point's half-level
-    coordinates with a level; no scheme is read.
+    coordinates with a level.  ``profile`` counts at a presentation's
+    level coordinates; ``verify`` counts a multiset once at every level
+    coordinate of its normal form and selects each presentation's from
+    those.
     """
     m = 0
     placed = []
-    for p, loc in zip(cfg.points, cfg.placements):
+    for p, loc in zip(points, placements):
         mult = p.multiplicity
         m += mult
         placed.append((loc.x, loc.y, mult))
     sides = []
-    for c in cfg.presentation.level_coords:
+    for c in coords:
         lt = eq1 = gt = eq2 = 0
         for x, y, mult in placed:
             if x < c:
@@ -247,7 +263,7 @@ def profile(cfg: PointConfiguration) -> Profile:
             elif y == c:
                 eq2 += mult
         sides.append((lt, eq1, gt, eq2))
-    return tuple.__new__(Profile, (m, tuple(sides)))  # as ``Profile._make``
+    return m, tuple(sides)
 
 
 def _scheme_degrees(cfg: PointConfiguration) -> list[int]:

@@ -4,6 +4,7 @@ import re
 from ast import literal_eval
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenlab import (
     CriterionViolated, DegenLabError, NormalForm, configurations, limits, verify, weights,
@@ -11,18 +12,20 @@ from degenlab import (
 from degenlab.base import BaseTuple, canonical_tuple, normal_form
 from degenlab.cli import main
 from degenlab.configurations import (
-    is_sws_stable, is_ws_stable, normalize_pair, place, stability_report, stabilizer_rank,
+    SupportPoint, is_admissible, is_sws_stable, is_ws_stable, normalize_pair, place,
+    stability_report, stabilizer_rank,
 )
 from degenlab.verify import presentations, run_all, weighted_configurations
 
 import oracles
 from guards import calls_by_name
+from strategies import presented_points
 
 
 def test_presentation_configs_are_the_placed_configurations():
     yielded = [
-        (presentation, list(configs))
-        for presentation, configs in verify._presentation_configs(4, 2)
+        (presentation, list(placed.configs(presentation)))
+        for presentation, placed in verify._sweep(4, 2)
     ]
     assert [p for p, _ in yielded] == list(presentations(4))
     assert BaseTuple((1, 0, 1)) in [p for p, _ in yielded]
@@ -42,6 +45,28 @@ def test_presentation_configs_are_the_placed_configurations():
     assert len(shared) == 15
 
 
+@settings(max_examples=200)
+@given(presented_points(5, 3, 3), st.booleans(), st.booleans())
+def test_a_multiset_reads_on_each_presentation_as_the_public_verdicts(case, lead, trail):
+    """What the sweep keeps of a multiset on its normal form, selected at a
+    presentation's level coordinates, is what the public functions give
+    for ``place(presentation, points)``: occupancy, the profile and, kept
+    at the zero-free presentation, admissibility.  The presentations have
+    unit slots, with one more in front and at the end when drawn, so that
+    the level coordinates 0 and 2n + 2 occur."""
+    exponents, points = case
+    presentation = BaseTuple((0,) * lead + exponents + (0,) * trail)
+    nf, support = normal_form(presentation), tuple(SupportPoint(*p) for p in points)
+    every_position = [(pos, 1) for pos in verify.triangle_positions(nf.height)]
+    placed = verify._Placed(nf, (support,), every_position)
+    cfg = place(presentation, support)
+    assert placed.config(presentation, 0) == cfg
+    assert (not presentation.level_bits & ~placed.bits[0]) == is_ws_stable(cfg)
+    key = placed.key(0, verify._at(presentation))
+    assert key == weights.profile(cfg) and hash(key) == hash(weights.profile(cfg))
+    assert is_admissible(placed.config(canonical_tuple(nf), 0)) == is_admissible(cfg)
+
+
 def test_swept_points_carry_no_scheme():
     """Stability-equivalence and positivity lift once per (vanishing
     pattern, profile) over the whole sweep, which is sound only because
@@ -57,16 +82,17 @@ def test_occupancy_on_the_shared_locations_is_the_valuation_rule():
     """Unit slots give the level values 0 and k, occupied by a = 0, b = k
     and by a = k, b = 0."""
     boundary_levels = set()
-    for presentation, configs in verify._presentation_configs(4, 2):
+    for presentation, placed in verify._sweep(4, 2):
         k = presentation.height
         values = presentation.level_values
         boundary_levels |= {v for v in values if v in (0, k)}
         zero_free = canonical_tuple(normal_form(presentation)).exponents
-        for cfg in configs:
+        for cfg, bits in zip(placed.configs(presentation), placed.bits, strict=True):
             points = [(p.valuations, p.multiplicity) for p in cfg.points]
             expected = oracles.unoccupied(presentation.exponents, points)
             assert stability_report(cfg).unoccupied_levels == expected, (values, cfg.points)
             assert stabilizer_rank(cfg) == len(oracles.unoccupied(zero_free, points))
+            assert (not presentation.level_bits & ~bits) == (not expected), (values, cfg.points)
     assert boundary_levels == {0, 1, 2, 3, 4}
 
 
@@ -117,8 +143,8 @@ def named(cfg, problem, at=""):
 
 def ungrouped_stability_equivalence(max_k, max_m):
     """The first FAIL detail when every configuration is lifted, or None."""
-    for _, configs in verify._presentation_configs(max_k, max_m):
-        for cfg in configs:
+    for presentation, placed in verify._sweep(max_k, max_m):
+        for cfg in placed.configs(presentation):
             occupied = is_ws_stable(cfg)
             try:
                 lin = weights.exists_stabilizing_linearization(cfg)
@@ -133,11 +159,11 @@ def ungrouped_stability_equivalence(max_k, max_m):
 def ungrouped_positivity(max_k, max_m):
     """The first FAIL detail when every occupied configuration is lifted and
     every term of every admissible s is tested, or None."""
-    for presentation, configs in verify._presentation_configs(max_k, max_m):
-        for cfg in configs:
+    for presentation, placed in verify._sweep(max_k, max_m):
+        for cfg in placed.configs(presentation):
             if not is_ws_stable(cfg):
                 continue
-            key = verify.profile(cfg)
+            key = weights.profile(cfg)
             try:
                 table = key.lift_table(key.lift(presentation.level_values))
             except DegenLabError as exc:
@@ -152,8 +178,8 @@ def ungrouped_positivity(max_k, max_m):
 
 def ungrouped_bijection(max_k, max_m):
     """The first FAIL detail when every configuration computes every verdict, or None."""
-    for presentation, configs in verify._presentation_configs(max_k, max_m):
-        for cfg in configs:
+    for presentation, placed in verify._sweep(max_k, max_m):
+        for cfg in placed.configs(presentation):
             lw = verify.is_lw_stable(cfg)
             sws_normalized = is_sws_stable(normalize_pair(cfg))
             if lw != sws_normalized:
@@ -166,11 +192,20 @@ def ungrouped_bijection(max_k, max_m):
 PATTERN = BaseTuple((1, 1)).vanishing_pattern()  # also that of (1, 2) and (2, 1)
 
 
-class Negated(weights.Profile):
-    """A profile whose lift table is negated."""
+ONE_POINT_ON_BOTH = (1, ((0, 1, 0, 1),))  # a profile of (0, 1) and of (1, 0) at k = 1
 
-    def lift_table(self, lin):
-        return [(-neg, -pos) for neg, pos in super().lift_table(lin)]
+
+def positive_column_negated(original):
+    """``Profile.lift_table``, with the s_j = +1 column negated for the one
+    profile ``ONE_POINT_ON_BOTH``.  Positivity reads that column only on
+    patterns that admit s_j = +1: the profile passes on (0, 1), whose only
+    sign vector is (-1,), and fails on (1, 0), whose only one is (1,)."""
+
+    def broken(key, lin):
+        table = original(key, lin)
+        return [(neg, -pos) for neg, pos in table] if key == ONE_POINT_ON_BOTH else table
+
+    return broken
 
 
 def broken_on_one_key(original, flip):
@@ -190,8 +225,8 @@ def broken_on_one_key(original, flip):
     [
         (verify.check_stability_equivalence, ungrouped_stability_equivalence, weights,
          "_stable", lambda original: broken_on_one_key(original, lambda stable: False)),
-        (verify.check_positivity, ungrouped_positivity, verify, "profile",
-         lambda original: broken_on_one_key(original, lambda key: Negated(*key))),
+        (verify.check_positivity, ungrouped_positivity, weights.Profile, "lift_table",
+         positive_column_negated),
         (verify.check_bijection, ungrouped_bijection, verify, "is_lw_stable",
          lambda original: lambda cfg: original(cfg) and cfg.fibre.nf != NormalForm(3, (2,))),
     ],
@@ -223,7 +258,7 @@ def test_a_raising_lift_fails_its_suites_and_verify_prints_every_line(monkeypatc
 
     # only ``verify``'s own profiles refuse to lift, so stability-equivalence
     # still lifts through ``exists_stabilizing_linearization``
-    monkeypatch.setattr(verify, "profile", lambda cfg: Refusing(*weights.profile(cfg)))
+    monkeypatch.setattr(verify, "Profile", Refusing)
     result = verify.check_positivity(max_k=3, max_m=2)
     assert not result.ok
     assert re.fullmatch(r"presentation \([\d, ]*\) points \[.*\]: no lift", result.detail)

@@ -121,21 +121,34 @@ def test_stability_sweep_lists_sign_vectors_once_per_presentation():
 
 
 @pytest.mark.parametrize(
-    "suite,sides",
-    [(check_positivity, 1280), (check_stability_equivalence, 1280 + 302)],
+    "suite,counts",
+    [(check_positivity, {"count_sides": 218}),
+     (check_stability_equivalence, {"count_sides": 218 + 302, "profile": 302})],
     ids=["check_positivity", "check_stability_equivalence"],
 )
-def test_sweeps_count_sides_once_per_occupied_configuration(suite, sides):
-    """Occupancy is tested before a lift is built: of the 2,970
-    configurations at k <= 3, m <= 2, only the 1,280 occupied ones reach
-    ``profile``, and each builds its profile once, for the group that its
-    lift is looked up by.  Stability-equivalence lifts the first
-    configuration of each of the 302 groups through
-    ``exists_stabilizing_linearization``, which builds it once more for the
-    lift, its table and the stability re-check."""
-    with calls_by_name("profile") as counts:
+def test_sweeps_count_sides_once_per_occupied_configuration(suite, counts):
+    """The sides are counted once per occupied (normal form, multiset)
+    pair: of the 330 pairs at k <= 3, m <= 2, the 218 that some
+    presentation occupies are counted at every level coordinate of their
+    normal form, and each of the 1,280 occupied configurations selects its
+    profile from those counts; no configuration builds a ``profile``.
+    Stability-equivalence lifts the first configuration of each of the 302
+    groups through ``exists_stabilizing_linearization``, which builds one
+    profile, so counts once more, for the lift, its table and the stability
+    re-check."""
+    with calls_by_name("count_sides", "profile") as calls:
         assert suite(max_k=3, max_m=2).ok
-    assert counts == {"profile": sides}
+    assert calls == counts
+
+
+def test_stability_equivalence_asks_once_per_presentation_and_occupied_bits():
+    """On an unoccupied configuration ``exists_stabilizing_linearization``
+    reads only occupancy, so of the 1,690 unoccupied configurations at
+    k <= 3, m <= 2 only the first of each (presentation, occupied bits), 444
+    in all, asks it; the 302 lift groups ask it once each."""
+    with calls_by_name("exists_stabilizing_linearization") as calls:
+        assert check_stability_equivalence(max_k=3, max_m=2).ok
+    assert calls == {"exists_stabilizing_linearization": 302 + 444}
 
 
 @pytest.mark.parametrize(
@@ -159,10 +172,13 @@ def test_bijection_decides_li_wu_once_per_normal_form_and_multiset():
     multiset) pairs: the 7 normal forms of heights 1-3 times the 10, 28 and
     66 multisets of m <= 2 at each height.  Li–Wu stability reads only the
     fibre and the points, so the suite decides it, and normalizes, once per
-    pair."""
-    with calls_by_name("is_lw_stable", "normalize_pair") as counts:
+    pair.  Admissibility reads only the placements, so it is kept beside
+    the Li–Wu verdict, and the later presentations call no
+    ``is_sws_stable``: it runs once per pair, on the normalized
+    configuration (2,134 times when each configuration ran it)."""
+    with calls_by_name("is_lw_stable", "normalize_pair", "is_sws_stable") as counts:
         assert check_bijection(max_k=3, max_m=2).ok
-    assert counts == {"is_lw_stable": 330, "normalize_pair": 330}
+    assert counts == {"is_lw_stable": 330, "normalize_pair": 330, "is_sws_stable": 330}
 
 
 @pytest.mark.parametrize(
