@@ -15,7 +15,9 @@ The equivalences of the moduli construction act on tuples as
 * the torus rescaling, which for closed points makes every unit value
   immaterial once at least one entry vanishes.
 
-All values are immutable; every function here is pure.
+All values are immutable; every function here is pure.  So the facts that
+a value derives from its fields are computed on first read and kept on it,
+through the one rule ``cached``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
@@ -43,7 +44,37 @@ __all__ = [
     "standard_embed",
     "tau_move",
     "equivalent",
+    "cached",
 ]
+
+
+class cached:
+    """A fact of an immutable value, computed on its first read and stored
+    in the instance ``__dict__`` under the fact's name.
+
+    The descriptor defines no ``__set__``, so every later read finds the
+    stored value in ``__dict__`` and never calls it again.  This is
+    ``functools.cached_property`` as Python 3.12 has it.  The 3.11 version
+    also takes an ``RLock`` on every first read, and the sweeps of
+    ``verify`` make tens of thousands of first reads.  No lock is needed:
+    each fact kept this way is a pure function of its value's frozen
+    fields, so two threads that both miss compute equal values, and either
+    may be kept.  The facts of ``BaseTuple``, ``VanishingPattern`` and
+    ``dual_complex.ExpandedFibre`` are kept this way.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def half_level(levels, v: int) -> int:
@@ -62,9 +93,12 @@ def half_level(levels, v: int) -> int:
 class BaseTuple:
     """Vanishing orders of the basis directions at a valued base point.
 
-    The level values and the vanishing pattern depend only on the exponents,
-    so each is computed on first access and kept; equality, hashing and the
-    ``repr`` read the exponents alone.
+    The level facts depend only on the exponents and are computed together,
+    on the first read of any of them, by one pass (``_levels``): the level
+    values, their half-level coordinates, the coordinate bits and the
+    interior cuts, which ``normal_form`` reads.  Each is then kept on the
+    tuple, as is the vanishing pattern (see ``cached``); equality, hashing
+    and the ``repr`` read the exponents alone.
     """
 
     exponents: tuple[int, ...]
@@ -77,31 +111,49 @@ class BaseTuple:
     def length(self) -> int:
         return len(self.exponents)
 
-    @cached_property
+    @cached
     def level_values(self) -> tuple[int, ...]:
         """Partial sums v_1..v_n of the exponents (one per torus factor)."""
-        return tuple(accumulate(self.exponents[:-1]))
+        return self._levels()[0]
 
-    @cached_property
+    @cached
     def level_coords(self) -> tuple[int, ...]:
         """Each level value's half-level coordinate among the levels
         ``(0, *cuts, k)`` of the presented fibre (see ``half_level``)."""
-        levels = sorted({0, self.height, *self.level_values})
-        return tuple([half_level(levels, v) for v in self.level_values])
+        return self._levels()[1]
 
-    @cached_property
+    @cached
     def level_bits(self) -> int:
         """Bit c set for each level coordinate c."""
+        return self._levels()[2]
+
+    @cached
+    def cuts(self) -> tuple[int, ...]:
+        """The distinct level values strictly inside ``(0, k)``, increasing:
+        the cuts of the normal form."""
+        return self._levels()[3]
+
+    def _levels(self) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
+        """``(level_values, level_coords, level_bits, cuts)`` in one pass,
+        each also stored under its name, so that the first read of any of
+        them is the only one that reaches a ``cached`` descriptor.  Each
+        level is ranked by one ``half_level`` call."""
+        values = tuple(accumulate(self.exponents[:-1]))
+        k = self.height
+        cuts = tuple(sorted({v for v in values if 0 < v < k}))
+        levels = (0, *cuts, k)
+        coords = tuple([half_level(levels, v) for v in values])
         bits = 0
-        for c in self.level_coords:
+        for c in coords:
             bits |= 1 << c
-        return bits
+        vars(self).update(level_values=values, level_coords=coords, level_bits=bits, cuts=cuts)
+        return values, coords, bits, cuts
 
     def vanishing_pattern(self) -> VanishingPattern:
         """Which basis directions vanish (1-based indices)."""
         return self._vanishing_pattern
 
-    @cached_property
+    @cached
     def _vanishing_pattern(self) -> VanishingPattern:
         vanishing = frozenset(i + 1 for i, g in enumerate(self.exponents) if g > 0)
         return VanishingPattern(size=self.length, vanishing=vanishing)
@@ -150,7 +202,7 @@ class VanishingPattern:
     def base_codimension(self) -> int:
         return len(self.vanishing)
 
-    @cached_property
+    @cached
     def sign_vectors(self) -> tuple[tuple[int, ...], ...]:
         """The admissible nonzero vectors in {-1, 0, 1}^(size - 1), in
         ``product`` order, listed once per pattern object.
@@ -285,7 +337,7 @@ def normal_form(t: BaseTuple) -> NormalForm:
     k = t.height
     if k < 1:
         raise InvalidInput("normal form requires height >= 1")
-    return NormalForm(k, tuple(sorted({v for v in t.level_values if 0 < v < k})))
+    return NormalForm(k, t.cuts)
 
 
 def canonical_tuple(nf: NormalForm) -> BaseTuple:

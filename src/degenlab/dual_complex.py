@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .base import BaseTuple, NormalForm, canonical_tuple, half_level
+from .base import BaseTuple, NormalForm, cached, canonical_tuple, half_level
 from .errors import HeightMismatch, InvalidInput
 
 __all__ = [
@@ -127,20 +127,20 @@ class DualComplex:
 @dataclass(frozen=True)
 class ExpandedFibre:
     """A normal form with its dual complex and its zero-free presentation,
-    each built on first access."""
+    each built on first access and kept (``base.cached``)."""
 
     nf: NormalForm
 
-    @cached_property
+    @cached
     def dual_complex(self) -> DualComplex:
         return _dual_complex(self.nf)
 
-    @cached_property
+    @cached
     def canonical_tuple(self) -> BaseTuple:
         """The zero-free presentation of the normal form, computed once."""
         return canonical_tuple(self.nf)
 
-    @cached_property
+    @cached
     def levels(self) -> tuple[int, ...]:
         """``(0, *cuts, k)``, the levels that ``locate`` ranks against."""
         return (0, *self.nf.cuts, self.nf.height)

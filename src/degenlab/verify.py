@@ -6,21 +6,28 @@ enumerations here are deliberately brute force so they can serve as oracles
 for the constructive algorithms.
 
 The three configuration suites sweep presentations in the outer loop.  The
-weighted point multisets are listed once per height.  The expanded fibre,
-and so the location of every point, depends only on the normal form: per
-normal form, one ``place`` call locates every triangle position, with its
+presentations of each height and length are the compositions of the height,
+listed by stars and bars (``presentations``) and built without re-checking,
+since each is valid by construction.  The weighted point multisets are
+listed once per height, from one shared ``SupportPoint`` per (position,
+multiplicity).  The expanded fibre, and so the location of every point,
+depends only on the normal form: per normal form, one ``place`` call locates
+the shared multiplicity-one points, one per triangle position, with their
 half-level coordinates, and each multiset's placements tuple is built once
 and shared by every presentation of that normal form (``_Placed``).  So is
 what the suites read of a placements tuple: its occupied coordinates, from
 one ``occupied_bits``, and, counted on first need, its ``count_sides`` at
 every level coordinate of the normal form.  On a presentation, occupancy
 is one int test against its ``level_bits`` and the profile is the counts
-at its ``level_coords``, selected.  What the presentation itself reads is
-kept on its ``BaseTuple`` and computed once: the level values and
-coordinates, the vanishing pattern with its admissible sign vectors (read
-by the stability test and by positivity) and the zero-free tuple that
-``normalize_pair`` and ``stabilizer_rank`` read.  A ``PointConfiguration``
-is built only where a library verdict takes one or a failure names one.
+at its ``level_coords``, selected by one ``operator.itemgetter`` per
+presentation (``_at``).  What the presentation itself reads is kept on its
+``BaseTuple`` (``base.cached``): the level values and coordinates, the
+level bits and the cuts of its normal form, from one pass, the vanishing
+pattern with its admissible sign vectors (read by the stability test and
+by positivity) and the zero-free tuple that ``normalize_pair`` and
+``stabilizer_rank`` read.  No cache outlives a suite call: each call
+enumerates its presentations afresh.  A ``PointConfiguration`` is built
+only where a library verdict takes one or a failure names one.
 
 A verdict runs once per value of what it reads, at the first configuration
 in sweep order that has that value, and the later configurations read the
@@ -47,10 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, groupby, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
-from .base import BaseTuple, NormalForm, make_base_tuple, normal_form, tau_move
+from .base import BaseTuple, NormalForm, normal_form, tau_move
 from .configurations import (
     PointConfiguration,
     SupportPoint,
@@ -144,9 +151,7 @@ def check_tau_fixpoints(max_size: int = 6) -> SuiteResult:
                             False,
                             f"move {source}->{target} fixes {t.exponents}",
                         )
-                    vanish = frozenset(
-                        i + 1 for i, g in enumerate(moved.exponents) if g > 0
-                    )
+                    vanish = frozenset([i + 1 for i, g in enumerate(moved.exponents) if g > 0])
                     if vanish != frozenset(target):
                         return SuiteResult(
                             "tau-fixpoints",
@@ -163,33 +168,43 @@ def triangle_positions(k: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def weighted_configurations(k: int, max_m: int) -> Iterator[tuple[SupportPoint, ...]]:
-    """All weighted point multisets of total multiplicity 0..max_m."""
+def weighted_configurations(k: int, max_m: int) -> list[tuple[SupportPoint, ...]]:
+    """All weighted point multisets of total multiplicity 0..max_m.
+
+    For each m, the multisets of m triangle positions come in the order of
+    ``combinations_with_replacement``, each position once, in order, with
+    its count.  Each (position, multiplicity) is one ``SupportPoint``,
+    shared by every multiset that holds it.
+    """
+    return _weighted(k, max_m)[1]
+
+
+def _weighted(k: int, max_m: int) -> tuple[list[SupportPoint], list[tuple[SupportPoint, ...]]]:
+    """The multiplicity-one point at every triangle position, and
+    ``weighted_configurations(k, max_m)`` built from the same points."""
     positions = triangle_positions(k)
-    yield ()
+    shared = [[SupportPoint(pos, mult) for mult in range(1, max(max_m, 1) + 1)] for pos in positions]
+    multisets = [()]
     for m in range(1, max_m + 1):
-        for combo in combinations_with_replacement(positions, m):
-            points = []
-            for pos in sorted(set(combo)):
-                points.append(SupportPoint(pos, combo.count(pos)))
-            yield tuple(points)
+        for combo in combinations_with_replacement(range(len(positions)), m):
+            multisets.append(tuple([shared[i][combo.count(i) - 1] for i in dict.fromkeys(combo)]))
+    return [points[0] for points in shared], multisets
 
 
 def presentations(max_k: int) -> Iterator[BaseTuple]:
-    """All base tuples of height 1..max_k and length 1..MAX_LENGTH."""
+    """All base tuples of height 1..max_k and length 1..MAX_LENGTH: by
+    height, then by length, the compositions in lexicographic order.
 
-    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first, *rest)
-
+    The compositions of k into n parts are, by stars and bars, the gaps
+    around n - 1 bars placed among k + n - 1 slots, and ``combinations``
+    lists the bars in the same order.  Each is valid by construction, so the
+    tuple is built without ``make_base_tuple``'s checks.
+    """
     for k in range(1, max_k + 1):
         for length in range(1, MAX_LENGTH + 1):
-            for exps in compositions(k, length):
-                yield make_base_tuple(list(exps))
+            slots = k + length - 1
+            for bars in combinations(range(slots), length - 1):
+                yield BaseTuple(tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]))
 
 
 def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
@@ -227,16 +242,16 @@ class _Placed:
     ..., 2n + 2``, counted on first need.  On a presentation, multiset i is
     occupied when ``level_bits & ~bits[i]`` is 0, and its profile is
     ``counts[i]`` with the sides at the presentation's ``level_coords``
-    selected (``key``).
+    selected by its ``_at`` (``key``).
     """
 
     __slots__ = ("fibre", "multisets", "placements", "bits", "counts", "coords")
 
     def __init__(
-        self, nf: NormalForm, multisets: tuple[tuple[SupportPoint, ...], ...], every_position
+        self, nf: NormalForm, multisets: list[tuple[SupportPoint, ...]], every_point
     ) -> None:
-        fibre, _, every_point, every_location = place(nf, every_position)
-        where = dict(zip((p.valuations for p in every_point), every_location))
+        fibre, _, points, locations = place(nf, every_point)
+        where = dict(zip((p.valuations for p in points), locations))
         self.fibre = fibre
         self.multisets = multisets
         self.placements = tuple(
@@ -246,17 +261,16 @@ class _Placed:
         self.counts: list[tuple[int, tuple] | None] = [None] * len(multisets)
         self.coords = range(0, 2 * len(nf.cuts) + 3, 2)
 
-    def key(self, i: int, at: list[int]) -> tuple[int, tuple]:
-        """The profile of multiset i on a presentation with these ``_at``,
-        as a plain ``(m, sides)`` tuple, which equals and hashes as the
-        ``Profile``."""
+    def key(self, i: int, select: itemgetter) -> tuple[int, tuple]:
+        """The profile of multiset i on a presentation whose ``_at`` is
+        ``select``, as a plain ``(m, sides)`` tuple, which equals and hashes
+        as the ``Profile``."""
         counts = self.counts[i]
         if counts is None:
             counts = self.counts[i] = count_sides(
                 self.multisets[i], self.placements[i], self.coords
             )
-        m, sides = counts
-        return m, tuple(map(sides.__getitem__, at))
+        return counts[0], select(counts[1])
 
     def config(self, presentation: BaseTuple, i: int) -> PointConfiguration:
         """Multiset i on the presentation, equal to ``place(presentation, points)``."""
@@ -272,23 +286,30 @@ class _Placed:
 def _sweep(max_k: int, max_m: int) -> Iterator[tuple[BaseTuple, _Placed]]:
     """Every presentation with its normal form's ``_Placed`` multisets.
 
-    Per height, the weighted multisets are listed once; per normal form,
-    one ``_Placed`` is built and shared by every presentation of it.
+    Per height, the weighted multisets are listed once, and ``place``
+    locates the same multiplicity-one points that they share; per normal
+    form, one ``_Placed`` is built and shared by every presentation of it.
     """
     for k, group in groupby(presentations(max_k), key=attrgetter("height")):
-        multisets = tuple(weighted_configurations(k, max_m))
-        every_position = [(pos, 1) for pos in triangle_positions(k)]
+        every_point, multisets = _weighted(k, max_m)
         placed: dict[NormalForm, _Placed] = {}
         for presentation in group:
             nf = normal_form(presentation)
-            if nf not in placed:
-                placed[nf] = _Placed(nf, multisets, every_position)
-            yield presentation, placed[nf]
+            shared = placed.get(nf)
+            if shared is None:
+                shared = placed[nf] = _Placed(nf, multisets, every_point)
+            yield presentation, shared
 
 
-def _at(presentation: BaseTuple) -> list[int]:
-    """Where the presentation's level coordinates sit in ``_Placed.counts``."""
-    return [c >> 1 for c in presentation.level_coords]
+def _at(presentation: BaseTuple) -> itemgetter:
+    """Selects the sides at the presentation's level coordinates from a
+    multiset's sides in ``_Placed.counts``, as a tuple: one ``itemgetter``,
+    over a slice when there are fewer than two levels (``itemgetter(j)``
+    would give the item itself, and ``itemgetter()`` is refused)."""
+    at = [c >> 1 for c in presentation.level_coords]
+    if len(at) >= 2:
+        return itemgetter(*at)
+    return itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
 
 
 def _config_failure(name: str, cfg: PointConfiguration, problem: str) -> SuiteResult:
@@ -318,12 +339,12 @@ def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     lifts_of = {}  # vanishing pattern -> profile -> its lift
     for presentation, placed in _sweep(max_k, max_m):
         lifts = lifts_of.setdefault(presentation.vanishing_pattern(), {})
-        level_bits, at = presentation.level_bits, _at(presentation)
+        level_bits, select = presentation.level_bits, _at(presentation)
         unoccupied = {}  # occupied bits -> None, on this presentation
         for i, bits in enumerate(placed.bits):
             occupied = not level_bits & ~bits
             if occupied:
-                key, known = placed.key(i, at), lifts
+                key, known = placed.key(i, select), lifts
             else:
                 key, known = bits, unoccupied
             if key not in known:
@@ -374,11 +395,11 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
             entries = [(j, s_j, s) for (j, s_j), s in first_use.items()]
             patterns[pattern] = entries, len(signs), set()
         entries, pairs, passed = patterns[pattern]
-        level_bits, at = presentation.level_bits, _at(presentation)
+        level_bits, select = presentation.level_bits, _at(presentation)
         for i, bits in enumerate(placed.bits):
             if level_bits & ~bits:
                 continue
-            key = placed.key(i, at)
+            key = placed.key(i, select)
             if key in passed:
                 checked += pairs
                 continue
@@ -417,8 +438,8 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     checked = 0
     zero_free_seen: dict[NormalForm, int] = {}
     for presentation in presentations(max_k):
-        nf = normal_form(presentation)
-        if all(g > 0 for g in presentation.exponents):
+        if 0 not in presentation.exponents:
+            nf = normal_form(presentation)
             zero_free_seen[nf] = zero_free_seen.get(nf, 0) + 1
     bad = {nf: c for nf, c in zero_free_seen.items() if c != 1}
     if bad:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
@@ -339,6 +339,42 @@ class Refused(Exception):
 
 def _levels(exponents) -> list[int]:
     return [sum(exponents[: j + 1]) for j in range(len(exponents) - 1)]
+
+
+def level_values(exponents) -> list[int]:
+    """The partial sums g_1 + ... + g_j, for j = 1..n: one per torus level."""
+    return _levels(exponents)
+
+
+def cuts(exponents) -> list[int]:
+    """The distinct level values strictly between 0 and the height, increasing."""
+    k = sum(exponents)
+    return sorted(v for v in set(_levels(exponents)) if 0 < v < k)
+
+
+def level_coords(exponents) -> list[int]:
+    """Each level value's half-level coordinate among the levels
+    ``(0, *cuts, k)``: every level value is one of them, so the coordinate
+    is twice its index there."""
+    levels = [0, *cuts(exponents), sum(exponents)]
+    return [2 * levels.index(v) for v in _levels(exponents)]
+
+
+def level_bits(exponents) -> int:
+    """The sum of ``2 ** c`` over the distinct level coordinates c."""
+    return sum(2**c for c in set(level_coords(exponents)))
+
+
+def weighted_multisets(k, max_m) -> list[tuple[tuple[tuple[int, int, int], int], ...]]:
+    """Every multiset of at most ``max_m`` valuations of height k, by size,
+    then in ``combinations_with_replacement`` order of the triangle read by
+    a, then b: its distinct valuations, sorted, each with its count."""
+    triangle = [(a, b, k - a - b) for a in range(k + 1) for b in range(k + 1 - a)]
+    out = [()]
+    for m in range(1, max_m + 1):
+        for combo in combinations_with_replacement(triangle, m):
+            out.append(tuple((val, combo.count(val)) for val in sorted(set(combo))))
+    return out
 
 
 def check_subgroup(exponents, s) -> None:

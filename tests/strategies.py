@@ -87,6 +87,15 @@ def presentation(draw, max_height, max_levels, min_levels=0):
     return tuple(b - a for a, b in zip([0, *marks], [*marks, k]))
 
 
+@st.composite
+def padded_presentations(draw, max_height, max_levels, max_pad=2):
+    """A ``presentation`` with up to ``max_pad`` more unit slots in front and
+    at the end, so leading, trailing and inner zeros all occur."""
+    exponents = presentation(draw, max_height, max_levels)
+    lead, trail = draw(st.integers(0, max_pad)), draw(st.integers(0, max_pad))
+    return (0,) * lead + exponents + (0,) * trail
+
+
 def fibre_vertices(exponents):
     """The valuations of the vertices of the presentation's fibre."""
     k, levels = sum(exponents), accumulate(exponents[:-1])

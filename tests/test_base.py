@@ -1,7 +1,7 @@
 """Base tuples, normal forms, slot moves and equivalence."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from degenlab import base
 from degenlab import (
@@ -18,7 +18,9 @@ from degenlab import (
     tau_move,
 )
 
+import oracles
 from guards import calls_by_name
+from strategies import padded_presentations
 
 
 def test_make_base_tuple_basics():
@@ -32,13 +34,45 @@ def test_make_base_tuple_basics():
 def test_level_coords_rank_each_level_once():
     """One ``half_level`` call ranks each level, and no ``list.index`` scan
     runs: the coordinates of n levels cost n binary searches, not n^2 / 2
-    comparisons."""
+    comparisons.  The level facts and the normal form's cuts come from one
+    pass, so reading all of them costs those n calls, and reading them
+    again costs none."""
     n = 2000
     t = make_base_tuple([1] * (n + 1))
-    with calls_by_name("half_level", "list.index", "tuple.index", module=base) as counts:
+    names = ("half_level", "list.index", "tuple.index")
+    with calls_by_name(*names, module=base) as counts:
         coords = t.level_coords
+        t.level_values, t.level_bits
+        nf = normal_form(t)
     assert coords == tuple(range(2, 2 * n + 1, 2))
+    assert nf.cuts == tuple(range(1, n + 1))
     assert counts == {"half_level": n}
+    with calls_by_name(*names, module=base) as again:
+        t.level_values, t.level_coords, t.level_bits
+        normal_form(t)
+    assert again == {}
+
+
+FACTS = ("level_values", "level_coords", "level_bits", "cuts")
+
+
+@settings(max_examples=300)
+@given(padded_presentations(12, 8), st.permutations(FACTS))
+@example((0, 2, 1), FACTS)  # a leading zero: the level value 0
+@example((2, 1, 0), FACTS[::-1])  # a trailing zero: the level value k
+@example((1, 0, 0, 2), FACTS)  # inner zeros: a level value twice
+@example((0, 0, 3, 0), FACTS)  # no cut at all
+def test_level_facts_are_their_definitions(exponents, order):
+    """Read in any order from a fresh tuple, the facts of the one pass are
+    those of ``oracles``: partial sums, the cuts, each level's index
+    among ``(0, *cuts, k)`` doubled, and the bits of those coordinates."""
+    t = make_base_tuple(exponents)
+    read = {name: getattr(t, name) for name in order}
+    assert read["level_values"] == tuple(oracles.level_values(exponents))
+    assert read["level_coords"] == tuple(oracles.level_coords(exponents))
+    assert read["level_bits"] == oracles.level_bits(exponents)
+    assert read["cuts"] == tuple(oracles.cuts(exponents))
+    assert normal_form(make_base_tuple(exponents)).cuts == tuple(oracles.cuts(exponents))
 
 
 def test_make_base_tuple_rejects_empty_and_smooth():

@@ -3,7 +3,8 @@ layer imports from its siblings only what they export.
 
 A tracer that wraps each public function reads every listed name with
 ``getattr``, so a name deleted from a module but left in its ``__all__``
-breaks every traced run.
+breaks every traced run.  No layer caches through
+``functools.cached_property``: ``base.cached`` is the one caching rule.
 """
 
 import ast
@@ -50,3 +51,18 @@ def test_sibling_imports_are_exported():
                     (path.stem, alias.name) for alias in node.names if alias.name not in exported
                 }
     assert unexported == UNEXPORTED_IMPORTS
+
+
+def test_no_layer_caches_through_functools_cached_property():
+    """Facts of immutable values are kept through ``base.cached``, which
+    takes no lock; on Python 3.11 ``functools.cached_property`` takes an
+    ``RLock`` on every first read, and the ``verify`` sweeps make tens of
+    thousands of them."""
+    found = []
+    for path in sorted(Path(degenlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [path.name for alias in node.names if alias.name == "cached_property"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+                found.append(path.name)
+    assert found == []

@@ -2,6 +2,7 @@
 
 import re
 from ast import literal_eval
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from degenlab import (
     CriterionViolated, DegenLabError, NormalForm, configurations, limits, verify, weights,
 )
-from degenlab.base import BaseTuple, canonical_tuple, normal_form
+from degenlab.base import BaseTuple, canonical_tuple, make_base_tuple, normal_form
 from degenlab.cli import main
 from degenlab.configurations import (
     SupportPoint, is_admissible, is_sws_stable, is_ws_stable, normalize_pair, place,
@@ -43,6 +44,61 @@ def test_presentation_configs_are_the_placed_configurations():
         first = shared.setdefault(normal_form(presentation), placements)
         assert all(a is b for a, b in zip(first, placements, strict=True))
     assert len(shared) == 15
+
+
+def test_presentations_are_the_compositions_in_lexicographic_order():
+    """Sweep order decides which configuration a failing suite names:
+    by height, then by length, the compositions in lexicographic order."""
+    for max_k in range(1, 7):
+        expected = [
+            exps
+            for k in range(1, max_k + 1)
+            for length in range(1, verify.MAX_LENGTH + 1)
+            for exps in product(range(k + 1), repeat=length)
+            if sum(exps) == k
+        ]
+        swept = list(presentations(max_k))
+        assert [p.exponents for p in swept] == expected
+        assert swept == [make_base_tuple(exps) for exps in expected]
+
+
+def test_weighted_configurations_are_the_sorted_multisets_with_counts():
+    for k in range(1, 5):
+        for max_m in range(1, 4):
+            multisets = weighted_configurations(k, max_m)
+            shown = [tuple((p.valuations, p.multiplicity) for p in points) for points in multisets]
+            assert shown == oracles.weighted_multisets(k, max_m), (k, max_m)
+
+
+def test_each_position_and_multiplicity_is_one_shared_point():
+    """The multisets of a height hold one ``SupportPoint`` per (position,
+    multiplicity), and the sweep places those same multiplicity-one points."""
+    every_point, multisets = verify._weighted(3, 3)
+    shared = {}
+    for points in multisets:
+        for p in points:
+            assert shared.setdefault((p.valuations, p.multiplicity), p) is p
+    assert len(shared) == 3 * len(verify.triangle_positions(3))
+    assert every_point == [shared[pos, 1] for pos in verify.triangle_positions(3)]
+    assert all(p is shared[p.valuations, 1] for p in every_point)
+    of_height = {}
+    for presentation, placed in verify._sweep(3, 3):
+        assert of_height.setdefault(presentation.height, placed.multisets) is placed.multisets
+
+
+def test_the_selected_key_is_the_profile_at_every_level_count():
+    """``_Placed.key`` selects a presentation's sides with one
+    ``itemgetter``, over a slice below two levels; on presentations with
+    0, 1, 2 and 3 levels it is ``weights.profile`` of the configuration."""
+    level_counts = set()
+    for presentation, placed in verify._sweep(3, 2):
+        select = verify._at(presentation)
+        level_counts.add(len(presentation.level_values))
+        for i in range(len(placed.multisets)):
+            key, profile = placed.key(i, select), weights.profile(placed.config(presentation, i))
+            assert key == profile and hash(key) == hash(profile), (presentation, i)
+            assert type(key[1]) is tuple
+    assert level_counts == {0, 1, 2, 3}
 
 
 @settings(max_examples=200)
@@ -104,6 +160,15 @@ def test_bijection_verdicts_resume_no_generator_per_configuration():
         result = verify.check_bijection(3, 2)
     assert result.detail == "2970 configurations over 7 classes"
     assert counts["<genexpr>"] < 2970
+
+
+def test_tau_fixpoints_resume_no_generator():
+    """Each move's vanishing set is built from a list, not a generator: at
+    size 6 that was 4,406 generator frames resumed."""
+    with calls_by_name("<genexpr>", module=verify) as counts:
+        result = verify.check_tau_fixpoints(6)
+    assert result.detail == "1148 moves, size <= 6"
+    assert counts["<genexpr>"] == 0
 
 
 def test_limit_oracle_resumes_no_generator():
