@@ -7,8 +7,8 @@ The package models the pieces that make the construction computable:
 * ``dual_complex``: the subdivided tropical triangle of an expanded fibre;
 * ``configurations``: weighted point placements and the stability notions;
 * ``weights``: one-parameter subgroup flows and the weight calculus;
-* ``limits``: the constructive flat-limit algorithm with brute-force
-  uniqueness oracles;
+* ``limits``: the constructive flat-limit algorithm and its uniqueness
+  oracle, decided by minimality;
 * ``render``/``scenario``/``cli``: diagrams, JSON surface and commands.
 """
 
@@ -59,7 +59,6 @@ from .errors import (
     InvalidLocalScheme,
     NoLimit,
     ParseError,
-    RefuseBruteForce,
     TropicalIncompatibility,
     ValidationError,
 )

@@ -20,13 +20,7 @@ from pathlib import Path
 from .base import canonical_tuple, normal_form
 from .configurations import SupportPoint, normalize_pair, place, stability_report
 from .dual_complex import build_fibre, complex_counts
-from .errors import (
-    CriterionViolated,
-    DegenLabError,
-    ParseError,
-    RefuseBruteForce,
-    ValidationError,
-)
+from .errors import CriterionViolated, DegenLabError, ParseError, ValidationError
 from .limits import associated_pair, unique_stable_subdivision_oracle
 from .render import FORMATS, render_fibre
 from .scenario import (
@@ -94,15 +88,9 @@ def _cmd_limit(args) -> int:
     points = tuple(SupportPoint(p.valuations, p.multiplicity) for p in sc.points)
     # without cuts or a tuple the declared fibre is undivided, which every limit refines
     report = associated_pair(points, sc.height, sc.normal_form())
-    exit_code = 0
-    try:
-        winners = unique_stable_subdivision_oracle(points, sc.height)
-    except RefuseBruteForce:
-        oracle = "skipped"
-    else:
-        agreement = winners == [report.fibre.nf]
-        oracle = {"cut_sets": [list(nf.cuts) for nf in winners], "agrees": agreement}
-        exit_code = 0 if agreement else 1
+    winners = unique_stable_subdivision_oracle(points, sc.height)
+    agreement = winners == [report.fibre.nf]
+    oracle = {"cut_sets": [list(nf.cuts) for nf in winners], "agrees": agreement}
     cfg = report.configuration
     _report(args, lambda: {**limit_report_to_json(report), "oracle": oracle}, lambda: [
         f"height {sc.height}, cuts {list(report.fibre.nf.cuts)}",
@@ -111,7 +99,7 @@ def _cmd_limit(args) -> int:
         f"stable: lw={report.stability.lw_stable} sws={report.stability.sws_stable}",
         f"oracle: {oracle}",
     ])
-    return exit_code
+    return 0 if agreement else 1
 
 
 def _scenario_fibre(sc: Scenario):

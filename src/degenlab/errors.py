@@ -33,10 +33,6 @@ class TropicalIncompatibility(DegenLabError):
     """A limit subdivision does not refine the declared generic fibre."""
 
 
-class RefuseBruteForce(DegenLabError):
-    """Exhaustive search refused because the instance exceeds the size cap."""
-
-
 class ParseError(DegenLabError):
     """Scenario text is not valid JSON or has the wrong shape."""
 

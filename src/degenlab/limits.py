@@ -7,12 +7,11 @@ coordinates, and the cuts are those candidates falling strictly inside the
 height interval.  The induced zero-free presentation places every point at a
 vertex and occupies every level, so the limit pair is stable.
 
-``unique_stable_subdivision_oracle`` confirms the uniqueness claim by brute
-force over all cut sets, independently of the list construction above and of
-``locate``: it decides which points are vertices and which levels are
-occupied by its own line rules.  Those rules read valuations only, so each
-distinct valuation is tested once, and the search costs ``2^(k-1)`` cut sets
-whatever the multiplicities; heights above ``MAX_ORACLE_HEIGHT`` are refused.
+``unique_stable_subdivision_oracle`` confirms the uniqueness claim by
+minimality, independently of the list construction above and of ``locate``:
+its own line rules (``_on_vertices``) read each distinct valuation, at the
+levels hit and at each one-level removal, so it runs at any height and
+whatever the multiplicities.
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ from .configurations import (
     stability_report,
 )
 from .dual_complex import ExpandedFibre, refines
-from .errors import (
-    HeightMismatch,
-    InvalidInput,
-    RefuseBruteForce,
-    TropicalIncompatibility,
-)
+from .errors import HeightMismatch, InvalidInput, TropicalIncompatibility
 
 __all__ = [
     "LimitReport",
@@ -42,12 +36,6 @@ __all__ = [
     "unique_stable_subdivision_oracle",
     "associated_pair",
 ]
-
-# The oracle walks 2^(k-1) cut sets, so its time doubles with each unit of
-# height; its memory does not grow.  With three points on a 2-core host it
-# took 0.02 s at height 12, 0.08 s at 14 and 0.35 s at 16, at 16 MB RSS.
-MAX_ORACLE_HEIGHT = 12
-
 
 @dataclass(frozen=True)
 class LimitReport:
@@ -80,54 +68,60 @@ def flat_limit(points: Iterable, k: int) -> LimitReport:
 
 
 def unique_stable_subdivision_oracle(points: Iterable, k: int) -> list[NormalForm]:
-    """All cut sets giving an admissible, fully occupied placement.
+    """The cut sets giving an admissible, fully occupied placement, found
+    by minimality.
 
-    Pure brute force over the ``2^(k-1)`` subsets of the interior levels;
-    separatedness of the construction predicts a single winner.  The points
-    are read once, for their distinct valuations; heights above
-    ``MAX_ORACLE_HEIGHT`` are refused rather than ground through.
+    A cut set wins when every valuation is a vertex by the line rules
+    (``_on_vertices``) and every cut is occupied, hit as a or as k - b by
+    some valuation.  So every winner lies inside the levels hit, C* =
+    ({a} | {k - b}) & (0, k), and since the vertex test can only pass more
+    often as levels are added, two tests decide the answer:
+
+    - when C* fails, no cut set wins, and the result is ``[]``, exactly;
+    - when every one-level removal C* - {h} fails, C* is the only winner
+      (a smaller winner C would make C* - {h} win for any h of C* outside
+      C), and the result is ``[C*]``, exactly;
+    - otherwise the result is C* followed by the removals that win: more
+      than one winner, though not necessarily all of them.
+
+    Separatedness of the construction predicts ``[C*]``: every point lies on
+    a = 0 or a cut a, and on b = 0 or a cut k - b, or is a corner, so C*
+    wins; the point that hit h lies on one line only without it, so each
+    removal fails.  The rules run |C*| + 1 times over the distinct
+    valuations; the brute force over all cut sets is the tests' oracle.
     """
-    if k > MAX_ORACLE_HEIGHT:
-        raise RefuseBruteForce(
-            f"height {k} exceeds the brute-force cap {MAX_ORACLE_HEIGHT}"
-        )
     valuations = set()
     for p in _as_points(points):
         if sum(p.valuations) != k:
-            raise HeightMismatch(
-                f"point {p.valuations} does not have height {k}"
-            )
+            raise HeightMismatch(f"point {p.valuations} does not have height {k}")
         valuations.add(p.valuations)
-    return [NormalForm(k, cuts) for cuts in _stable_cut_sets(valuations, k)]
-
-
-def _stable_cut_sets(valuations: set, k: int) -> list[tuple[int, ...]]:
-    """The sorted cut sets of height k that make every valuation a vertex
-    and leave no cut unoccupied.
-
-    A valuation (a, b, c) is a vertex when two or more of the lines a = 0,
-    b = 0, c = 0, a = s and b = k - s pass through it, and a cut s is
-    occupied when some valuation has a = s or b = k - s: the levels hit,
-    ``{a} | {k - b}``, are listed once per call, and a cut set is occupied
-    when it lies inside them.  Each cut set is tested by plain loops, the
-    vertex test stopping at the first valuation off the vertices.
-    """
-    hit = set()
+    levels = set()
     for a, b, _ in valuations:
-        hit.add(a)
-        hit.add(k - b)
-    winners = []
-    for mask in range(1 << max(k - 1, 0)):
-        cuts = [s for s in range(1, k) if mask >> (s - 1) & 1]
-        levels = set(cuts)
-        if not levels <= hit:
-            continue
-        for a, b, c in valuations:
-            if (a == 0) + (b == 0) + (c == 0) + (a in levels) + (k - b in levels) < 2:
-                break
-        else:
-            winners.append(tuple(cuts))
-    return sorted(winners)
+        levels.add(a)
+        levels.add(k - b)
+    levels.discard(0)
+    levels.discard(k)
+    if not _on_vertices(valuations, k, levels):
+        return []
+    cuts = sorted(levels)
+    winners = [NormalForm(k, tuple(cuts))]
+    for h in cuts:
+        levels.remove(h)
+        if _on_vertices(valuations, k, levels):
+            winners.append(NormalForm(k, tuple(sorted(levels))))
+        levels.add(h)
+    return winners
+
+
+def _on_vertices(valuations: set, k: int, levels: set) -> bool:
+    """The line rules: does every valuation (a, b, c) lie on two or more of
+    the lines a = 0, b = 0, c = 0, a = s and b = k - s for the cuts s in
+    ``levels``?  A plain loop, stopping at the first valuation off the
+    vertices."""
+    for a, b, c in valuations:
+        if (a == 0) + (b == 0) + (c == 0) + (a in levels) + (k - b in levels) < 2:
+            return False
+    return True
 
 
 def associated_pair(points: Iterable, k: int, coarse: NormalForm) -> LimitReport:

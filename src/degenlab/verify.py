@@ -34,10 +34,11 @@ in sweep order that has that value, and the later configurations read the
 stored result; so a verdict that fails, fails at the same configuration as
 when every configuration computed it.  The swept points carry no local
 scheme, so the constructive lift, its sign table and, in
-stability-equivalence, the stability re-check read a configuration only
-through its profile and its presentation's vanishing pattern, which fixes
-the admissible sign vectors: they run once per (vanishing pattern,
-profile) over the whole suite, whatever the level values.  On an
+stability-equivalence, the per-level stability re-check read a
+configuration only through its profile, and positivity reads the
+admissible sign vectors of its presentation's vanishing pattern: they run
+once per (vanishing pattern, profile) over the whole suite, whatever the
+level values.  On an
 unoccupied configuration ``exists_stabilizing_linearization`` reads only
 occupancy, so it runs once per (presentation, occupied coordinates).
 Li–Wu stability reads only the fibre and the points, so the bijection
@@ -46,8 +47,9 @@ multiset), at the normal form's first presentation, and keeps the
 multisets that are admissible but not Li–Wu stable; the later
 presentations only test those for occupancy.  Every verdict over the
 placements is a plain loop, with no generator frame per point or per
-configuration.  The limit oracle's occupancy test is the cut set lying
-inside the levels hit by the points, which it lists once per call.
+configuration.  The limit oracle tests the set of levels hit by the
+points and each one-level removal of it, so its cost grows with the number
+of those levels, not with the number of cut sets.
 """
 
 from __future__ import annotations
@@ -208,8 +210,9 @@ def presentations(max_k: int) -> Iterator[BaseTuple]:
 
 
 def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
-    """Brute force agrees with the direct limit construction, uniquely, on
-    every nonempty multiset of ``weighted_configurations``."""
+    """The uniqueness oracle, decided by minimality, finds exactly the
+    direct limit construction's subdivision on every nonempty multiset of
+    ``weighted_configurations``."""
     checked = 0
     for k in range(1, max_k + 1):
         for points in weighted_configurations(k, max_m):

@@ -180,7 +180,31 @@ class Profile(NamedTuple):
 
     def lift(self, level_values: Sequence[int]) -> Linearization:
         """The constructive lift of ``constructive_linearization``, which
-        names an unoccupied level by its value in ``level_values``."""
+        names an unoccupied level by its value in ``level_values``.
+
+        Its table entries at level j have the signs that stability needs,
+        one level at a time.  They read only (m, lt, eq1, gt, eq2) at level
+        j, and every point has x <= y (a <= k - b).  In the ``eq1`` branch,
+        with the lift ``(m (m - lt), m (lt + 1), 0, 1)``,
+
+            neg_j = m ((m - lt) - eq1 (m + 1)) - (m - gt) <= -m (lt + 1) < 0,
+            pos_j = m (m - lt) - (m - gt - eq2) >= m - (m - 1) > 0:
+
+        eq1 >= 1 and gt <= m bound neg_j; m - lt >= eq1 >= 1, and m - gt -
+        eq2 counts the points with y < c, which miss the eq1 points at x = c
+        (their y >= c).  In the mirror ``eq2`` branch (eq1 = 0), with the
+        lift ``(0, 1, m (m - gt), m (gt + 1))``,
+
+            neg_j = (m - lt) - m (m - gt) <= (m - 1) - m < 0,
+            pos_j = (m - lt) + m (m - gt) (eq2 - 1) + m (gt + 1) eq2 >= m > 0:
+
+        the eq2 >= 1 points at y = c have x < c, so lt >= 1, and m - gt >=
+        eq2 >= 1.  So every nonzero s_j adds a positive combinatorial term,
+        and with the bounded part's ``s_j b_j = |s_j| d_j >= 0`` the lift is
+        stable at every scale l >= 1 and every number of levels: the
+        per-level re-check of ``exists_stabilizing_linearization`` never
+        fails on valid input.
+        """
         m = self.m
         new = tuple.__new__  # as ``LevelLift._make``, minus its checks
         lifts = []
@@ -414,15 +438,32 @@ def exists_stabilizing_linearization(
 
     Occupancy is tested first, by ``is_ws_stable``, so an unoccupied
     configuration builds no lift and raises nothing.  The returned lift is
-    re-verified through the stability test at the dominating scale factor;
-    the lift and the re-check read one profile.
+    re-verified at the dominating scale factor level by level
+    (``_levels_stable``), which implies stability and lists no sign vector;
+    by the lemma of ``Profile.lift`` it never fails on valid input.  The
+    lift and the re-check read one profile.
     """
     if not is_ws_stable(cfg):
         return None
     key = profile(cfg)
     lin = key.lift(cfg.presentation.level_values)
-    if not _stable(cfg, _scheme_degrees(cfg), key.lift_table(lin), default_scale(key.m)):
+    if not _levels_stable(_scheme_degrees(cfg), key.lift_table(lin), default_scale(key.m)):
         raise DegenLabError(
             "internal error: constructive linearization failed verification"
         )
     return lin
+
+
+def _levels_stable(degrees: list[int], table: list[tuple[int, int]], l: int) -> bool:
+    """Is each level's term positive at both signs, ``l c_neg - d_j < 0 <
+    l c_pos + d_j``, for the scheme degrees d_j and the lift's sign table?
+
+    Then ``sum s_j (sign(s_j) d_j + l c_j)`` is a sum of positive terms at
+    every nonzero s, so the lift is stable at scale l.  The test is O(n),
+    and stricter than ``is_git_stable``, which asks for a positive sum at
+    the admissible sign vectors only.
+    """
+    for d, (c_neg, c_pos) in zip(degrees, table):
+        if l * c_neg - d >= 0 or l * c_pos + d <= 0:
+            return False
+    return True

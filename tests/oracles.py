@@ -323,6 +323,23 @@ def reference_tikz(k, cuts, points) -> str:
 REFERENCE_RENDERERS = {"svg": reference_svg, "dot": reference_dot, "tikz": reference_tikz}
 
 
+def stable_cut_sets(valuations, k) -> list[tuple[int, ...]]:
+    """The sorted cut sets of height k that make every valuation a vertex
+    and leave no cut unoccupied, by brute force over all ``2^(k-1)`` of them.
+
+    A valuation (a, b, c) is a vertex when two or more of the lines a = 0,
+    b = 0, c = 0, a = s and b = k - s pass through it, and a cut s is
+    occupied when some valuation has a = s or b = k - s.
+    """
+    hit = {a for a, _, _ in valuations} | {k - b for _, b, _ in valuations}
+    winners = []
+    for mask in range(1 << max(k - 1, 0)):
+        levels = {s for s in range(1, k) if mask >> (s - 1) & 1}
+        if levels <= hit and all(_lines_through(k, levels, a, b) >= 2 for a, b, _ in valuations):
+            winners.append(tuple(sorted(levels)))
+    return sorted(winners)
+
+
 # ---------------------------------------------------------------------------
 # The stability invariant, from its definition.
 #

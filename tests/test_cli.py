@@ -207,16 +207,16 @@ class TestExitCodes:
         assert captured.err == message + "\n"
 
     @pytest.mark.parametrize(
-        "height,mult,oracle",
-        [(12, 5, {"cut_sets": [[1, 11]], "agrees": True}), (13, 1, "skipped")],
-        ids=["at-cap", "above-cap"],
+        "height,mult,cuts",
+        [(12, 5, [1, 11]), (13, 1, [1, 12]), (400, 2, [1, 399])],
+        ids=["12", "13", "400"],
     )
-    def test_limit_runs_the_oracle_up_to_its_height_cap(
-        self, monkeypatch, capsys, height, mult, oracle
-    ):
-        """Any multiplicity is checked up to height 12; above it, "skipped"."""
+    def test_limit_runs_the_oracle_at_every_height(self, monkeypatch, capsys, height, mult, cuts):
+        """Any multiplicity and any height is checked; the oracle's object
+        is printed, with exit 1 when it disagrees with the limit."""
         scenario = json.dumps({"height": height, "points": [
             {"val": [1, 0, height - 1], "mult": mult}, {"val": [0, 1, height - 1]}]})
+        oracle = {"cut_sets": [cuts], "agrees": True}
         for fmt in ("json", "text"):
             monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
             assert main(["limit", "-", "--format", fmt]) == 0
@@ -225,6 +225,10 @@ class TestExitCodes:
                 assert json.loads(out)["oracle"] == oracle
             else:
                 assert out.splitlines()[-1] == f"oracle: {oracle}"
+        monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+        monkeypatch.setattr("degenlab.cli.unique_stable_subdivision_oracle", lambda points, k: [])
+        assert main(["limit", "-"]) == 1
+        assert json.loads(capsys.readouterr().out)["oracle"] == {"cut_sets": [], "agrees": False}
 
     @pytest.mark.parametrize(
         "command,scenario",

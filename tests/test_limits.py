@@ -1,4 +1,6 @@
-"""The flat-limit construction and its brute-force oracles."""
+"""The flat-limit construction and its uniqueness oracle, against the brute force."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,6 @@ from degenlab import (
     HeightMismatch,
     InvalidInput,
     NormalForm,
-    RefuseBruteForce,
     TropicalIncompatibility,
     associated_pair,
     flat_limit,
@@ -15,8 +16,9 @@ from degenlab import (
     stability_report,
     unique_stable_subdivision_oracle,
 )
-from degenlab.limits import MAX_ORACLE_HEIGHT, _stable_cut_sets
-from guards import lines_run, traced_peak_mb
+import oracles
+from degenlab.limits import _on_vertices
+from guards import calls_by_name, lines_run, traced_peak_mb
 from strategies import weighted_points
 
 
@@ -95,13 +97,15 @@ class TestOracle:
             NormalForm(2, (1,))
         ]
 
-    def test_height_cap(self):
-        assert MAX_ORACLE_HEIGHT == 12
-        with pytest.raises(RefuseBruteForce):
-            unique_stable_subdivision_oracle([((13, 0, 0), 1)], 13)
-        assert unique_stable_subdivision_oracle([((12, 0, 0), 1)], 12) == [
-            NormalForm(12, ())
-        ]
+    def test_answers_at_every_height(self):
+        """No height is refused: above 12, where the brute force stopped,
+        the answer is still the limit's subdivision."""
+        for k in (12, 13, 100, 1000):
+            assert unique_stable_subdivision_oracle([((k, 0, 0), 1)], k) == [NormalForm(k, ())]
+            points = [((1, k - 3, 2), 1), ((k - 2, 1, 1), 4)]
+            winners = unique_stable_subdivision_oracle(points, k)
+            assert winners == [NormalForm(k, (1, 3, k - 2, k - 1))]
+            assert winners == [flat_limit(points, k).fibre.nf]
 
 
 @settings(max_examples=150)
@@ -121,8 +125,19 @@ def test_oracle_winners_are_the_stable_placements(k, data):
     )
 
 
+@settings(max_examples=300)
+@given(st.integers(1, 12), st.data())
+def test_oracle_is_the_brute_force(k, data):
+    """Minimality decides what the search over all ``2^(k-1)`` cut sets
+    finds: up to five points, multiplicities 1-5, some repeating an earlier
+    valuation."""
+    points = data.draw(weighted_points(k, 5, max_multiplicity=5, repeats=True))
+    expected = oracles.stable_cut_sets({val for val, _ in points}, k)
+    assert unique_stable_subdivision_oracle(points, k) == [NormalForm(k, cuts) for cuts in expected]
+
+
 def test_oracle_memory_is_bounded():
-    """At height 12 the oracle walks 2048 cut sets and keeps none of them."""
+    """At height 12 the oracle tests six cut sets and keeps one of them."""
     k = 12
     points = [((1, k - 3, 2), 1), ((k - 2, 1, 1), 1), ((2, 2, k - 4), 1)]
     winners, peak = traced_peak_mb(unique_stable_subdivision_oracle, points, k)
@@ -130,24 +145,28 @@ def test_oracle_memory_is_bounded():
     assert peak < 2
 
 
-def test_oracle_work_depends_on_the_height_alone():
-    """The cut-set search tries 2^(k-1) cut sets up to the cap and none above
-    it, and reads each distinct valuation once: 100 copies of every point run
-    the same lines of the search as one copy."""
-    k = 12
-    positions = [(a, b, k - a - b) for a in range(k + 1) for b in range(k + 1 - a)]
-    once = [(v, 1) for v in positions]
-    with lines_run(_stable_cut_sets) as single:
+def test_oracle_tests_the_levels_hit_and_each_removal():
+    """The oracle tests |C*| + 1 cut sets, C* and each of its one-level
+    removals, at any height, and reads each distinct valuation once: at
+    height 100, 100 copies of every point run the same lines of the line
+    rules as one copy."""
+    k = 100
+    rng = random.Random(11)
+    positions = set()
+    while len(positions) < 30:
+        a = rng.randint(0, k)
+        b = rng.randint(0, k - a)
+        positions.add((a, b, k - a - b))
+    once = [(v, 1) for v in sorted(positions)]
+    levels = {a for a, _, _ in positions} | {k - b for _, b, _ in positions}
+    best = tuple(sorted(levels - {0, k}))
+    with calls_by_name("_on_vertices") as calls, lines_run(_on_vertices) as single:
         winners = unique_stable_subdivision_oracle(once, k)
-    with lines_run(_stable_cut_sets) as copies:
+    with lines_run(_on_vertices) as copies:
         assert unique_stable_subdivision_oracle(once * 100, k) == winners
-    assert len(positions) == 91 and len(winners) == 1
-    assert single["levels = set(cuts)"] == 2 ** (k - 1)
+    assert winners == [NormalForm(k, best)] == [flat_limit(once, k).fibre.nf]
+    assert calls == {"_on_vertices": len(best) + 1}
     assert copies == single
-    with lines_run(_stable_cut_sets) as above:
-        with pytest.raises(RefuseBruteForce):
-            unique_stable_subdivision_oracle([((k + 1, 0, 0), 1)], k + 1)
-    assert not above
 
 
 def test_flat_limit_memory_grows_linearly():

@@ -184,8 +184,8 @@ def test_limit_oracle_resumes_no_generator():
     [
         (verify.check_stability_equivalence, verify, "exists_stabilizing_linearization",
          lambda original: lambda cfg: None),
-        (verify.check_stability_equivalence, weights, "_stable",
-         lambda original: lambda cfg, degrees, table, l: False),
+        (verify.check_stability_equivalence, weights, "_levels_stable",
+         lambda original: lambda degrees, table, l: False),
         (verify.check_positivity, weights.Profile, "lift_table",
          lambda original: lambda key, lin: [(-neg, -pos) for neg, pos in original(key, lin)]),
         (verify.check_bijection, verify, "is_lw_stable", lambda original: lambda cfg: False),
@@ -254,9 +254,6 @@ def ungrouped_bijection(max_k, max_m):
     return None
 
 
-PATTERN = BaseTuple((1, 1)).vanishing_pattern()  # also that of (1, 2) and (2, 1)
-
-
 ONE_POINT_ON_BOTH = (1, ((0, 1, 0, 1),))  # a profile of (0, 1) and of (1, 0) at k = 1
 
 
@@ -273,14 +270,17 @@ def positive_column_negated(original):
     return broken
 
 
-def broken_on_one_key(original, flip):
-    """``original``, whose first argument is the configuration, but
-    ``flip``ped on configurations with ``PATTERN`` and m = 1."""
+def refused_for_one_point_on_both(original):
+    """``weights._levels_stable``, refusing the sign table of the lift of
+    ``ONE_POINT_ON_BOTH``.  The re-check reads a configuration only through
+    its profile, so this breaks one profile on every vanishing pattern: it
+    is first lifted on (0, 1) at k = 1, not on the sweep's first
+    presentation, and met on every presentation of length 2 up to k = 3."""
+    key = weights.Profile(*ONE_POINT_ON_BOTH)
+    refused = key.lift_table(key.lift([1]))
 
-    def broken(cfg, *args):
-        result = original(cfg, *args)
-        hit = cfg.m == 1 and cfg.presentation.vanishing_pattern() == PATTERN
-        return flip(result) if hit else result
+    def broken(degrees, table, l):
+        return table != refused and original(degrees, table, l)
 
     return broken
 
@@ -289,7 +289,7 @@ def broken_on_one_key(original, flip):
     "suite,reference,module,name,broken",
     [
         (verify.check_stability_equivalence, ungrouped_stability_equivalence, weights,
-         "_stable", lambda original: broken_on_one_key(original, lambda stable: False)),
+         "_levels_stable", refused_for_one_point_on_both),
         (verify.check_positivity, ungrouped_positivity, weights.Profile, "lift_table",
          positive_column_negated),
         (verify.check_bijection, ungrouped_bijection, verify, "is_lw_stable",
@@ -304,7 +304,6 @@ def test_a_grouped_suite_fails_where_the_ungrouped_loop_does(monkeypatch, suite,
     first configuration in sweep order.  Broken for one group key that
     later presentations share, it fails with the detail of a loop that
     computes every verdict at every configuration."""
-    assert PATTERN != next(presentations(3)).vanishing_pattern()
     monkeypatch.setattr(module, name, broken(getattr(module, name)))
     expected = reference(3, 2)
     assert expected is not None
@@ -327,7 +326,7 @@ def test_a_raising_lift_fails_its_suites_and_verify_prints_every_line(monkeypatc
     result = verify.check_positivity(max_k=3, max_m=2)
     assert not result.ok
     assert re.fullmatch(r"presentation \([\d, ]*\) points \[.*\]: no lift", result.detail)
-    monkeypatch.setattr(weights, "_stable", lambda cfg, degrees, table, l: False)
+    monkeypatch.setattr(weights, "_levels_stable", lambda degrees, table, l: False)
     assert main(["verify", "--max-k", "3", "--max-m", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["[PASS]"] * 3 + ["[FAIL]"] * 2 + ["[PASS]"]

@@ -3,7 +3,9 @@
 import io
 import json
 import random
-from itertools import product
+import time
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +45,7 @@ from degenlab.verify import (
     check_stability_equivalence,
     presentations,
 )
-from degenlab.weights import profile
+from degenlab.weights import Profile, profile
 
 
 class TestLinearizationValidation:
@@ -110,13 +112,13 @@ def test_stability_sweep_lists_sign_vectors_once_per_presentation():
     sweeps list them at most once per presentation and no configuration
     evaluates the chain rule.  At k <= 3 the 65 presentations have 25
     vanishing patterns: positivity lists each pattern's entries once;
-    stability-equivalence lists the sign vectors of each presentation that
-    first re-checks the lift of a (pattern, profile) group, 36 of the
-    65."""
-    for suite, listings in [(check_positivity, 25), (check_stability_equivalence, 36)]:
+    stability-equivalence re-checks its lifts level by level and lists no
+    sign vector (36 listings when it re-checked them by the sign-vector
+    loop)."""
+    for suite, listings in [(check_positivity, 25), (check_stability_equivalence, 0)]:
         with calls_by_name("sign_vectors", "admissible_1ps") as counts:
             assert suite(max_k=3, max_m=2).ok
-        assert counts == {"sign_vectors": listings}, suite.__name__
+        assert counts == Counter(sign_vectors=listings), suite.__name__
     assert len(list(presentations(3))) == 65
 
 
@@ -153,16 +155,16 @@ def test_stability_equivalence_asks_once_per_presentation_and_occupied_bits():
 
 @pytest.mark.parametrize(
     "suite,verdicts",
-    [(check_positivity, {}), (check_stability_equivalence, {"_stable": 302})],
+    [(check_positivity, {}), (check_stability_equivalence, {"_levels_stable": 302})],
     ids=["check_positivity", "check_stability_equivalence"],
 )
 def test_sweeps_lift_once_per_side_count_profile(suite, verdicts):
     """The 1,280 occupied configurations at k <= 3, m <= 2 have 302
     distinct (vanishing pattern, profile) groups over the whole sweep (669
     (presentation, profile) groups); each suite builds the lift and its
-    table, and stability-equivalence runs the sign-vector loop of the
-    re-check, once per group."""
-    with calls_by_name("lift", "lift_table", "_stable") as counts:
+    table, and stability-equivalence runs the per-level re-check, once per
+    group.  Neither runs the sign-vector loop."""
+    with calls_by_name("lift", "lift_table", "_levels_stable", "_stable") as counts:
         assert suite(max_k=3, max_m=2).ok
     assert counts == {"lift": 302, "lift_table": 302, **verdicts}
 
@@ -675,3 +677,95 @@ def test_sign_vector_test_is_exact_on_the_integer_box(case, data):
         if any(s):
             positive.append(oracles.invariant(exponents, points, s, lifts, l) > 0)
     assert is_git_stable(cfg, lin, l) == all(positive)
+
+
+def six_class_counts(max_m):
+    """Every count of points in the six classes a point can fall into
+    against a level coordinate c, given x <= y: (x, y) in (<, <), (<, =),
+    (<, >), (=, =), (=, >), (>, >), with total multiplicity 1..max_m."""
+    for m in range(1, max_m + 1):
+        for bars in combinations(range(m + 5), 5):
+            yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, m + 5)))
+
+
+def test_the_constructive_lift_is_positive_one_level_at_a_time():
+    """The lemma of ``Profile.lift``: at every one-level side count that
+    points with x <= y can produce, m <= 12 (18,563 counts, 18,109 of them
+    occupied), the lift's table has c_neg < 0 < c_pos.  Without x <= y it
+    fails: one point at x = c, y < c gives c_pos = 0."""
+    occupied = 0
+    for counts in six_class_counts(12):
+        below_below, below_on, below_above, on_on, on_above, above_above = counts
+        lt = below_below + below_on + below_above
+        eq1, eq2 = on_on + on_above, below_on + on_on
+        gt = below_above + on_above + above_above
+        key = Profile(sum(counts), ((lt, eq1, gt, eq2),))
+        if not eq1 and not eq2:
+            with pytest.raises(CriterionViolated):
+                key.lift([1])
+            continue
+        [(c_neg, c_pos)] = key.lift_table(key.lift([1]))
+        assert c_neg < 0 < c_pos, counts
+        occupied += 1
+    assert occupied == 18109
+    key = Profile(1, ((0, 1, 0, 0),))
+    assert key.lift_table(key.lift([1])) == [(-2, 0)]
+
+
+# The six classes against the one level of (1, 1), at value 1 and height 2,
+# in the order of ``six_class_counts``: one triangle position each.
+SIX_CLASSES = [(0, 2, 0), (0, 1, 1), (0, 0, 2), (1, 1, 0), (1, 0, 1), (2, 0, 0)]
+
+
+def test_one_level_configurations_are_stable_by_the_oracle():
+    """Real configurations of the six classes, m <= 6: the library's lift
+    is the oracle's constructive lift read from the valuations, and the
+    reference invariant at scale 1, evaluated by the flow on plain data, is
+    positive at s = (-1,) and (1,), the only nonzero sign vectors."""
+    exponents = (1, 1)
+    for counts in six_class_counts(6):
+        points = [(val, mult) for val, mult in zip(SIX_CLASSES, counts) if mult]
+        lin = exists_stabilizing_linearization(place(BaseTuple(exponents), points))
+        if oracles.unoccupied(exponents, points):
+            assert lin is None
+            continue
+        lifts = oracles.constructive_lifts(exponents, points)
+        assert list(lin.levels) == lifts
+        plain = [(val, mult, None) for val, mult in points]
+        for s in oracles.sign_vectors(exponents):
+            assert oracles.invariant(exponents, plain, s, lifts, 1) > 0, (counts, s)
+
+
+def test_existence_lists_no_sign_vector_at_thirty_levels():
+    """At n = 30, where the sign-vector loop would visit up to 3^30
+    vectors, ``exists_stabilizing_linearization`` re-checks its lift level
+    by level: it lists no sign vector, runs no sign-vector loop, and takes
+    under 1 ms (best of five)."""
+    exponents = (1,) * 31
+    points = [((s, 31 - s, 0), 1) for s in range(1, 31)]
+    cfg = place(BaseTuple(exponents), points)
+    with calls_by_name("sign_vectors", "_stable", "_levels_stable") as calls:
+        lin = exists_stabilizing_linearization(cfg)
+    assert calls == {"_levels_stable": 1}
+    assert list(lin.levels) == oracles.constructive_lifts(exponents, points)
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        exists_stabilizing_linearization(cfg)
+        best = min(best, time.perf_counter() - start)
+    assert best < 1e-3
+
+
+def test_a_local_scheme_decides_stability_in_item_three_s_shrunk_case():
+    """At (1, 1) with two points at (2, 0, 0) and one of multiplicity 2 at
+    (1, 0, 1), under the lift (1, 0, 0, 1) at scale 1, the invariant at
+    s = (1,) is the scheme's degree: 1 with the scheme {1, u} in the
+    first-family chart, so the configuration is stable, and 0 without it,
+    so it is not.  The reference invariant agrees on both."""
+    lin = Linearization((LevelLift(1, 0, 0, 1),))
+    for scheme, stable, at_one in [([{}, {(1, "delta1"): 1}], True, 1), (None, False, 0)]:
+        points = [((2, 0, 0), 1, None), ((2, 0, 0), 1, None), ((1, 0, 1), 2, scheme)]
+        cfg = place(BaseTuple((1, 1)), support_points(points))
+        assert is_git_stable(cfg, lin, 1) is stable
+        assert hm_invariant(cfg, (1,), lin, 1) == at_one
+        assert oracles.invariant((1, 1), points, (1,), [(1, 0, 0, 1)], 1) == at_one
