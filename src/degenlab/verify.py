@@ -35,11 +35,11 @@ stored result; so a verdict that fails, fails at the same configuration as
 when every configuration computed it.  The swept points carry no local
 scheme, so the constructive lift, its sign table and, in
 stability-equivalence, the per-level stability re-check read a
-configuration only through its profile, and positivity reads the
-admissible sign vectors of its presentation's vanishing pattern: they run
-once per (vanishing pattern, profile) over the whole suite, whatever the
-level values.  On an
-unoccupied configuration ``exists_stabilizing_linearization`` reads only
+configuration only through its profile: stability-equivalence runs them
+once per profile over the whole suite, whatever the presentation.
+Positivity also reads the admissible sign vectors of its presentation's
+vanishing pattern, so it runs them once per (vanishing pattern, profile).
+On an unoccupied configuration ``exists_stabilizing_linearization`` reads only
 occupancy, so it runs once per (presentation, occupied coordinates).
 Li–Wu stability reads only the fibre and the points, so the bijection
 suite decides it, normalizes and compares once per (normal form,
@@ -329,9 +329,10 @@ def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     """A stabilizing lift exists exactly when every level is occupied.
 
     ``exists_stabilizing_linearization`` is called on the first occupied
-    configuration of each (vanishing pattern, profile) over the whole
-    sweep, whose lift every later occupied configuration with that pattern
-    and that profile reuses, on any presentation.  On an unoccupied
+    configuration of each profile over the whole sweep, whose lift every
+    later occupied configuration with that profile reuses, on any
+    presentation: the swept points carry no scheme, so the lift and its
+    per-level re-check read nothing else.  On an unoccupied
     configuration it reads only occupancy, so it is called once per
     (presentation, occupied bits).  A lift that fails its re-verification
     at the dominating scale, or any other ``DegenLabError``, fails the
@@ -339,9 +340,8 @@ def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     sweep order to fail.
     """
     checked = 0
-    lifts_of = {}  # vanishing pattern -> profile -> its lift
+    lifts = {}  # profile -> its lift
     for presentation, placed in _sweep(max_k, max_m):
-        lifts = lifts_of.setdefault(presentation.vanishing_pattern(), {})
         level_bits, select = presentation.level_bits, _at(presentation)
         unoccupied = {}  # occupied bits -> None, on this presentation
         for i, bits in enumerate(placed.bits):

@@ -11,11 +11,11 @@ into a temporary directory; it is measured in a fresh interpreter whose
 
 regenerates ``BENCH_31.json``: ``ec52d60`` against the working tree.
 
-Every figure is the best of ``--repeat`` calls, in seconds, on inputs drawn
-from ``--seed``; a call slower than ``BUDGET_S`` is not repeated.  The
-series over a growing size stops after a size slower than ``BUDGET_S``:
-the sizes past it, and a size whose call raises (a refused height), are
-written as null, with the reason under ``skipped``.  The measuring
+Every figure is the best of ``REPEAT`` calls, in seconds, on inputs drawn
+from ``random.Random(SEED)``; a call slower than ``BUDGET_S`` is not
+repeated.  The series over a growing size stops after a size slower than
+``BUDGET_S``: the sizes past it, and a size whose call raises (a refused
+height), are written as null, with the reason under ``skipped``.  The measuring
 interpreter caps its own address space at ``MAX_MEMORY_BYTES``, so a size
 that would need more raises ``MemoryError`` and is written as null too.
 
@@ -56,12 +56,14 @@ SUITES = (  # (suite, its arguments in the acceptance criteria)
     ("bijection", {"max_k": 5, "max_m": 3}),
 )
 BUDGET_S = 0.25
+REPEAT = 5
+SEED = 31
 MAX_MEMORY_BYTES = 1 << 30
 
 
-def best_of(call, repeat: int) -> float:
+def best_of(call) -> float:
     best = inf
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = perf_counter()
         call()
         elapsed = perf_counter() - start
@@ -96,7 +98,7 @@ def lift_input(rng: random.Random, n: int, degenlab):
     return (degenlab.place(degenlab.BaseTuple(tuple(exponents)), points),)
 
 
-def series(fn, sizes, make_input, repeat: int, skipped: dict, name: str) -> dict:
+def series(fn, sizes, make_input, skipped: dict, name: str) -> dict:
     """Best time per size; null past the first size over ``BUDGET_S`` and
     where the call raises."""
     out, stop = {}, None
@@ -107,7 +109,7 @@ def series(fn, sizes, make_input, repeat: int, skipped: dict, name: str) -> dict
             continue
         args = make_input(size)
         try:
-            out[str(size)] = best_of(lambda: fn(*args), repeat)
+            out[str(size)] = best_of(lambda: fn(*args))
         except Exception as exc:  # a refusal ends the series at this size only
             out[str(size)] = None
             skipped[f"{name} {size}"] = f"{type(exc).__name__}: {exc}"
@@ -117,7 +119,7 @@ def series(fn, sizes, make_input, repeat: int, skipped: dict, name: str) -> dict
     return out
 
 
-def measure(repeat: int, seed: int) -> dict:
+def measure() -> dict:
     """The figures of the ``degenlab`` under the working directory."""
     import degenlab
     from degenlab import verify
@@ -126,22 +128,22 @@ def measure(repeat: int, seed: int) -> dict:
         raise SystemExit(f"degenlab was imported from outside the tree: {degenlab.__file__}")
 
     skipped: dict[str, str] = {}
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     oracle = series(
         degenlab.unique_stable_subdivision_oracle, ORACLE_HEIGHTS,
-        lambda k: oracle_input(rng, k), repeat, skipped, "unique_stable_subdivision_oracle",
+        lambda k: oracle_input(rng, k), skipped, "unique_stable_subdivision_oracle",
     )
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     lift = series(
         degenlab.exists_stabilizing_linearization, LIFT_LEVELS,
-        lambda n: lift_input(rng, n, degenlab), repeat, skipped,
+        lambda n: lift_input(rng, n, degenlab), skipped,
         "exists_stabilizing_linearization",
     )
     suites = {}
     for name, kwargs in SUITES:
         check = getattr(verify, f"check_{name}")
         details = set()
-        seconds = best_of(lambda: details.add(check(**kwargs).detail), repeat)
+        seconds = best_of(lambda: details.add(check(**kwargs).detail))
         suites[name] = {"args": kwargs, "seconds": seconds, "detail": details.pop()}
     return {
         "unique_stable_subdivision_oracle_s": oracle,
@@ -180,8 +182,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", metavar="LABEL=TREE",
                         help="a directory or a git revision, under a label")
-    parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=31)
     parser.add_argument("--out", help="write the JSON here instead of stdout")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -189,13 +189,13 @@ def main(argv=None) -> int:
         import resource
 
         resource.setrlimit(resource.RLIMIT_AS, (MAX_MEMORY_BYTES, MAX_MEMORY_BYTES))
-        json.dump(measure(args.repeat, args.seed), sys.stdout)
+        json.dump(measure(), sys.stdout)
         return 0
     report = {
         "command": "python tools/scaling.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "host": host(),
-        "repeat": args.repeat,
-        "seed": args.seed,
+        "repeat": REPEAT,
+        "seed": SEED,
         "budget_s": BUDGET_S,
         "max_memory_bytes": MAX_MEMORY_BYTES,
         "trees": {},
@@ -206,8 +206,7 @@ def main(argv=None) -> int:
             root, source = checkout(where, Path(scratch))
             env = {**os.environ, "PYTHONPATH": str(root / "src")}
             run = subprocess.run(
-                [sys.executable, str(Path(__file__).resolve()), "--measure", "--repeat", str(args.repeat),
-                 "--seed", str(args.seed)],
+                [sys.executable, str(Path(__file__).resolve()), "--measure"],
                 check=True, capture_output=True, text=True, env=env, cwd=root,
             )
             report["trees"][label] = {"source": source, **json.loads(run.stdout)}
