@@ -43,7 +43,8 @@ On an unoccupied configuration ``exists_stabilizing_linearization`` reads only
 occupancy, so it runs once per (presentation, occupied coordinates).
 Li–Wu stability reads only the fibre and the points, so the bijection
 suite decides it, normalizes and compares once per (normal form,
-multiset), at the normal form's first presentation, and keeps the
+multiset), at the normal form's first presentation, where it also reads
+the verdict off the valuations by the line rules, and keeps the
 multisets that are admissible but not Li–Wu stable; the later
 presentations only test those for occupancy.  Every verdict over the
 placements is a plain loop, with no generator frame per point or per
@@ -72,7 +73,7 @@ from .configurations import (
 )
 from .dual_complex import build_fibre, complex_counts
 from .errors import DegenLabError
-from .limits import flat_limit, unique_stable_subdivision_oracle
+from .limits import _on_vertices, flat_limit, unique_stable_subdivision_oracle
 from .weights import Profile, count_sides, exists_stabilizing_linearization
 
 __all__ = [
@@ -431,7 +432,11 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
 
     ``is_lw_stable``, ``normalize_pair`` and the comparison with the
     normalized ``is_sws_stable`` run once per (normal form, multiset), at
-    the normal form's first presentation in sweep order, which also keeps,
+    the normal form's first presentation in sweep order.  Both read the
+    same occupied bits, so there Li–Wu stability is also decided from the
+    valuations alone, by the line rules of the limit oracle: every point
+    on two or more lines, and every cut some point's a or k - b.  That
+    presentation also keeps,
     until its height ends, the multisets that are admissible but not Li–Wu
     stable.  Strict stability is admissibility and occupancy, so every
     later presentation that is not zero-free tests only those multisets'
@@ -453,10 +458,13 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     for presentation, placed in _sweep(max_k, max_m):
         if presentation.height != height:
             height, suspects_of = presentation.height, {}
+            valuations = [[p.valuations for p in points] for points in placed.multisets]
+            hits = [{a for a, _, _ in v} | {height - b for _, b, _ in v} for v in valuations]
         nf = placed.fibre.nf
         suspects = suspects_of.get(nf)
         if suspects is None:
             suspects = suspects_of[nf] = []
+            cuts = set(nf.cuts)
             for i, cfg in enumerate(placed.configs(presentation)):
                 lw = is_lw_stable(cfg)
                 normalized = normalize_pair(cfg)
@@ -464,6 +472,11 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                 if lw != sws_normalized:
                     return _config_failure(
                         "bijection", cfg, f"lw={lw} normalized sws={sws_normalized}"
+                    )
+                by_lines = cuts <= hits[i] and _on_vertices(valuations[i], height, cuts)
+                if lw != by_lines:
+                    return _config_failure(
+                        "bijection", cfg, f"lw={lw} by the line rules={by_lines}"
                     )
                 # on a zero-free presentation ``normalized`` is ``cfg``: its
                 # sws verdict is ``sws_normalized``, which equals ``lw`` here

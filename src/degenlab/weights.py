@@ -51,6 +51,7 @@ chain cone intersected with a sign orthant has entries in {-1, 0, 1}.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -316,7 +317,8 @@ def _scheme_degrees(cfg: PointConfiguration) -> list[int]:
             raise InvalidLocalScheme("the constant monomial is required")
         for mono in monomials:
             if sum(e for _, e in mono) > p.multiplicity:
-                raise InvalidLocalScheme(f"monomial degree exceeds the multiplicity: {mono}")
+                shown = json.dumps([[level, chart.value, exp] for (level, chart), exp in mono])
+                raise InvalidLocalScheme(f"monomial degree exceeds the multiplicity: {shown}")
         if any(monomials) and not loc.is_vertex:
             raise InvalidLocalScheme("a nontrivial local scheme must sit at a torus fixpoint")
         for mono in monomials:

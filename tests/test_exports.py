@@ -25,6 +25,7 @@ UNEXPORTED_IMPORTS = {
     ("dual_complex", "half_level"),  # per-point; kept out so a tracer does not wrap it
     ("limits", "_as_points"),
     ("render", "_SURFACE"),
+    ("verify", "_on_vertices"),  # the valuation line rules, criterion 7's second reading
 }
 
 

@@ -1,7 +1,7 @@
 """The exhaustive suites' enumeration, and that each suite can still fail."""
 
 import re
-from ast import literal_eval
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -179,28 +179,6 @@ def test_limit_oracle_resumes_no_generator():
     assert counts["<genexpr>"] == 0
 
 
-@pytest.mark.parametrize(
-    "suite,module,name,broken",
-    [
-        (verify.check_stability_equivalence, verify, "exists_stabilizing_linearization",
-         lambda original: lambda cfg: None),
-        (verify.check_stability_equivalence, weights, "_levels_stable",
-         lambda original: lambda degrees, table, l: False),
-        (verify.check_positivity, weights.Profile, "lift_table",
-         lambda original: lambda key, lin: [(-neg, -pos) for neg, pos in original(key, lin)]),
-        (verify.check_bijection, verify, "is_lw_stable", lambda original: lambda cfg: False),
-    ],
-    ids=["stability-equivalence", "stability-equivalence-lift", "positivity", "bijection"],
-)
-def test_each_suite_fails_on_a_broken_verdict(monkeypatch, suite, module, name, broken):
-    monkeypatch.setattr(module, name, broken(getattr(module, name)))
-    result = suite(max_k=3, max_m=2)
-    assert not result.ok
-    named = re.match(r"presentation (\([\d, ]*\)) ", result.detail)
-    assert named, result.detail
-    assert literal_eval(named.group(1)) in {p.exponents for p in presentations(3)}
-
-
 def named(cfg, problem, at=""):
     return (f"presentation {cfg.presentation.exponents} points "
             f"{[p.valuations for p in cfg.points]}{at}: {problem}")
@@ -249,6 +227,9 @@ def ungrouped_bijection(max_k, max_m):
             sws_normalized = is_sws_stable(normalize_pair(cfg))
             if lw != sws_normalized:
                 return named(cfg, f"lw={lw} normalized sws={sws_normalized}")
+            valuations, nf = [p.valuations for p in cfg.points], cfg.fibre.nf
+            if lw != (nf.cuts in oracles.stable_cut_sets(valuations, nf.height)):
+                return named(cfg, f"lw={lw} by the line rules={not lw}")
             if not lw and 0 in presentation.exponents and is_sws_stable(cfg):
                 return f"sws without lw at {presentation.exponents}"
     return None
@@ -285,6 +266,13 @@ def refused_for_one_point_on_both(original):
     return broken
 
 
+def first_family_only(original):
+    """``configurations.occupied_bits`` reading each point's x alone.  Li–Wu
+    stability and the normalized strict stability read it alike, so only
+    the line rules of the valuations disagree with them."""
+    return lambda placements: original([replace(loc, y=loc.x) for loc in placements])
+
+
 @pytest.mark.parametrize(
     "suite,reference,module,name,broken",
     [
@@ -294,8 +282,10 @@ def refused_for_one_point_on_both(original):
          positive_column_negated),
         (verify.check_bijection, ungrouped_bijection, verify, "is_lw_stable",
          lambda original: lambda cfg: original(cfg) and cfg.fibre.nf != NormalForm(3, (2,))),
+        (verify.check_bijection, ungrouped_bijection, configurations, "occupied_bits",
+         first_family_only),
     ],
-    ids=["stability-equivalence", "positivity", "bijection"],
+    ids=["stability-equivalence", "positivity", "bijection", "bijection-line-rules"],
 )
 def test_a_grouped_suite_fails_where_the_ungrouped_loop_does(monkeypatch, suite, reference, module,
                                                              name, broken):
