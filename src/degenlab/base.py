@@ -25,10 +25,10 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from typing import NamedTuple
 
 from .errors import InvalidComparison, InvalidInput
 
@@ -89,19 +89,16 @@ def half_level(levels, v: int) -> int:
     return 2 * p if levels[p] == v else 2 * p - 1
 
 
-@dataclass(frozen=True)
-class BaseTuple:
+class BaseTuple(NamedTuple("BaseTuple", [("exponents", tuple[int, ...])])):
     """Vanishing orders of the basis directions at a valued base point.
 
     The level facts depend only on the exponents and are computed together,
     on the first read of any of them, by one pass (``_levels``): the level
     values, their half-level coordinates, the coordinate bits and the
-    interior cuts, which ``normal_form`` reads.  Each is then kept on the
-    tuple, as is the vanishing pattern (see ``cached``); equality, hashing
-    and the ``repr`` read the exponents alone.
+    interior cuts, which ``normal_form`` reads.  Each is then kept in the
+    instance ``__dict__``, as is the vanishing pattern (see ``cached``);
+    equality, hashing and the ``repr`` read the exponents alone.
     """
-
-    exponents: tuple[int, ...]
 
     @property
     def height(self) -> int:
@@ -156,25 +153,26 @@ class BaseTuple:
     @cached
     def _vanishing_pattern(self) -> VanishingPattern:
         vanishing = frozenset(i + 1 for i, g in enumerate(self.exponents) if g > 0)
-        return VanishingPattern(size=self.length, vanishing=vanishing)
+        return tuple.__new__(VanishingPattern, (self.length, vanishing))  # indices in 1..length
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple("NormalForm", [("height", int), ("cuts", tuple[int, ...])])):
     """Height plus the strictly increasing cut levels inside ``(0, k)``."""
 
-    height: int
-    cuts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.height < 1:
-            raise InvalidInput(f"height must be >= 1, got {self.height}")
-        if list(self.cuts) != sorted(set(self.cuts)):
-            raise InvalidInput(f"cuts must be strictly increasing: {self.cuts}")
-        if self.cuts and not (0 < self.cuts[0] and self.cuts[-1] < self.height):
-            raise InvalidInput(
-                f"cuts must lie strictly inside (0, {self.height}): {self.cuts}"
-            )
+    def __new__(cls, height: int, cuts: tuple[int, ...]) -> NormalForm:
+        if height < 1:
+            raise InvalidInput(f"height must be >= 1, got {height}")
+        if list(cuts) != sorted(set(cuts)):
+            raise InvalidInput(f"cuts must be strictly increasing: {cuts}")
+        if cuts and not (0 < cuts[0] and cuts[-1] < height):
+            raise InvalidInput(f"cuts must lie strictly inside (0, {height}): {cuts}")
+        return tuple.__new__(cls, (height, cuts))
+
+    @classmethod
+    def _make(cls, fields) -> NormalForm:  # checked, and so is ``_replace``
+        return cls(*fields)
 
     def rescale(self, factor: int) -> NormalForm:
         """Finite base change: multiply the height and every cut by ``factor``."""
@@ -183,20 +181,21 @@ class NormalForm:
         return NormalForm(self.height * factor, tuple(s * factor for s in self.cuts))
 
 
-@dataclass(frozen=True)
-class VanishingPattern:
+class VanishingPattern(
+    NamedTuple("VanishingPattern", [("size", int), ("vanishing", frozenset[int])])
+):
     """Subset of ``{1, ..., size}`` of basis directions that vanish."""
 
-    size: int
-    vanishing: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __new__(cls, size: int, vanishing: frozenset[int]) -> VanishingPattern:
+        if size < 1:
             raise InvalidInput("pattern size must be >= 1")
-        if not self.vanishing <= frozenset(range(1, self.size + 1)):
-            raise InvalidInput(
-                f"vanishing set {sorted(self.vanishing)} not within 1..{self.size}"
-            )
+        if not vanishing <= frozenset(range(1, size + 1)):
+            raise InvalidInput(f"vanishing set {sorted(vanishing)} not within 1..{size}")
+        return tuple.__new__(cls, (size, vanishing))
+
+    @classmethod
+    def _make(cls, fields) -> VanishingPattern:  # checked, and so is ``_replace``
+        return cls(*fields)
 
     @property
     def base_codimension(self) -> int:
@@ -223,8 +222,7 @@ class VanishingPattern:
 UnitLabel = str | int | Fraction
 
 
-@dataclass(frozen=True)
-class ClosedPoint:
+class ClosedPoint(NamedTuple):
     """A closed base point: each entry is either zero or an abstract unit.
 
     ``entries[i] is None`` marks a vanishing direction; any other value is an
@@ -337,7 +335,7 @@ def normal_form(t: BaseTuple) -> NormalForm:
     k = t.height
     if k < 1:
         raise InvalidInput("normal form requires height >= 1")
-    return NormalForm(k, t.cuts)
+    return tuple.__new__(NormalForm, (k, t.cuts))  # ``cuts`` increase inside (0, k)
 
 
 def canonical_tuple(nf: NormalForm) -> BaseTuple:

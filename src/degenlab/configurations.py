@@ -32,7 +32,6 @@ which build one per configuration, pay for a tuple and not an object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .base import BaseTuple, NormalForm, normal_form
@@ -55,23 +54,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SupportPoint:
+class SupportPoint(NamedTuple("SupportPoint", [
+    ("valuations", tuple[int, int, int]), ("multiplicity", int), ("scheme", object)
+])):
     """A support point: valuation triple, multiplicity, optional local data.
 
     ``scheme`` is a local monomial structure used only by the weight
     calculus; reduced points leave it as None.
     """
 
-    valuations: tuple[int, int, int]
-    multiplicity: int = 1
-    scheme: object | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise InvalidInput(f"multiplicity must be >= 1, got {self.multiplicity}")
-        if len(self.valuations) != 3 or min(self.valuations) < 0:
-            raise InvalidInput(f"bad valuation triple {self.valuations}")
+    def __new__(
+        cls, valuations: tuple[int, int, int], multiplicity: int = 1, scheme: object | None = None
+    ) -> SupportPoint:
+        if multiplicity < 1:
+            raise InvalidInput(f"multiplicity must be >= 1, got {multiplicity}")
+        if len(valuations) != 3 or min(valuations) < 0:
+            raise InvalidInput(f"bad valuation triple {valuations}")
+        return tuple.__new__(cls, (valuations, multiplicity, scheme))
+
+    @classmethod
+    def _make(cls, fields) -> SupportPoint:  # checked, and so is ``_replace``
+        return cls(*fields)
 
     @property
     def a(self) -> int:
@@ -88,12 +93,9 @@ class PointConfiguration(NamedTuple):
     ``placements[i]`` is the location of ``points[i]``; ``m`` is the total
     multiplicity and ``height`` the fibre's.  Built positionally or by
     keyword; ``verify``'s configuration stream, which makes thousands, builds
-    it by ``tuple.__new__`` on the four fields.
-
-    This is a tuple, not a dataclass: it equals and hashes like the plain
-    tuple ``(fibre, presentation, points, placements)``, and supports
-    ``len``, iteration, indexing and unpacking.  ``dataclasses.replace`` and
-    ``dataclasses.fields`` no longer apply; use ``_replace`` and ``_fields``.
+    it by ``tuple.__new__`` on the four fields.  Like every value type, it
+    equals and hashes as the plain tuple of its fields (README, "Value
+    types").
     """
 
     fibre: ExpandedFibre
@@ -113,8 +115,7 @@ class PointConfiguration(NamedTuple):
         return self.fibre.height
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     admissible: bool
     stabilizer_rank: int
     lw_stable: bool

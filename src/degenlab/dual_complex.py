@@ -15,7 +15,6 @@ the exceptional bubbles, and chord crossings the quadric bubbles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import lcm
@@ -86,8 +85,7 @@ class DCVertex(NamedTuple):
         return _SURFACE[self.kind]
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
     """Stratum of the subdivision containing a point.
 
     ``x`` and ``y`` are the half-level coordinates of ``a`` and ``k - b``
@@ -109,8 +107,7 @@ class Location:
         return self.stratum == "vertex"
 
 
-@dataclass(frozen=True)
-class DualComplex:
+class DualComplex(NamedTuple):
     """Vertices, edges and bounded cells of the subdivided triangle."""
 
     height: int
@@ -124,12 +121,9 @@ class DualComplex:
         return f"DualComplex(height={self.height}, cuts={self.cuts}, V={v}, E={e}, F={f})"
 
 
-@dataclass(frozen=True)
-class ExpandedFibre:
+class ExpandedFibre(NamedTuple("ExpandedFibre", [("nf", NormalForm)])):
     """A normal form with its dual complex and its zero-free presentation,
     each built on first access and kept (``base.cached``)."""
-
-    nf: NormalForm
 
     @cached
     def dual_complex(self) -> DualComplex:

@@ -9,8 +9,8 @@ consistent with an explicit height.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .base import (
     BaseTuple,
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     height: int | None = None
     cuts: tuple[int, ...] | None = None
     tuple_: tuple[int, ...] | None = None

@@ -52,7 +52,6 @@ chain cone intersected with a sign orthant has entries in {-1, 0, 1}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -96,19 +95,23 @@ class LevelLift(NamedTuple):
     d: int
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(NamedTuple("Linearization", [("levels", tuple[LevelLift, ...])])):
     """One lift per torus level; both chart degrees must be positive."""
 
-    levels: tuple[LevelLift, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for lift in self.levels:
+    def __new__(cls, levels: tuple[LevelLift, ...]) -> Linearization:
+        for lift in levels:
             a, b, c, d = lift
             if a < 0 or b < 0 or c < 0 or d < 0:
                 raise InvalidInput(f"lift exponents must be non-negative: {lift}")
             if a + b < 1 or c + d < 1:
                 raise InvalidInput(f"each chart of {lift} needs total degree >= 1")
+        return tuple.__new__(cls, (levels,))
+
+    @classmethod
+    def _make(cls, fields) -> Linearization:  # checked, and so is ``_replace``
+        return cls(*fields)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -130,8 +133,7 @@ def _normalize_monomial(data: Mapping | Monomial) -> Monomial:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class LocalMonomialScheme:
+class LocalMonomialScheme(NamedTuple):
     """Monomial model of the local structure at a fat point.
 
     The coordinate ring of a length-r local scheme is spanned by r monomials
@@ -218,7 +220,9 @@ class Profile(NamedTuple):
                 raise CriterionViolated(
                     f"no point of the support occupies the level at cut value {v}"
                 )
-        return Linearization(tuple(lifts))
+        # valid as built: non-negative exponents, and each chart has degree
+        # m (m + 1) or 1, with m >= eq1 + eq2 >= 1
+        return tuple.__new__(Linearization, (tuple(lifts),))
 
     def lift_table(self, lin: Linearization) -> list[tuple[int, int]]:
         """Combinatorial sign table ``(c_j at s_j = -1, c_j at s_j = +1)``.

@@ -6,9 +6,11 @@ kill the edited program, and a status.  A check is one or more of
 
 * ``"verify"``: ``degenlab verify --max-k 4 --max-m 2`` exits 1;
 * ``"verify <suite>"``: it exits 1 and that suite's line reads ``[FAIL]``;
-* ``"<test module>::<test>"``: the test function, which takes no
-  argument, raises.  A Hypothesis test kills only if it raises on each of
-  the three ``SEEDS``, with the example database and shrinking off.
+* ``"<test module>::<test>"``: the test function raises.  It takes no
+  argument, or only those of one ``pytest.mark.parametrize`` of argument
+  tuples, and then kills if it raises on any of them.  A Hypothesis test
+  kills only if it raises on each of the three ``SEEDS``, with the example
+  database and shrinking off.
 
 and it kills the mutant when any of them does.  The status is ``"killed"``,
 or ``"survives until item N"``, the ROADMAP item that is to give the
@@ -141,6 +143,13 @@ MUTANTS = [
     Mutant("cached-property-import", "base.py", "from math import lcm\n",
            "from math import lcm\nfrom functools import cached_property\n",
            ("test_exports::test_no_layer_caches_through_functools_cached_property",), "killed"),
+    # a checked value type: ``_replace`` and ``_make`` build through its checks
+    Mutant("replace-skips-validation", "base.py",
+           "def _make(cls, fields) -> NormalForm:  # checked, and so is ``_replace``\n"
+           "        return cls(*fields)\n",
+           "def _make(cls, fields) -> NormalForm:  # checked, and so is ``_replace``\n"
+           "        return tuple.__new__(cls, fields)\n",
+           ("test_base::test_a_checked_value_type_checks_every_way_it_is_built",), "killed"),
 ]
 
 
@@ -219,10 +228,14 @@ def _verify(entry: str) -> str | None:
 
 def _test(entry: str) -> str | None:
     """Why the named test kills the mutant, or None."""
+    import pytest
+
+    failed = (Exception, pytest.fail.Exception)  # ``pytest.raises`` fails by a BaseException
     module, name = entry.split("::")
     test = getattr(importlib.import_module(module), name)
-    if inspect.signature(test).parameters:  # a fixture or a parameter would raise TypeError
-        raise SystemExit(f"{entry} takes arguments; name a test that takes none")
+    cases = _cases(test)
+    if set(inspect.signature(test).parameters) != set(cases[0]):  # a fixture would raise
+        raise SystemExit(f"{entry} takes arguments that no parametrize mark gives")
     seeds = SEEDS if getattr(test, "is_hypothesis_test", False) else (None,)
     raised = []
     for value in seeds:
@@ -230,13 +243,27 @@ def _test(entry: str) -> str | None:
             from hypothesis import seed
 
             seed(value)(test)
-        try:
-            test()
-        except Exception as exc:
-            raised.append(type(exc).__name__)
+        for case in cases:
+            try:
+                test(**case)
+            except failed as exc:
+                raised.append(type(exc).__name__)
+                break
         else:
             return None
     return f"raised {', '.join(raised)}" + (f" on seeds {SEEDS}" if value is not None else "")
+
+
+def _cases(test) -> list[dict]:
+    """The keyword arguments of each call: one empty set, or one set per
+    argument tuple of the test's one ``pytest.mark.parametrize``."""
+    marks = [mark for mark in getattr(test, "pytestmark", ()) if mark.name == "parametrize"]
+    if not marks:
+        return [{}]
+    [mark] = marks
+    names, rows = mark.args
+    names = [name.strip() for name in names.split(",")]
+    return [dict(zip(names, row if len(names) > 1 else (row,))) for row in rows]
 
 
 def main() -> int:

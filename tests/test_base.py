@@ -1,5 +1,7 @@
 """Base tuples, normal forms, slot moves and equivalence."""
 
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,7 +10,11 @@ from degenlab import (
     BaseTuple,
     InvalidComparison,
     InvalidInput,
+    LevelLift,
+    Linearization,
     NormalForm,
+    SupportPoint,
+    VanishingPattern,
     canonical_tuple,
     equivalent,
     make_base_tuple,
@@ -139,6 +145,41 @@ def test_vanishing_pattern():
     assert pattern.size == 4
     assert pattern.vanishing == frozenset({1, 3})
     assert pattern.base_codimension == 2
+
+
+_FORM = {"height": 3, "cuts": (1,)}
+_PATTERN = {"size": 3, "vanishing": frozenset({1})}
+_POINT = {"valuations": (1, 1, 1), "multiplicity": 2, "scheme": None}
+_LIN = {"levels": (LevelLift(1, 1, 0, 1), LevelLift(0, 1, 2, 1))}
+
+
+@pytest.mark.parametrize("cls, fields, bad, message", [
+    (NormalForm, _FORM, {"height": 0}, "height must be >= 1, got 0"),
+    (NormalForm, _FORM, {"cuts": (2, 1)}, "cuts must be strictly increasing: (2, 1)"),
+    (NormalForm, _FORM, {"cuts": (3,)}, "cuts must lie strictly inside (0, 3): (3,)"),
+    (VanishingPattern, _PATTERN, {"size": 0}, "pattern size must be >= 1"),
+    (VanishingPattern, _PATTERN, {"vanishing": frozenset({4})},
+     "vanishing set [4] not within 1..3"),
+    (SupportPoint, _POINT, {"multiplicity": 0}, "multiplicity must be >= 1, got 0"),
+    (SupportPoint, _POINT, {"valuations": (1, -1, 3)}, "bad valuation triple (1, -1, 3)"),
+    (Linearization, _LIN, {"levels": (LevelLift(1, 0, -1, 2),)},
+     "lift exponents must be non-negative: LevelLift(a=1, b=0, c=-1, d=2)"),
+    (Linearization, _LIN, {"levels": (LevelLift(0, 0, 0, 1),)},
+     "each chart of LevelLift(a=0, b=0, c=0, d=1) needs total degree >= 1"),
+])
+def test_a_checked_value_type_checks_every_way_it_is_built(cls, fields, bad, message):
+    """The constructor, ``_replace`` and ``_make`` of each checked value
+    type refuse invalid fields with the same message; a valid value
+    survives a pickle round trip, which rebuilds it through the constructor."""
+    value = cls(**fields)
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and type(copy) is cls
+    invalid = {**fields, **bad}
+    for build in (lambda: cls(**invalid), lambda: value._replace(**bad),
+                  lambda: cls._make(invalid.values())):
+        with pytest.raises(InvalidInput) as info:
+            build()
+        assert str(info.value) == message
 
 
 class TestEquivalence:

@@ -16,6 +16,7 @@ from degenlab import (
     TropicalIncompatibility,
     ValidationError,
     associated_pair,
+    configurations,
     parse_scenario,
     place,
 )
@@ -450,17 +451,17 @@ class TestCommands:
 
     def test_limit_builds_each_point_once(self, monkeypatch, capsys):
         """At height 12 with all 91 positions, ``limit`` builds 91 points in
-        parsing and 91 scheme-free ones that the limit and the oracle share,
-        beside 5 normal forms: 187 ``__post_init__`` calls, 278 when the
+        parsing and 91 scheme-free ones that the limit and the oracle share:
+        182 calls of the checking ``SupportPoint.__new__``, 273 when the
         limit and the oracle each built their own."""
         k = 12
         points = [{"val": [a, b, k - a - b]} for a in range(k + 1) for b in range(k + 1 - a)]
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"height": k, "points": points})))
-        with calls_by_name("__post_init__") as counts:
+        with calls_by_name("__new__", module=configurations) as counts:
             assert main(["limit", "-"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["oracle"]["agrees"] and len(report["configuration"]["points"]) == 91
-        assert counts["__post_init__"] <= 187
+        assert counts["__new__"] <= 182
 
     def test_weights_table(self):
         result = run_cli("weights", str(DATA / "s1_worked_pair.json"))

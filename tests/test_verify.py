@@ -1,7 +1,6 @@
 """The exhaustive suites' enumeration, and that each suite can still fail."""
 
 import re
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -270,7 +269,7 @@ def first_family_only(original):
     """``configurations.occupied_bits`` reading each point's x alone.  Li–Wu
     stability and the normalized strict stability read it alike, so only
     the line rules of the valuations disagree with them."""
-    return lambda placements: original([replace(loc, y=loc.x) for loc in placements])
+    return lambda placements: original([loc._replace(y=loc.x) for loc in placements])
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,16 @@
 """Scaling curves of the limit oracle and of the constructive lift's
-re-check, and the time of each ``verify`` suite at its acceptance size,
-for one or more source trees side by side.
+re-check, the time of each ``verify`` suite at its acceptance size, and
+the start-up cost of the command line, for one or more source trees side
+by side.
 
 Stdlib only.  Each tree is a directory, or a git revision that is archived
 into a temporary directory; it is measured in a fresh interpreter whose
 ``sys.path`` starts with the tree's ``src``.  From the repository root,
 
     PYTHONDONTWRITEBYTECODE=1 python tools/scaling.py \\
-        parent=ec52d60 change=. --out BENCH_31.json
+        parent=bc28e52 change=. --out BENCH_33.json
 
-regenerates ``BENCH_31.json``: ``ec52d60`` against the working tree.
+regenerates ``BENCH_33.json``: ``bc28e52`` against the working tree.
 
 Every figure is the best of ``REPEAT`` calls, in seconds, on inputs drawn
 from ``random.Random(SEED)``; a call slower than ``BUDGET_S`` is not
@@ -26,7 +27,11 @@ that would need more raises ``MemoryError`` and is written as null too.
   orders 1-3 and one point of multiplicity 1-3 on each level, so every
   level is occupied and the lift is built and re-checked;
 - each ``verify`` suite at the size of its acceptance criterion, with its
-  detail string, which must be the same on every tree.
+  detail string, which must be the same on every tree;
+- the wall time of a fresh interpreter running each ``STARTUP`` program,
+  ``python -c pass`` and ``python -c "import degenlab.cli"``, best of
+  ``REPEAT`` runs taken in turn: the command line's time before it reads
+  its arguments, interpreter start-up included.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ SUITES = (  # (suite, its arguments in the acceptance criteria)
     ("positivity", {"max_k": 5, "max_m": 3}),
     ("bijection", {"max_k": 5, "max_m": 3}),
 )
+STARTUP = (("interpreter", "pass"), ("import_cli", "import degenlab.cli"))
 BUDGET_S = 0.25
 REPEAT = 5
 SEED = 31
@@ -153,6 +159,18 @@ def measure() -> dict:
     }
 
 
+def startup(env: dict, cwd: Path) -> dict:
+    """Best wall time of ``REPEAT`` fresh interpreters per ``STARTUP``
+    program, in seconds, the programs alternating."""
+    best = dict.fromkeys([name for name, _ in STARTUP], inf)
+    for _ in range(REPEAT):
+        for name, program in STARTUP:
+            start = perf_counter()
+            subprocess.run([sys.executable, "-c", program], check=True, env=env, cwd=cwd)
+            best[name] = min(best[name], perf_counter() - start)
+    return best
+
+
 def checkout(spec: str, scratch: Path) -> tuple[Path, str]:
     """The tree named by ``spec``: a directory, or a git revision archived
     under ``scratch``; with what was measured."""
@@ -204,12 +222,15 @@ def main(argv=None) -> int:
         for spec in args.trees:
             label, _, where = spec.partition("=")
             root, source = checkout(where, Path(scratch))
-            env = {**os.environ, "PYTHONPATH": str(root / "src")}
+            path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
             run = subprocess.run(
                 [sys.executable, str(Path(__file__).resolve()), "--measure"],
                 check=True, capture_output=True, text=True, env=env, cwd=root,
             )
-            report["trees"][label] = {"source": source, **json.loads(run.stdout)}
+            report["trees"][label] = {
+                "source": source, **json.loads(run.stdout), "startup_s": startup(env, root),
+            }
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
