@@ -43,14 +43,14 @@ On an unoccupied configuration ``exists_stabilizing_linearization`` reads only
 occupancy, so it runs once per (presentation, occupied coordinates).
 Li–Wu stability reads only the fibre and the points, so the bijection
 suite decides it, normalizes and compares once per (normal form,
-multiset), at the normal form's first presentation, where it also reads
-the verdict off the valuations by the line rules, and keeps the
-multisets that are admissible but not Li–Wu stable; the later
-presentations only test those for occupancy.  Every verdict over the
-placements is a plain loop, with no generator frame per point or per
-configuration.  The limit oracle tests the set of levels hit by the
-points and each one-level removal of it, so its cost grows with the number
-of those levels, not with the number of cut sets.
+multiset), on the normal form's zero-free presentation, where it also
+reads the verdict off the valuations by the line rules; a presentation
+with a unit slot tests only that the zero-free level bits are among its
+own, so that strict stability there implies Li–Wu stability.  Every
+verdict over the placements is a plain loop, with no generator frame per
+point or per configuration.  The limit oracle tests the set of levels hit
+by the points and each one-level removal of it, so its cost grows with the
+number of those levels, not with the number of cut sets.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .base import BaseTuple, NormalForm, normal_form, tau_move
 from .configurations import (
     PointConfiguration,
     SupportPoint,
-    is_admissible,
     is_lw_stable,
     is_sws_stable,
     normalize_pair,
@@ -430,45 +429,33 @@ def check_positivity(max_k: int = 5, max_m: int = 3) -> SuiteResult:
 def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     """Finite-automorphism stability matches normalized strict stability.
 
-    ``is_lw_stable``, ``normalize_pair`` and the comparison with the
-    normalized ``is_sws_stable`` run once per (normal form, multiset), at
-    the normal form's first presentation in sweep order.  Both read the
-    same occupied bits, so there Li–Wu stability is also decided from the
-    valuations alone, by the line rules of the limit oracle: every point
-    on two or more lines, and every cut some point's a or k - b.  That
-    presentation also keeps,
-    until its height ends, the multisets that are admissible but not Li–Wu
-    stable.  Strict stability is admissibility and occupancy, so every
-    later presentation that is not zero-free tests only those multisets'
-    occupancy to find a configuration that is strictly stable without
-    being Li–Wu stable.
+    Li–Wu stability reads only the fibre and the points, so when the sweep
+    first meets a normal form, ``is_lw_stable``, ``normalize_pair`` and the
+    comparison with the normalized ``is_sws_stable`` run once per multiset,
+    on the normal form's zero-free presentation.  There Li–Wu stability is
+    also decided from the valuations alone, by the line rules of the limit
+    oracle: every point on two or more lines, and every cut some point's a
+    or k - b.  Strict stability is admissibility with the presentation's
+    level bits occupied, and Li–Wu stability the same with the zero-free
+    presentation's bits, so on a presentation with a unit slot strict
+    stability implies Li–Wu stability when the zero-free bits are among
+    its own: one bit test per presentation.  The zero-free presentations
+    are counted per normal form as the sweep goes; each must have one.
     """
-    checked = 0
-    zero_free_seen: dict[NormalForm, int] = {}
-    for presentation in presentations(max_k):
-        if 0 not in presentation.exponents:
-            nf = normal_form(presentation)
-            zero_free_seen[nf] = zero_free_seen.get(nf, 0) + 1
-    bad = {nf: c for nf, c in zero_free_seen.items() if c != 1}
-    if bad:
-        return SuiteResult(
-            "bijection", False, f"classes without a unique zero-free presentation: {bad}"
-        )
-    height, suspects_of = 0, {}  # normal form -> its admissible multisets without Li–Wu
+    checked, height = 0, 0
+    zero_free: dict[NormalForm, int] = {}  # normal form -> its zero-free presentations
     for presentation, placed in _sweep(max_k, max_m):
         if presentation.height != height:
-            height, suspects_of = presentation.height, {}
+            height = presentation.height
             valuations = [[p.valuations for p in points] for points in placed.multisets]
             hits = [{a for a, _, _ in v} | {height - b for _, b, _ in v} for v in valuations]
-        nf = placed.fibre.nf
-        suspects = suspects_of.get(nf)
-        if suspects is None:
-            suspects = suspects_of[nf] = []
+        nf, canonical = placed.fibre.nf, placed.fibre.canonical_tuple
+        if nf not in zero_free:
+            zero_free[nf] = 0
             cuts = set(nf.cuts)
-            for i, cfg in enumerate(placed.configs(presentation)):
+            for i, cfg in enumerate(placed.configs(canonical)):
                 lw = is_lw_stable(cfg)
-                normalized = normalize_pair(cfg)
-                sws_normalized = is_sws_stable(normalized)
+                sws_normalized = is_sws_stable(normalize_pair(cfg))
                 if lw != sws_normalized:
                     return _config_failure(
                         "bijection", cfg, f"lw={lw} normalized sws={sws_normalized}"
@@ -478,27 +465,19 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                     return _config_failure(
                         "bijection", cfg, f"lw={lw} by the line rules={by_lines}"
                     )
-                # on a zero-free presentation ``normalized`` is ``cfg``: its
-                # sws verdict is ``sws_normalized``, which equals ``lw`` here
-                if not lw and normalized is not cfg and is_sws_stable(cfg):
-                    return _sws_without_lw(presentation)
-                if not lw and is_admissible(cfg):
-                    suspects.append(i)
-        elif 0 in presentation.exponents:
-            level_bits, bits = presentation.level_bits, placed.bits
-            for i in suspects:
-                if not level_bits & ~bits[i]:
-                    return _sws_without_lw(presentation)
+        if 0 not in presentation.exponents:
+            zero_free[nf] += 1
+        elif canonical.level_bits & ~presentation.level_bits:
+            return SuiteResult("bijection", False, f"sws without lw at {presentation.exponents}")
         checked += len(placed.multisets)
+    bad = {nf: c for nf, c in zero_free.items() if c != 1}
+    if bad:
+        return SuiteResult(
+            "bijection", False, f"classes without a unique zero-free presentation: {bad}"
+        )
     return SuiteResult(
-        "bijection",
-        True,
-        f"{checked} configurations over {len(zero_free_seen)} classes",
+        "bijection", True, f"{checked} configurations over {len(zero_free)} classes"
     )
-
-
-def _sws_without_lw(presentation: BaseTuple) -> SuiteResult:
-    return SuiteResult("bijection", False, f"sws without lw at {presentation.exponents}")
 
 
 def run_all(max_k: int = 5, max_m: int = 3) -> list[SuiteResult]:

@@ -113,9 +113,6 @@ class Linearization(NamedTuple("Linearization", [("levels", tuple[LevelLift, ...
     def _make(cls, fields) -> Linearization:  # checked, and so is ``_replace``
         return cls(*fields)
 
-    def __len__(self) -> int:
-        return len(self.levels)
-
 
 Monomial = tuple[tuple[tuple[int, Chart], int], ...]
 
@@ -238,9 +235,9 @@ class Profile(NamedTuple):
             neg_j = -a (lt + eq1) + b (m - lt - eq1) + c gt - d (m - gt),
             pos_j = -a lt + b (m - lt) + c (gt + eq2) - d (m - gt - eq2).
         """
-        if len(lin) != len(self.sides):
+        if len(lin.levels) != len(self.sides):
             raise InvalidInput(
-                f"linearization has {len(lin)} levels, presentation needs {len(self.sides)}"
+                f"linearization has {len(lin.levels)} levels, presentation needs {len(self.sides)}"
             )
         m = self.m
         table = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degenlab import (
-    CriterionViolated, DegenLabError, NormalForm, configurations, limits, verify, weights,
+    CriterionViolated, DegenLabError, NormalForm, base, configurations, limits, verify, weights,
 )
 from degenlab.base import BaseTuple, canonical_tuple, make_base_tuple, normal_form
 from degenlab.cli import main
@@ -272,6 +272,23 @@ def first_family_only(original):
     return lambda placements: original([loc._replace(y=loc.x) for loc in placements])
 
 
+def unit_slots_miss_the_first_cut(original):
+    """``BaseTuple._levels`` clearing bit 2, the first cut's coordinate,
+    from the level bits of every presentation with a unit slot.  Li–Wu
+    stability and the normalized strict stability read the zero-free
+    presentation, so only strict stability on a presentation with a unit
+    slot disagrees with them: first on (0, 1, 1)."""
+
+    def broken(self):
+        values, coords, bits, cuts = original(self)
+        if 0 in self.exponents:
+            bits &= ~4
+            vars(self)["level_bits"] = bits
+        return values, coords, bits, cuts
+
+    return broken
+
+
 @pytest.mark.parametrize(
     "suite,reference,module,name,broken",
     [
@@ -283,8 +300,11 @@ def first_family_only(original):
          lambda original: lambda cfg: original(cfg) and cfg.fibre.nf != NormalForm(3, (2,))),
         (verify.check_bijection, ungrouped_bijection, configurations, "occupied_bits",
          first_family_only),
+        (verify.check_bijection, ungrouped_bijection, base.BaseTuple, "_levels",
+         unit_slots_miss_the_first_cut),
     ],
-    ids=["stability-equivalence", "positivity", "bijection", "bijection-line-rules"],
+    ids=["stability-equivalence", "positivity", "bijection", "bijection-line-rules",
+         "bijection-unit-slot"],
 )
 def test_a_grouped_suite_fails_where_the_ungrouped_loop_does(monkeypatch, suite, reference, module,
                                                              name, broken):

@@ -8,15 +8,18 @@ into a temporary directory; it is measured in a fresh interpreter whose
 ``sys.path`` starts with the tree's ``src``.  From the repository root,
 
     PYTHONDONTWRITEBYTECODE=1 python tools/scaling.py \\
-        parent=bc28e52 change=. --out BENCH_33.json
+        parent=bb6871c change=. --out BENCH_34.json
 
-regenerates ``BENCH_33.json``: ``bc28e52`` against the working tree.
+regenerates ``BENCH_34.json``: ``bb6871c`` against the working tree.
 
-Every figure is the best of ``REPEAT`` calls, in seconds, on inputs drawn
-from ``random.Random(SEED)``; a call slower than ``BUDGET_S`` is not
-repeated.  The series over a growing size stops after a size slower than
-``BUDGET_S``: the sizes past it, and a size whose call raises (a refused
-height), are written as null, with the reason under ``skipped``.  The measuring
+Inputs are drawn from ``random.Random(SEED)``.  A point of a series over a
+growing size is seconds per call: ``timeit.Timer.autorange`` sizes a loop
+of calls to take at least 0.2 s, and the figure is the best of ``REPEAT``
+such loops over their count.  A series stops after a size slower than
+``BUDGET_S`` per call, which is timed once: the sizes past it, and a size
+whose call raises (a refused height), are written as null, with the reason
+under ``skipped``.  Every other figure is the best of ``REPEAT`` calls, in
+seconds; a call slower than ``BUDGET_S`` is not repeated.  The measuring
 interpreter caps its own address space at ``MAX_MEMORY_BYTES``, so a size
 that would need more raises ``MemoryError`` and is written as null too.
 
@@ -49,6 +52,7 @@ from io import BytesIO
 from math import inf
 from pathlib import Path
 from time import perf_counter
+from timeit import Timer
 
 ORACLE_HEIGHTS = (6, 12, 30, 100)
 LIFT_LEVELS = (3, 6, 12, 30)
@@ -79,6 +83,17 @@ def best_of(call) -> float:
     return best
 
 
+def per_call(call) -> float:
+    """Seconds per call: the best of ``REPEAT`` loops of the count of calls
+    that ``Timer.autorange`` finds, or the one call when it is slower than
+    ``BUDGET_S``."""
+    timer = Timer(call)
+    number, elapsed = timer.autorange()
+    if elapsed > BUDGET_S and number == 1:
+        return elapsed
+    return min(timer.repeat(REPEAT, number)) / number
+
+
 def oracle_input(rng: random.Random, k: int):
     points = []
     for _ in range(5):
@@ -105,8 +120,8 @@ def lift_input(rng: random.Random, n: int, degenlab):
 
 
 def series(fn, sizes, make_input, skipped: dict, name: str) -> dict:
-    """Best time per size; null past the first size over ``BUDGET_S`` and
-    where the call raises."""
+    """Seconds per call at each size; null past the first size over
+    ``BUDGET_S`` and where the call raises."""
     out, stop = {}, None
     for size in sizes:
         if stop is not None:
@@ -115,7 +130,7 @@ def series(fn, sizes, make_input, skipped: dict, name: str) -> dict:
             continue
         args = make_input(size)
         try:
-            out[str(size)] = best_of(lambda: fn(*args))
+            out[str(size)] = per_call(lambda: fn(*args))
         except Exception as exc:  # a refusal ends the series at this size only
             out[str(size)] = None
             skipped[f"{name} {size}"] = f"{type(exc).__name__}: {exc}"
