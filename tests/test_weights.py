@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -35,7 +36,12 @@ from degenlab import (
     weight_rows,
 )
 from degenlab.cli import main
-from degenlab.verify import check_bijection, check_positivity, check_stability_equivalence
+from degenlab.verify import (
+    check_bijection,
+    check_positivity,
+    check_stability_equivalence,
+    presentations,
+)
 from degenlab.weights import Profile, profile
 
 
@@ -80,53 +86,105 @@ def test_sign_vectors_are_the_chain_rule_in_product_order():
                     assert admissible_1ps(pattern, s), (exponents, s)
 
 
-SWEEP_CALLS = {  # at k <= 3, m <= 2: every call the sweeps are held to, by suite
-    check_stability_equivalence: {
-        "count_sides": 218 + 145, "profile": 145, "exists_stabilizing_linearization": 145 + 444,
-        "lift": 145, "lift_table": 145, "_levels_stable": 145,
-    },
-    check_positivity: {"sign_vectors": 25, "count_sides": 218, "lift": 302, "lift_table": 302},
-    check_bijection: {
-        "is_lw_stable": 330, "normalize_pair": 330, "is_sws_stable": 330, "is_admissible": 660,
-    },
-}
+def test_stability_sweep_lists_sign_vectors_once_per_presentation():
+    """Each presentation keeps its vanishing pattern's sign vectors, so the
+    sweeps list them at most once per presentation and no configuration
+    evaluates the chain rule.  At k <= 3 the 65 presentations have 25
+    vanishing patterns: positivity lists each pattern's entries once;
+    stability-equivalence re-checks its lifts level by level and lists no
+    sign vector (36 listings when it re-checked them by the sign-vector
+    loop)."""
+    for suite, listings in [(check_positivity, 25), (check_stability_equivalence, 0)]:
+        with calls_by_name("sign_vectors", "admissible_1ps") as counts:
+            assert suite(max_k=3, max_m=2).ok
+        assert counts == Counter(sign_vectors=listings), suite.__name__
+    assert len(list(presentations(3))) == 65
 
 
-@pytest.mark.parametrize("suite", SWEEP_CALLS, ids=lambda suite: suite.__name__)
-def test_sweep_call_counts(suite):
-    """The calls each sweep makes at k <= 3, m <= 2, counted in one run.
-
-    - Every suite lists the 65 presentations in one pass (66 generator
-      resumes), takes each one's normal form once, and places every
-      triangle position once per normal form: 7 normal forms, 55
-      positions in all.
-    - A presentation keeps its vanishing pattern's sign vectors, so no
-      configuration evaluates the chain rule: positivity lists each of the
-      25 patterns' entries once, and stability-equivalence, which
-      re-checks its lifts level by level, lists none.
-    - The sides are counted once per occupied (normal form, multiset)
-      pair: 218 of the 330 pairs, at every level coordinate of their
-      normal form, and each of the 1,280 occupied configurations selects
-      its profile from those counts.  Stability-equivalence asks
-      ``exists_stabilizing_linearization`` once for each of the 145
-      profiles, which builds one profile and so counts once more, and of
-      the 1,690 unoccupied configurations only the first of each
-      (presentation, occupied bits), 444 in all.
-    - Stability-equivalence's lift and per-level re-check read only the
-      profile, so it builds and re-checks them once per profile;
-      positivity also reads the pattern's sign vectors, so it builds them
-      once per (vanishing pattern, profile), 302 groups.  Neither runs the
-      sign-vector loop.
-    - Li–Wu stability reads only the fibre and the points, so bijection
-      decides it, normalizes and runs ``is_sws_stable`` once per (normal
-      form, multiset) pair, on the zero-free presentation: two
-      admissibility reads per pair, and none on the other presentations.
-    """
-    names = {name for calls in SWEEP_CALLS.values() for name in calls}
-    common = {"presentations": 66, "normal_form": 65, "place": 7, "locate": 55}
-    with calls_by_name(*names, *common, "admissible_1ps", "_stable") as calls:
+@pytest.mark.parametrize(
+    "suite,counts",
+    [(check_positivity, {"count_sides": 218}),
+     (check_stability_equivalence, {"count_sides": 218 + 145, "profile": 145})],
+    ids=["check_positivity", "check_stability_equivalence"],
+)
+def test_sweeps_count_sides_once_per_occupied_configuration(suite, counts):
+    """The sides are counted once per occupied (normal form, multiset)
+    pair: of the 330 pairs at k <= 3, m <= 2, the 218 that some
+    presentation occupies are counted at every level coordinate of their
+    normal form, and each of the 1,280 occupied configurations selects its
+    profile from those counts; no configuration builds a ``profile``.
+    Stability-equivalence lifts the first configuration of each of the 145
+    profiles through ``exists_stabilizing_linearization``, which builds one
+    profile, so counts once more, for the lift, its table and the stability
+    re-check."""
+    with calls_by_name("count_sides", "profile") as calls:
         assert suite(max_k=3, max_m=2).ok
-    assert calls == {**common, **SWEEP_CALLS[suite]}
+    assert calls == counts
+
+
+def test_stability_equivalence_asks_once_per_presentation_and_occupied_bits():
+    """On an unoccupied configuration ``exists_stabilizing_linearization``
+    reads only occupancy, so of the 1,690 unoccupied configurations at
+    k <= 3, m <= 2 only the first of each (presentation, occupied bits), 444
+    in all, asks it; the 145 distinct profiles ask it once each."""
+    with calls_by_name("exists_stabilizing_linearization") as calls:
+        assert check_stability_equivalence(max_k=3, max_m=2).ok
+    assert calls == {"exists_stabilizing_linearization": 145 + 444}
+
+
+@pytest.mark.parametrize(
+    "suite,counts",
+    [
+        (check_positivity, {"lift": 302, "lift_table": 302}),
+        (check_stability_equivalence, {"lift": 145, "lift_table": 145, "_levels_stable": 145}),
+    ],
+    ids=["check_positivity", "check_stability_equivalence"],
+)
+def test_sweeps_lift_once_per_side_count_profile(suite, counts):
+    """The 1,280 occupied configurations at k <= 3, m <= 2 have 145
+    distinct profiles and 302 distinct (vanishing pattern, profile) groups
+    over the whole sweep (669 (presentation, profile) groups).
+    Stability-equivalence's lift and per-level re-check read only the
+    profile, so it builds the lift and its table, and re-checks them, once
+    per profile; positivity also reads the pattern's sign vectors, so it
+    builds them once per group.  Neither runs the sign-vector loop."""
+    with calls_by_name("lift", "lift_table", "_levels_stable", "_stable") as calls:
+        assert suite(max_k=3, max_m=2).ok
+    assert calls == counts
+
+
+def test_bijection_decides_li_wu_once_per_normal_form_and_multiset():
+    """The 2,970 configurations at k <= 3, m <= 2 are 330 (normal form,
+    multiset) pairs: the 7 normal forms of heights 1-3 times the 10, 28 and
+    66 multisets of m <= 2 at each height.  Li–Wu stability reads only the
+    fibre and the points, so the suite decides it, and normalizes, once per
+    pair, on the zero-free presentation.  ``is_sws_stable`` runs once per
+    pair too, on the normalized configuration (2,134 times when each
+    configuration ran it), and the pair's two admissibility reads are the
+    only ones: a presentation with a unit slot is decided by one bit test
+    and reads no configuration."""
+    names = ("is_lw_stable", "normalize_pair", "is_sws_stable", "is_admissible")
+    with calls_by_name(*names) as counts:
+        assert check_bijection(max_k=3, max_m=2).ok
+    assert counts == {
+        "is_lw_stable": 330, "normalize_pair": 330, "is_sws_stable": 330, "is_admissible": 660,
+    }
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [check_stability_equivalence, check_positivity, check_bijection],
+    ids=lambda suite: suite.__name__,
+)
+def test_sweeps_place_once_per_normal_form(suite):
+    """At k <= 3, m <= 2 each sweep places every triangle position once per
+    normal form (7 normal forms of the 65 presentations, 55 positions in
+    all) and reads each configuration's locations from that one placement.
+    The presentations are listed in one pass (66 generator resumes), each
+    taking its normal form once."""
+    with calls_by_name("presentations", "normal_form", "place", "locate") as counts:
+        assert suite(max_k=3, max_m=2).ok
+    assert counts == {"presentations": 66, "normal_form": 65, "place": 7, "locate": 55}
 
 
 def test_weights_command_lists_sign_vectors_once(monkeypatch, capsys):
