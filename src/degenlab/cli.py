@@ -6,6 +6,9 @@ the diagram of ``render`` and the suite lines of ``verify`` leaves through
 ``_report``: JSON, or text under ``--format``.  ``render`` is the one command
 that draws; the ``configuration`` object of a ``limit`` or ``stability``
 report is itself a scenario that ``render`` reads.
+``limit`` and ``verify`` import their layers when they run, so the other
+commands start without ``limits``, ``verify`` and the ``dataclasses`` they
+import.
 Exit codes: 0 for success, 1 when a stability verdict is negative or an
 oracle disagrees (the verdict is still printed), 2 for input errors and
 unwritable reports.
@@ -21,7 +24,6 @@ from .base import canonical_tuple, normal_form
 from .configurations import SupportPoint, normalize_pair, place, stability_report
 from .dual_complex import build_fibre, complex_counts
 from .errors import CriterionViolated, DegenLabError, ParseError, ValidationError
-from .limits import associated_pair, unique_stable_subdivision_oracle
 from .render import FORMATS, render_fibre
 from .scenario import (
     Scenario,
@@ -33,7 +35,6 @@ from .scenario import (
     parse_scenario,
     stability_report_to_json,
 )
-from .verify import run_all
 from .weights import constructive_linearization, default_scale, is_git_stable, weight_rows
 
 __all__ = ["main"]
@@ -81,6 +82,8 @@ def _report(args, payload, lines=None) -> None:
 
 
 def _cmd_limit(args) -> int:
+    from .limits import associated_pair, unique_stable_subdivision_oracle
+
     sc = _read_scenario(args)
     if sc.height is None:
         raise ValidationError("limit needs a height")
@@ -225,6 +228,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all
+
     for option, cap, largest in (("max-k", args.max_k, 5), ("max-m", args.max_m, 3)):
         if cap < 1:
             raise ValidationError(f"{option} must be >= 1, got {cap}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .base import (
     BaseTuple,
@@ -23,8 +23,10 @@ from .base import (
 from .configurations import PointConfiguration, StabilityReport, SupportPoint
 from .dual_complex import ExpandedFibre, Location
 from .errors import InvalidInput, ParseError, ValidationError
-from .limits import LimitReport
 from .weights import Chart, LevelLift, Linearization, LocalMonomialScheme
+
+if TYPE_CHECKING:  # only an annotation reads it; a command that runs no limit skips ``limits``
+    from .limits import LimitReport
 
 __all__ = [
     "Scenario",

@@ -41,16 +41,17 @@ Positivity also reads the admissible sign vectors of its presentation's
 vanishing pattern, so it runs them once per (vanishing pattern, profile).
 On an unoccupied configuration ``exists_stabilizing_linearization`` reads only
 occupancy, so it runs once per (presentation, occupied coordinates).
-Li–Wu stability reads only the fibre and the points, so the bijection
-suite decides it, normalizes and compares once per (normal form,
-multiset), on the normal form's zero-free presentation, where it also
-reads the verdict off the valuations by the line rules; a presentation
-with a unit slot tests only that the zero-free level bits are among its
-own, so that strict stability there implies Li–Wu stability.  Every
-verdict over the placements is a plain loop, with no generator frame per
-point or per configuration.  The limit oracle tests the set of levels hit
-by the points and each one-level removal of it, so its cost grows with the
-number of those levels, not with the number of cut sets.
+Li–Wu stability reads only the fibre and the points, so the bijection suite
+decides it, normalizes and compares once per (normal form, multiset), on
+the normal form's zero-free presentation, where it also reads the verdict,
+and the stratum of each one-point multiset, off the valuations by the line
+rules; a presentation with a unit slot tests only that the zero-free level
+bits are among its own, so that strict stability there implies Li–Wu
+stability.  Every verdict over the placements is a plain loop, with no
+generator frame per point or per configuration.  The limit oracle tests
+the set of levels hit by the points and each one-level removal of it, so
+its cost grows with the number of those levels, not with the number of cut
+sets.
 """
 
 from __future__ import annotations
@@ -431,16 +432,18 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
 
     Li–Wu stability reads only the fibre and the points, so when the sweep
     first meets a normal form, ``is_lw_stable``, ``normalize_pair`` and the
-    comparison with the normalized ``is_sws_stable`` run once per multiset,
-    on the normal form's zero-free presentation.  There Li–Wu stability is
-    also decided from the valuations alone, by the line rules of the limit
-    oracle: every point on two or more lines, and every cut some point's a
-    or k - b.  Strict stability is admissibility with the presentation's
-    level bits occupied, and Li–Wu stability the same with the zero-free
-    presentation's bits, so on a presentation with a unit slot strict
-    stability implies Li–Wu stability when the zero-free bits are among
-    its own: one bit test per presentation.  The zero-free presentations
-    are counted per normal form as the sweep goes; each must have one.
+    comparison with the normalized ``is_sws_stable`` run once per multiset, on
+    the normal form's zero-free presentation.  There Li–Wu stability is also
+    decided from the valuations alone, by the line rules of the limit oracle:
+    every point on two or more lines, and every cut some point's a or k - b.
+    By the same lines, the placement of each one-point multiset there is a
+    vertex on two or more, an edge on one and a cell on none.  Strict
+    stability is admissibility with the presentation's level bits occupied,
+    and Li–Wu stability the same with the zero-free presentation's bits, so on
+    a presentation with a unit slot strict stability implies Li–Wu stability
+    when the zero-free bits are among its own: one bit test per presentation.
+    The zero-free presentations are counted per normal form as the sweep goes;
+    each must have one.
     """
     checked, height = 0, 0
     zero_free: dict[NormalForm, int] = {}  # normal form -> its zero-free presentations
@@ -465,6 +468,15 @@ def check_bijection(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                     return _config_failure(
                         "bijection", cfg, f"lw={lw} by the line rules={by_lines}"
                     )
+                if len(valuations[i]) == 1:
+                    (a, b, c), = valuations[i]
+                    lines = (a == 0) + (b == 0) + (c == 0) + (a in cuts) + (height - b in cuts)
+                    stratum = "vertex" if lines >= 2 else "edge" if lines else "cell"
+                    if cfg.placements[0].stratum != stratum:
+                        return _config_failure(
+                            "bijection", cfg,
+                            f"placed on a {cfg.placements[0].stratum}, on {lines} lines",
+                        )
         if 0 not in presentation.exponents:
             zero_free[nf] += 1
         elif canonical.level_bits & ~presentation.level_bits:

@@ -59,6 +59,8 @@ class Mutant(NamedTuple):
 _OCCUPIED = ("configurations.py", "bits |= 1 << loc.x | 1 << loc.y", "bits |= 1 << loc.x")
 _LIFT = "lifts.append(new(LevelLift, (m * (m - lt), m * (lt + 1), 0, 1)))"
 _BOUNDED = ("weights.py", "(l * c_neg - d, l * c_pos + d)", "(l * c_neg, l * c_pos)")
+_C_SIDE = ("dual_complex.py", "if x % 2 and y % 2 and c:", "if x % 2 and y % 2:")
+_IMPORTS = ("test_exports::test_each_import_loads_only_the_layers_it_runs",)
 _MULTISET = (
     "multisets.append(tuple([shared[i][combo.count(i) - 1] for i in dict.fromkeys(combo)]))"
 )
@@ -112,8 +114,9 @@ MUTANTS = [
     Mutant("default-scale-one", "weights.py", "return 2 * m * m + 1", "return 1",
            ("verify",), "survives until item 3"),
     # placement and the sweep's inputs
-    Mutant("locate-c-side", "dual_complex.py", "if x % 2 and y % 2 and c:", "if x % 2 and y % 2:",
+    Mutant("locate-c-side", *_C_SIDE,
            ("test_dual_complex::test_locate_agrees_with_the_geometry_of_the_complex",), "killed"),
+    Mutant("locate-c-side-verify", *_C_SIDE, ("verify bijection",), "killed"),
     Mutant("place-builds-complex", "configurations.py",
            "    points = _as_points(raw_points)\n",
            "    fibre.dual_complex\n    points = _as_points(raw_points)\n",
@@ -143,6 +146,12 @@ MUTANTS = [
     Mutant("cached-property-import", "base.py", "from math import lcm\n",
            "from math import lcm\nfrom functools import cached_property\n",
            ("test_exports::test_no_layer_caches_through_functools_cached_property",), "killed"),
+    # imports: the package and the command line load a layer only when it runs
+    Mutant("cli-imports-verify", "cli.py", "from .render import FORMATS, render_fibre\n",
+           "from .render import FORMATS, render_fibre\nfrom .verify import run_all\n",
+           _IMPORTS, "killed"),
+    Mutant("package-imports-a-layer", "__init__.py", "from importlib import import_module\n",
+           "from importlib import import_module\n\nfrom . import base\n", _IMPORTS, "killed"),
     # a checked value type: ``_replace`` and ``_make`` build through its checks
     Mutant("replace-skips-validation", "base.py",
            "def _make(cls, fields) -> NormalForm:  # checked, and so is ``_replace``\n"

@@ -235,7 +235,7 @@ class TestExitCodes:
             else:
                 assert out.splitlines()[-1] == f"oracle: {oracle}"
         monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
-        monkeypatch.setattr("degenlab.cli.unique_stable_subdivision_oracle", lambda points, k: [])
+        monkeypatch.setattr("degenlab.limits.unique_stable_subdivision_oracle", lambda points, k: [])
         assert main(["limit", "-"]) == 1
         assert json.loads(capsys.readouterr().out)["oracle"] == {"cut_sets": [], "agrees": False}
 

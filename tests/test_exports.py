@@ -1,5 +1,7 @@
 """Every name a layer lists in ``__all__`` is bound in that layer, and a
-layer imports from its siblings only what they export.
+layer imports from its siblings only what they export.  The package
+imports no layer until one of its names is read, and the command line
+imports neither ``verify`` nor ``limits`` until a command runs them.
 
 A tracer that wraps each public function reads every listed name with
 ``getattr``, so a name deleted from a module but left in its ``__all__``
@@ -9,6 +11,10 @@ breaks every traced run.  No layer caches through
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +73,97 @@ def test_no_layer_caches_through_functools_cached_property():
             elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
                 found.append(path.name)
     assert found == []
+
+
+# What ``import degenlab`` bound when it imported every layer: each layer
+# and the names the package took from it.
+PACKAGE_EXPORTS = {
+    "base": [
+        "BaseTuple", "ClosedPoint", "NormalForm", "VanishingPattern", "canonical_tuple",
+        "equivalent", "make_base_tuple", "make_closed_point", "normal_form", "standard_embed",
+        "tau_move",
+    ],
+    "configurations": [
+        "PointConfiguration", "StabilityReport", "SupportPoint", "is_admissible", "is_lw_stable",
+        "is_sws_stable", "is_ws_stable", "normalize_pair", "place", "stability_report",
+        "stabilizer_rank",
+    ],
+    "dual_complex": [
+        "DCVertex", "DualComplex", "ExpandedFibre", "Location", "TropPosition", "VertexKind",
+        "build_fibre", "complex_counts", "locate", "refines",
+    ],
+    "errors": [
+        "CriterionViolated", "DegenLabError", "HeightMismatch", "InvalidComparison",
+        "InvalidInput", "InvalidLocalScheme", "NoLimit", "ParseError", "TropicalIncompatibility",
+        "ValidationError",
+    ],
+    "limits": ["LimitReport", "associated_pair", "flat_limit", "unique_stable_subdivision_oracle"],
+    "render": ["render_fibre"],
+    "scenario": ["Scenario", "parse_scenario"],
+    "weights": [
+        "Chart", "LevelLift", "Linearization", "LocalMonomialScheme", "admissible_1ps",
+        "bounded_weight", "constructive_linearization", "default_scale",
+        "exists_stabilizing_linearization", "hm_invariant", "is_git_stable", "weight_rows",
+    ],
+}
+
+# Run in a fresh interpreter; prints what each import added to
+# ``sys.modules``, what ``dir`` listed before any name was read, and the
+# names that did not resolve to their layer's object.
+_PROBE = """
+import importlib, json, sys
+exports = json.loads(sys.argv[1])
+before = set(sys.modules)
+import degenlab
+package = set(sys.modules) - before
+listed = dir(degenlab)
+import degenlab.cli
+cli = set(sys.modules) - before
+wrong = []
+for layer, names in exports.items():
+    module = importlib.import_module("degenlab." + layer)
+    for name in names:
+        scope = {}
+        exec("from degenlab import " + name, scope)
+        if scope[name] is not getattr(module, name):
+            wrong.append(name)
+    scope = {}
+    exec("from degenlab import " + layer, scope)
+    if scope[layer] is not module:
+        wrong.append(layer)
+starred = {}
+exec("from degenlab import *", starred)
+try:
+    degenlab.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({
+    "package": sorted(package), "cli": sorted(cli), "listed": listed, "wrong": wrong,
+    "starred": sorted(starred), "unknown": unknown,
+}))
+"""
+
+
+def test_each_import_loads_only_the_layers_it_runs():
+    """In a fresh interpreter on the tree this ``degenlab`` came from:
+    ``import degenlab`` imports no layer, ``import degenlab.cli`` neither
+    ``verify``, ``limits`` nor ``dataclasses``, and every name the package
+    bound when it imported every layer is listed by ``dir``, bound by the
+    star import and resolves through ``from degenlab import`` to its
+    layer's object; an unknown name raises ``AttributeError``."""
+    src = Path(degenlab.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(PACKAGE_EXPORTS)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    found = json.loads(done.stdout)
+    assert [name for name in found["package"] if name.startswith("degenlab.")] == []
+    assert {"degenlab.verify", "degenlab.limits", "dataclasses"} & set(found["cli"]) == set()
+    exported = {*PACKAGE_EXPORTS, *(name for names in PACKAGE_EXPORTS.values() for name in names)}
+    assert exported - set(found["listed"]) == set()
+    assert exported - set(found["starred"]) == set()
+    assert found["wrong"] == []
+    assert found["unknown"] == "AttributeError"

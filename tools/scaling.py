@@ -8,9 +8,15 @@ into a temporary directory; it is measured in a fresh interpreter whose
 ``sys.path`` starts with the tree's ``src``.  From the repository root,
 
     PYTHONDONTWRITEBYTECODE=1 python tools/scaling.py \\
-        parent=bb6871c change=. --out BENCH_34.json
+        parent=bf2855a change=. --out BENCH_35.json
 
-regenerates ``BENCH_34.json``: ``bb6871c`` against the working tree.
+regenerates ``BENCH_35.json``: ``bf2855a`` against the working tree.
+
+The trees are measured in alternation, one figure at a time: each tree has
+its own measuring interpreter, and every figure is taken over ``REPEAT``
+rounds, in each of which every tree gives one sample, in turn, the order
+reversed from one round to the next.  So a drift of the host's speed
+moves every tree's figure alike, not one tree's column.
 
 Inputs are drawn from ``random.Random(SEED)``.  A point of a series over a
 growing size is seconds per call: ``timeit.Timer.autorange`` sizes a loop
@@ -31,10 +37,13 @@ that would need more raises ``MemoryError`` and is written as null too.
   level is occupied and the lift is built and re-checked;
 - each ``verify`` suite at the size of its acceptance criterion, with its
   detail string, which must be the same on every tree;
-- the wall time of a fresh interpreter running each ``STARTUP`` program,
-  ``python -c pass`` and ``python -c "import degenlab.cli"``, best of
-  ``REPEAT`` runs taken in turn: the command line's time before it reads
-  its arguments, interpreter start-up included.
+- the wall time of a fresh interpreter running each ``STARTUP`` command:
+  ``python -c pass``, ``python -c "import degenlab.cli"``, the command
+  line's time before it reads its arguments, and four whole commands,
+  interpreter start-up included: ``normalize`` and ``stability`` on
+  scenarios of a three-level presentation (``normalize``'s with a unit
+  slot), ``limit`` on five points at height 6, and ``verify --max-k 1
+  --max-m 1``.  The scenarios are written once and read by every tree.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from contextlib import ExitStack
 from io import BytesIO
 from math import inf
 from pathlib import Path
@@ -64,34 +74,49 @@ SUITES = (  # (suite, its arguments in the acceptance criteria)
     ("positivity", {"max_k": 5, "max_m": 3}),
     ("bijection", {"max_k": 5, "max_m": 3}),
 )
-STARTUP = (("interpreter", "pass"), ("import_cli", "import degenlab.cli"))
+STARTUP = (  # (name, the interpreter's arguments); {} is the scenario directory
+    ("interpreter", ["-c", "pass"]),
+    ("import_cli", ["-c", "import degenlab.cli"]),
+    ("normalize", ["-m", "degenlab.cli", "normalize", "{}/normalize.json"]),
+    ("stability", ["-m", "degenlab.cli", "stability", "{}/stability.json"]),
+    ("limit", ["-m", "degenlab.cli", "limit", "{}/limit.json"]),
+    ("verify", ["-m", "degenlab.cli", "verify", "--max-k", "1", "--max-m", "1"]),
+)
 BUDGET_S = 0.25
 REPEAT = 5
 SEED = 31
 MAX_MEMORY_BYTES = 1 << 30
 
 
-def best_of(call) -> float:
-    best = inf
-    for _ in range(REPEAT):
-        start = perf_counter()
-        call()
-        elapsed = perf_counter() - start
-        best = min(best, elapsed)
-        if elapsed > BUDGET_S:
-            break
-    return best
-
-
-def per_call(call) -> float:
-    """Seconds per call: the best of ``REPEAT`` loops of the count of calls
-    that ``Timer.autorange`` finds, or the one call when it is slower than
-    ``BUDGET_S``."""
+def loop_sampler(call):
+    """One sample per call of the result: seconds per call of a loop whose
+    count ``Timer.autorange`` sizes on the first call, or, when one call is
+    slower than ``BUDGET_S``, that one call, not to be repeated."""
     timer = Timer(call)
-    number, elapsed = timer.autorange()
-    if elapsed > BUDGET_S and number == 1:
-        return elapsed
-    return min(timer.repeat(REPEAT, number)) / number
+    number = None
+
+    def sample() -> dict:
+        nonlocal number
+        if number is None:
+            number, elapsed = timer.autorange()
+            if number == 1 and elapsed > BUDGET_S:
+                return {"seconds": elapsed, "again": False}
+        return {"seconds": timer.timeit(number) / number, "again": True}
+
+    return sample
+
+
+def suite_sampler(check, kwargs: dict):
+    """One sample per call of the result: the seconds of one suite run, with
+    its detail; a run slower than ``BUDGET_S`` is not to be repeated."""
+
+    def sample() -> dict:
+        start = perf_counter()
+        detail = check(**kwargs).detail
+        elapsed = perf_counter() - start
+        return {"seconds": elapsed, "again": elapsed <= BUDGET_S, "detail": detail}
+
+    return sample
 
 
 def oracle_input(rng: random.Random, k: int):
@@ -103,7 +128,9 @@ def oracle_input(rng: random.Random, k: int):
     return points, k
 
 
-def lift_input(rng: random.Random, n: int, degenlab):
+def level_points(rng: random.Random, n: int):
+    """A zero-free presentation of n torus levels, vanishing orders 1-3, and
+    one point of multiplicity 1-3 on each level."""
     exponents = [rng.randint(1, 3) for _ in range(n + 1)]
     k = sum(exponents)
     points, v = [], 0
@@ -116,74 +143,172 @@ def lift_input(rng: random.Random, n: int, degenlab):
             a = rng.randint(0, v)
             val = (a, k - v, v - a)
         points.append((val, rng.randint(1, 3)))
+    return exponents, points
+
+
+def lift_input(rng: random.Random, n: int, degenlab):
+    exponents, points = level_points(rng, n)
     return (degenlab.place(degenlab.BaseTuple(tuple(exponents)), points),)
 
 
-def series(fn, sizes, make_input, skipped: dict, name: str) -> dict:
-    """Seconds per call at each size; null past the first size over
-    ``BUDGET_S`` and where the call raises."""
-    out, stop = {}, None
-    for size in sizes:
-        if stop is not None:
-            out[str(size)] = None
-            skipped[f"{name} {size}"] = stop
-            continue
-        args = make_input(size)
-        try:
-            out[str(size)] = per_call(lambda: fn(*args))
-        except Exception as exc:  # a refusal ends the series at this size only
-            out[str(size)] = None
-            skipped[f"{name} {size}"] = f"{type(exc).__name__}: {exc}"
-            continue
-        if out[str(size)] > BUDGET_S:
-            stop = f"not run: size {size} took over {BUDGET_S} s"
-    return out
-
-
-def measure() -> dict:
-    """The figures of the ``degenlab`` under the working directory."""
+def serve() -> None:
+    """The measuring interpreter of the ``degenlab`` under the working
+    directory: one sample per request, a JSON line on stdin, answered by a
+    JSON line on stdout.  A request is ``["series", function, size]`` or
+    ``["suite", name, arguments]``; a call that raises answers
+    ``{"error": ...}``.  Each series draws its inputs, size by size, from
+    its own ``random.Random(SEED)``."""
     import degenlab
     from degenlab import verify
 
     if not Path(degenlab.__file__).resolve().is_relative_to(Path.cwd().resolve()):
         raise SystemExit(f"degenlab was imported from outside the tree: {degenlab.__file__}")
-
-    skipped: dict[str, str] = {}
-    rng = random.Random(SEED)
-    oracle = series(
-        degenlab.unique_stable_subdivision_oracle, ORACLE_HEIGHTS,
-        lambda k: oracle_input(rng, k), skipped, "unique_stable_subdivision_oracle",
-    )
-    rng = random.Random(SEED)
-    lift = series(
-        degenlab.exists_stabilizing_linearization, LIFT_LEVELS,
-        lambda n: lift_input(rng, n, degenlab), skipped,
-        "exists_stabilizing_linearization",
-    )
-    suites = {}
-    for name, kwargs in SUITES:
-        check = getattr(verify, f"check_{name}")
-        details = set()
-        seconds = best_of(lambda: details.add(check(**kwargs).detail))
-        suites[name] = {"args": kwargs, "seconds": seconds, "detail": details.pop()}
-    return {
-        "unique_stable_subdivision_oracle_s": oracle,
-        "exists_stabilizing_linearization_s": lift,
-        "verify_suite_s": suites,
-        "skipped": skipped,
+    inputs = {
+        "unique_stable_subdivision_oracle": oracle_input,
+        "exists_stabilizing_linearization": lambda rng, n: lift_input(rng, n, degenlab),
     }
+    rngs: dict[str, random.Random] = {}
+    samplers = {}
+    for line in sys.stdin:
+        try:
+            if line not in samplers:
+                kind, name, arg = json.loads(line)
+                if kind == "series":
+                    args = inputs[name](rngs.setdefault(name, random.Random(SEED)), arg)
+                    fn = getattr(degenlab, name)
+                    samplers[line] = loop_sampler(lambda: fn(*args))
+                else:
+                    samplers[line] = suite_sampler(getattr(verify, f"check_{name}"), arg)
+            reply = samplers[line]()
+        except Exception as exc:  # a refusal or MemoryError ends this figure only
+            reply = {"error": f"{type(exc).__name__}: {exc}"}
+        sys.stdout.write(json.dumps(reply) + "\n")
+        sys.stdout.flush()
 
 
-def startup(env: dict, cwd: Path) -> dict:
+class Tree:
+    """One tree under a label, with its measuring interpreter (``serve``),
+    which runs under the tree's root with the tree's ``src`` first on its
+    path; a context manager that ends the interpreter."""
+
+    def __init__(self, label: str, root: Path, source: str) -> None:
+        self.label, self.root, self.source = label, root, source
+        path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        self.env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        self.server = subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--serve"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=self.env, cwd=root,
+        )
+
+    def __enter__(self) -> Tree:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.server.stdin.close()
+        self.server.wait(timeout=60)
+
+    def sample(self, request: list) -> dict:
+        self.server.stdin.write(json.dumps(request) + "\n")
+        self.server.stdin.flush()
+        line = self.server.stdout.readline()
+        if not line:
+            raise SystemExit(f"{self.label}: the measuring interpreter exited")
+        return json.loads(line)
+
+
+def rounds(trees: list[Tree]):
+    """The trees in turn, ``REPEAT`` times, the order reversed each round."""
+    for r in range(REPEAT):
+        yield trees if r % 2 == 0 else trees[::-1]
+
+
+def best(trees: list[Tree], request: list) -> dict[str, dict]:
+    """Each tree's best sample of one figure, the trees in alternation; a
+    tree stops at a sample not to be repeated and at an error, which is
+    its answer."""
+    found: dict[str, dict] = {}
+    stopped = set()
+    for order in rounds(trees):
+        for tree in order:
+            if tree.label in stopped:
+                continue
+            reply = tree.sample(request)
+            if "error" in reply or not reply["again"]:
+                stopped.add(tree.label)
+            last = found.get(tree.label)
+            if last is None or "error" in reply or reply["seconds"] < last["seconds"]:
+                found[tree.label] = reply
+    return found
+
+
+def series(trees: list[Tree], name: str, sizes, figures: dict) -> None:
+    """Seconds per call of ``name`` at each size, in each tree's
+    ``{name}_s``; null past the first size over ``BUDGET_S`` and where the
+    call raises, with the reason under ``skipped``."""
+    stop: dict[str, str] = {}
+    for size in sizes:
+        for tree in trees:
+            if tree.label in stop:
+                figures[tree.label][f"{name}_s"][str(size)] = None
+                figures[tree.label]["skipped"][f"{name} {size}"] = stop[tree.label]
+        live = [tree for tree in trees if tree.label not in stop]
+        for label, reply in best(live, ["series", name, size]).items():
+            seconds = reply.get("seconds")
+            figures[label][f"{name}_s"][str(size)] = seconds
+            if seconds is None:
+                figures[label]["skipped"][f"{name} {size}"] = reply["error"]
+            elif seconds > BUDGET_S:
+                stop[label] = f"not run: size {size} took over {BUDGET_S} s"
+
+
+def suites(trees: list[Tree], figures: dict) -> None:
+    """Each suite's best time at its acceptance size, with its detail."""
+    for name, kwargs in SUITES:
+        for label, reply in best(trees, ["suite", name, kwargs]).items():
+            if "error" in reply:
+                raise SystemExit(f"{label}: suite {name}: {reply['error']}")
+            figures[label]["verify_suite_s"][name] = {
+                "args": kwargs, "seconds": reply["seconds"], "detail": reply["detail"],
+            }
+
+
+def write_scenarios(where: Path) -> None:
+    """The scenario files of the ``STARTUP`` commands, drawn from
+    ``random.Random(SEED)``."""
+    rng = random.Random(SEED)
+    points, k = oracle_input(rng, 6)
+    exponents, on_levels = level_points(rng, 3)
+
+    def listed(pairs):
+        return [{"val": list(val), "mult": mult} for val, mult in pairs]
+
+    scenarios = {
+        "limit": {"height": k, "points": listed(points)},
+        "stability": {"tuple": exponents, "points": listed(on_levels)},
+        "normalize": {"tuple": [exponents[0], 0, *exponents[1:]], "points": listed(on_levels)},
+    }
+    for name, scenario in scenarios.items():
+        (where / f"{name}.json").write_text(json.dumps(scenario), encoding="utf-8")
+
+
+def startup(trees: list[Tree], scenarios: Path, figures: dict) -> None:
     """Best wall time of ``REPEAT`` fresh interpreters per ``STARTUP``
-    program, in seconds, the programs alternating."""
-    best = dict.fromkeys([name for name, _ in STARTUP], inf)
-    for _ in range(REPEAT):
-        for name, program in STARTUP:
-            start = perf_counter()
-            subprocess.run([sys.executable, "-c", program], check=True, env=env, cwd=cwd)
-            best[name] = min(best[name], perf_counter() - start)
-    return best
+    command, in seconds, in each tree's ``startup_s``: per round, each
+    command in each tree in turn.  A command must exit 0 or 1."""
+    for tree in trees:
+        figures[tree.label]["startup_s"] = {name: inf for name, _ in STARTUP}
+    for order in rounds(trees):
+        for name, arguments in STARTUP:
+            command = [sys.executable, *[a.format(scenarios) for a in arguments]]
+            for tree in order:
+                start = perf_counter()
+                done = subprocess.run(command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                      text=True, env=tree.env, cwd=tree.root)
+                elapsed = perf_counter() - start
+                if done.returncode not in (0, 1):
+                    raise SystemExit(f"{tree.label}: {name} exited {done.returncode}: {done.stderr}")
+                best_s = figures[tree.label]["startup_s"]
+                best_s[name] = min(best_s[name], elapsed)
 
 
 def checkout(spec: str, scratch: Path) -> tuple[Path, str]:
@@ -216,13 +341,13 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="*", metavar="LABEL=TREE",
                         help="a directory or a git revision, under a label")
     parser.add_argument("--out", help="write the JSON here instead of stdout")
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.measure:
+    if args.serve:
         import resource
 
         resource.setrlimit(resource.RLIMIT_AS, (MAX_MEMORY_BYTES, MAX_MEMORY_BYTES))
-        json.dump(measure(), sys.stdout)
+        serve()
         return 0
     report = {
         "command": "python tools/scaling.py " + " ".join(argv if argv is not None else sys.argv[1:]),
@@ -233,19 +358,26 @@ def main(argv=None) -> int:
         "max_memory_bytes": MAX_MEMORY_BYTES,
         "trees": {},
     }
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as scratch, ExitStack() as stack:
+        trees = []
         for spec in args.trees:
             label, _, where = spec.partition("=")
             root, source = checkout(where, Path(scratch))
-            path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-            env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-            run = subprocess.run(
-                [sys.executable, str(Path(__file__).resolve()), "--measure"],
-                check=True, capture_output=True, text=True, env=env, cwd=root,
-            )
-            report["trees"][label] = {
-                "source": source, **json.loads(run.stdout), "startup_s": startup(env, root),
+            trees.append(stack.enter_context(Tree(label, root, source)))
+        figures = report["trees"]
+        for tree in trees:
+            figures[tree.label] = {
+                "source": tree.source,
+                "unique_stable_subdivision_oracle_s": {},
+                "exists_stabilizing_linearization_s": {},
+                "verify_suite_s": {},
+                "skipped": {},
             }
+        series(trees, "unique_stable_subdivision_oracle", ORACLE_HEIGHTS, figures)
+        series(trees, "exists_stabilizing_linearization", LIFT_LEVELS, figures)
+        suites(trees, figures)
+        write_scenarios(Path(scratch))
+        startup(trees, Path(scratch), figures)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
