@@ -367,13 +367,6 @@ def standard_embed(t: BaseTuple, positions) -> BaseTuple:
     return BaseTuple(tuple(out))
 
 
-def _order_isos(size: int, subset: frozenset[int]):
-    """Order-preserving index maps [1..r] -> subset and [1..size-r] -> complement."""
-    inside = sorted(subset)
-    outside = [i for i in range(1, size + 1) if i not in subset]
-    return inside, outside
-
-
 def tau_move(point: BaseTuple | ClosedPoint, target: frozenset[int], source: frozenset[int]):
     """Relocate the vanishing slots from ``source`` positions to ``target``.
 
@@ -383,12 +376,10 @@ def tau_move(point: BaseTuple | ClosedPoint, target: frozenset[int], source: fro
     """
     if isinstance(point, BaseTuple):
         entries = point.exponents
-        is_zero = [g == 0 for g in entries]
-        blank = 0
+        is_unit = [g == 0 for g in entries]
     elif isinstance(point, ClosedPoint):
         entries = point.entries
-        is_zero = [e is not None for e in entries]
-        blank = None
+        is_unit = [e is not None for e in entries]
     else:
         raise InvalidComparison(f"tau_move does not apply to {type(point).__name__}")
     size = len(entries)
@@ -399,20 +390,18 @@ def tau_move(point: BaseTuple | ClosedPoint, target: frozenset[int], source: fro
     if not (target <= frozenset(range(1, size + 1)) and source <= frozenset(range(1, size + 1))):
         raise InvalidInput("tau move index sets must live inside 1..n+1")
     for i in range(size):
-        if not is_zero[i] and (i + 1) not in source:
+        if not is_unit[i] and (i + 1) not in source:
             raise InvalidInput(
                 f"entry {i + 1} vanishes outside the source set {sorted(source)}"
             )
-    src_in, src_out = _order_isos(size, source)
-    tgt_in, tgt_out = _order_isos(size, target)
-    out = [blank] * size
-    for l, s_pos in enumerate(src_in):
-        out[tgt_in[l] - 1] = entries[s_pos - 1]
-    for l, s_pos in enumerate(src_out):
-        out[tgt_out[l] - 1] = entries[s_pos - 1]
-    if isinstance(point, BaseTuple):
-        return BaseTuple(tuple(out))
-    return ClosedPoint(tuple(out))
+
+    def order(subset: frozenset[int]) -> list[int]:  # the subset ascending, then the rest
+        return sorted(subset) + [i for i in range(1, size + 1) if i not in subset]
+
+    out = [None] * size
+    for t, s in zip(order(target), order(source)):
+        out[t - 1] = entries[s - 1]
+    return type(point)(tuple(out))
 
 
 def equivalent(p, q) -> bool:

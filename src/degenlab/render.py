@@ -14,8 +14,6 @@ from .errors import HeightMismatch, InvalidInput
 
 __all__ = ["render_fibre", "FORMATS"]
 
-FORMATS = ("dot", "svg", "tikz")
-
 _MARGIN = 70
 _SPAN = 620
 _TRI_H = 537  # 620 * 866 // 1000
@@ -60,11 +58,14 @@ def _label(v: DCVertex, k: int) -> str:
     return "Y3"
 
 
-def _svg_xy(positions, k: int) -> list[tuple[int, int]]:
-    return [
-        (_MARGIN + (2 * b + c) * _SPAN // (2 * k), _MARGIN + _TRI_H - c * _TRI_H // k)
-        for a, b, c in positions
-    ]
+def _layout(positions, k: int, span: int, rise: int) -> list[tuple[int, int]]:
+    """The integral (x, y) of each valuation triple, y up, on a triangle
+    ``span`` wide whose apex is ``rise`` high."""
+    return [((2 * b + c) * span // (2 * k), c * rise // k) for a, b, c in positions]
+
+
+def _svg_xy(positions, k: int) -> list[tuple[int, int]]:  # inside the margin, y down
+    return [(_MARGIN + x, _MARGIN + _TRI_H - y) for x, y in _layout(positions, k, _SPAN, _TRI_H)]
 
 
 def _to_svg(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
@@ -112,20 +113,16 @@ def _to_dot(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
         "  layout=neato;",
         '  node [shape=circle, width=0.25, fixedsize=true, fontsize=10];',
     ]
-    for i, v in enumerate(dc.vertices):
-        a, b, c = v.position
-        x = (2 * b + c) * 300 // (2 * k)
-        y = c * 260 // k
+    xy = _layout([v.position for v in dc.vertices], k, 300, 260)
+    for i, (v, (x, y)) in enumerate(zip(dc.vertices, xy)):
         out.append(
             f'  v{i} [label="{_label(v, k)}" pos="{x},{y}!" '
             f'color="{_STYLE[v.kind][0]}"];'
         )
     out += [f"  v{u} -- v{v};" for u, v in dc.edges]
     if cfg is not None:
-        for idx, p in enumerate(cfg.points):
-            a, b, c = p.valuations
-            x = (2 * b + c) * 300 // (2 * k)
-            y = c * 260 // k
+        xy = _layout([p.valuations for p in cfg.points], k, 300, 260)
+        for idx, (p, (x, y)) in enumerate(zip(cfg.points, xy)):
             out.append(
                 f'  p{idx} [label="m={p.multiplicity}" pos="{x},{y}!" '
                 f'shape=box, color="#108040"];'
@@ -144,25 +141,23 @@ def _to_tikz(fibre: ExpandedFibre, cfg: PointConfiguration | None) -> str:
     dc = fibre.dual_complex
     out = ["\\begin{tikzpicture}[scale=1]"]
 
-    def coord(position) -> str:
-        a, b, c = position
-        x = (2 * b + c) * 3000 // (2 * k)
-        y = c * 2598 // k
-        return f"({_milli(x)},{_milli(y)})"
+    def coords(positions) -> list[str]:
+        return [f"({_milli(x)},{_milli(y)})" for x, y in _layout(positions, k, 3000, 2598)]
 
-    at = [coord(v.position) for v in dc.vertices]
+    at = coords([v.position for v in dc.vertices])
     out += [f"\\draw[gray] {at[u]} -- {at[v]};" for u, v in dc.edges]
     for v, pos in zip(dc.vertices, at):
         out.append(f"\\filldraw {pos} circle (2pt);")
         out.append(f"\\node[anchor=south west, font=\\tiny] at {pos} {{{_label(v, k)}}};")
     if cfg is not None:
-        for p in cfg.points:
-            out.append(
-                f"\\draw[green!60!black, thick] {coord(p.valuations)} "
-                f"circle (4pt);"
-            )
+        for pos in coords([p.valuations for p in cfg.points]):
+            out.append(f"\\draw[green!60!black, thick] {pos} circle (4pt);")
     out.append("\\end{tikzpicture}")
     return "\n".join(out) + "\n"
+
+
+_WRITERS = {"dot": _to_dot, "svg": _to_svg, "tikz": _to_tikz}
+FORMATS = tuple(_WRITERS)
 
 
 def render_fibre(
@@ -178,10 +173,6 @@ def render_fibre(
         raise HeightMismatch(
             f"configuration has height {cfg.height}, the fibre {fibre.height}"
         )
-    if fmt == "svg":
-        return _to_svg(fibre, cfg)
-    if fmt == "dot":
-        return _to_dot(fibre, cfg)
-    if fmt == "tikz":
-        return _to_tikz(fibre, cfg)
-    raise InvalidInput(f"unknown render format {fmt!r}; expected one of {FORMATS}")
+    if fmt not in FORMATS:  # compares, so an unhashable fmt is refused too
+        raise InvalidInput(f"unknown render format {fmt!r}; expected one of {FORMATS}")
+    return _WRITERS[fmt](fibre, cfg)

@@ -129,7 +129,7 @@ def parse_scenario(text: str) -> Scenario:
         cuts = tuple(_require_int(s, "cut", 1) for s in raw["cuts"])
         if height is None:
             raise ValidationError("cuts given without a height")
-        if list(cuts) != sorted(set(cuts)) or any(not 0 < s < height for s in cuts):
+        if list(cuts) != sorted(set(cuts)) or any(s >= height for s in cuts):
             raise ValidationError(
                 f"cuts {list(cuts)} must increase strictly inside (0, {height})"
             )

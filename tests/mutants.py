@@ -6,11 +6,12 @@ kill the edited program, and a status.  A check is one or more of
 
 * ``"verify"``: ``degenlab verify --max-k 4 --max-m 2`` exits 1;
 * ``"verify <suite>"``: it exits 1 and that suite's line reads ``[FAIL]``;
-* ``"<test module>::<test>"``: the test function raises.  It takes no
-  argument, or only those of one ``pytest.mark.parametrize`` of argument
-  tuples, and then kills if it raises on any of them.  A Hypothesis test
-  kills only if it raises on each of the three ``SEEDS``, with the example
-  database and shrinking off.
+* ``"<test module>::<test>"``, or ``"<test module>::<class>::<test>"``
+  for a method of a test class: the test raises.  Its arguments are
+  ``monkeypatch``, given a fresh ``pytest.MonkeyPatch`` on each call, and
+  those of one ``pytest.mark.parametrize`` of argument tuples; it kills if
+  it raises on any of them.  A Hypothesis test kills only if it raises on
+  each of the three ``SEEDS``, with the example database and shrinking off.
 
 and it kills the mutant when any of them does.  The status is ``"killed"``,
 or ``"survives until item N"``, the ROADMAP item that is to give the
@@ -152,6 +153,23 @@ MUTANTS = [
            _IMPORTS, "killed"),
     Mutant("package-imports-a-layer", "__init__.py", "from importlib import import_module\n",
            "from importlib import import_module\n\nfrom . import base\n", _IMPORTS, "killed"),
+    # the command line's bounds: a scenario's cuts, closed points with one
+    # vanishing entry, and verify at its largest caps
+    Mutant("scenario-cut-at-height", "scenario.py", "any(s >= height for s in cuts)",
+           "any(s > height for s in cuts)",
+           ("test_cli::TestExitCodes::test_cuts_outside_the_height_are_refused_with_one_line",),
+           "killed"),
+    Mutant("normalize-one-zero-as-units", "cli.py", "if point.zero_count >= 1:",
+           "if point.zero_count > 1:", ("test_cli::TestCommands::test_normalize_closed_point",),
+           "killed"),
+    Mutant("equivalent-one-zero-as-units", "base.py", "if zp >= 1 or zq >= 1:",
+           "if zp > 1 or zq > 1:",
+           ("test_base::TestEquivalence::test_closed_zero_count_is_the_invariant",), "killed"),
+    Mutant("verify-refuses-its-largest-caps", "cli.py", "if cap > largest:", "if cap >= largest:",
+           ("test_cli::TestExitCodes::test_verify_runs_at_its_largest_caps",), "killed"),
+    # positivity: a zero term fails as a negative one does
+    Mutant("positivity-zero-term", "verify.py", "if term <= 0:", "if term < 0:",
+           ("test_verify::test_a_grouped_suite_fails_where_the_ungrouped_loop_does",), "killed"),
     # a checked value type: ``_replace`` and ``_make`` build through its checks
     Mutant("replace-skips-validation", "base.py",
            "def _make(cls, fields) -> NormalForm:  # checked, and so is ``_replace``\n"
@@ -240,10 +258,14 @@ def _test(entry: str) -> str | None:
     import pytest
 
     failed = (Exception, pytest.fail.Exception)  # ``pytest.raises`` fails by a BaseException
-    module, name = entry.split("::")
-    test = getattr(importlib.import_module(module), name)
+    module, *classes, name = entry.split("::")
+    scope = importlib.import_module(module)
+    for cls in classes:  # a test class, instantiated as pytest does
+        scope = getattr(scope, cls)()
+    test = getattr(scope, name)
     cases = _cases(test)
-    if set(inspect.signature(test).parameters) != set(cases[0]):  # a fixture would raise
+    fixtures = set(inspect.signature(test).parameters) - set(cases[0])
+    if fixtures - {"monkeypatch"}:  # any other fixture would raise
         raise SystemExit(f"{entry} takes arguments that no parametrize mark gives")
     seeds = SEEDS if getattr(test, "is_hypothesis_test", False) else (None,)
     raised = []
@@ -254,7 +276,8 @@ def _test(entry: str) -> str | None:
             seed(value)(test)
         for case in cases:
             try:
-                test(**case)
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    test(**case, **({"monkeypatch": monkeypatch} if fixtures else {}))
             except failed as exc:
                 raised.append(type(exc).__name__)
                 break

@@ -135,6 +135,8 @@ def test_standard_embed_reads_a_one_shot_iterable():
 def test_standard_embed_rejects_bad_positions():
     with pytest.raises(InvalidInput):
         standard_embed(make_base_tuple([1, 1]), {5})
+    with pytest.raises(InvalidInput):  # one past the enlarged tuple's last index
+        standard_embed(make_base_tuple([1, 1]), {3})
     with pytest.raises(InvalidInput):
         standard_embed(make_base_tuple([1, 1]), {-1})
 
@@ -166,6 +168,10 @@ _LIN = {"levels": (LevelLift(1, 1, 0, 1), LevelLift(0, 1, 2, 1))}
      "lift exponents must be non-negative: LevelLift(a=1, b=0, c=-1, d=2)"),
     (Linearization, _LIN, {"levels": (LevelLift(0, 0, 0, 1),)},
      "each chart of LevelLift(a=0, b=0, c=0, d=1) needs total degree >= 1"),
+    # the bounds themselves: a cut at 0, and a pattern of size 1 that vanishes everywhere
+    (NormalForm, _FORM, {"cuts": (0,)}, "cuts must lie strictly inside (0, 3): (0,)"),
+    (VanishingPattern, {"size": 1, "vanishing": frozenset({1})}, {"size": 0},
+     "pattern size must be >= 1"),
 ])
 def test_a_checked_value_type_checks_every_way_it_is_built(cls, fields, bad, message):
     """The constructor, ``_replace`` and ``_make`` of each checked value
@@ -202,6 +208,9 @@ class TestEquivalence:
 
     def test_closed_zero_count_is_the_invariant(self):
         assert not equivalent(make_closed_point([0, 5]), make_closed_point([0, 0, 7]))
+        # one vanishing entry on each side, or on one: the units are not compared
+        assert equivalent(make_closed_point([0, "2", "a"]), make_closed_point(["b", 0, "3"]))
+        assert not equivalent(make_closed_point([0, "2"]), make_closed_point(["2", "1"]))
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(InvalidComparison):
@@ -258,6 +267,8 @@ def test_tau_move_relocates_zeros():
     moved = tau_move(t, target=frozenset({1, 2}), source=frozenset({1, 3}))
     assert moved.exponents == (1, 2, 0)
     assert normal_form(moved) == normal_form(t)
+    zero_free = make_base_tuple([1, 2])  # source and target every slot
+    assert tau_move(zero_free, frozenset({1, 2}), frozenset({1, 2})) == zero_free
 
 
 def test_tau_move_requires_vanishing_inside_source():

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,17 @@ def run_cli(*args, stdin: str | None = None):
         input=stdin.encode() if stdin else None,
         env=cli_env(),
     )
+
+
+def main_on_stdin(monkeypatch, args: list[str], stdin: str) -> tuple[int, str, str]:
+    """``main(args)`` in process with ``stdin`` as standard input: its exit
+    code, stdout and stderr.  It reads no ``capsys``, so that a row of
+    ``tests/mutants.py`` can run the test that calls it."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestParseScenario:
@@ -198,6 +210,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_verify_runs_at_its_largest_caps(self, monkeypatch):
+        monkeypatch.setattr("degenlab.verify.run_all", lambda max_k, max_m: [])
+        assert main(["verify", "--max-k", "5", "--max-m", "3"]) == 0
+
+    @pytest.mark.parametrize("cuts", [[4], [3, 1]], ids=["at-the-height", "decreasing"])
+    def test_cuts_outside_the_height_are_refused_with_one_line(self, monkeypatch, cuts):
+        scenario = json.dumps({"height": 4, "cuts": cuts})
+        assert main_on_stdin(monkeypatch, ["fiber", "-"], scenario) == (
+            2, "", f"error: cuts {cuts} must increase strictly inside (0, 4)\n"
+        )
 
     @pytest.mark.parametrize(
         "caps,message",
@@ -516,13 +539,13 @@ class TestCommands:
         assert payload["normal_form"] == {"height": 2, "cuts": [1]}
         assert payload["canonical_tuple"] == [1, 1]
 
-    def test_normalize_closed_point(self, tmp_path):
-        scenario = tmp_path / "n.json"
-        scenario.write_text(
-            '{"entries":[{"zero":true},{"unit":"c1"},{"zero":true}]}'
-        )
-        result = run_cli("normalize", str(scenario))
-        assert json.loads(result.stdout)["zero_count"] == 2
+    @pytest.mark.parametrize("entries,zero_count", [
+        ('[{"zero":true},{"unit":"c1"},{"zero":true}]', 2),
+        ('[{"zero":true},{"unit":"2"},{"unit":"a"}]', 1),
+    ], ids=["two-zeros", "one-zero"])
+    def test_normalize_closed_point(self, monkeypatch, entries, zero_count):
+        code, out, _ = main_on_stdin(monkeypatch, ["normalize", "-"], f'{{"entries":{entries}}}')
+        assert (code, json.loads(out)) == (0, {"kind": "closed", "zero_count": zero_count})
 
     def test_normalize_closed_units_product(self, tmp_path):
         scenario = tmp_path / "n.json"

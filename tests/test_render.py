@@ -31,6 +31,8 @@ def test_deterministic(fibre, fmt):
 def test_unknown_format(fibre):
     with pytest.raises(InvalidInput):
         render_fibre(fibre, None, "png")
+    with pytest.raises(InvalidInput):  # unhashable, so no table lookup may come first
+        render_fibre(fibre, None, ["svg"])
 
 
 def test_svg_marks_every_vertex_and_point(fibre):

@@ -237,17 +237,21 @@ def ungrouped_bijection(max_k, max_m):
 ONE_POINT_ON_BOTH = (1, ((0, 1, 0, 1),))  # a profile of (0, 1) and of (1, 0) at k = 1
 
 
-def positive_column_negated(original):
-    """``Profile.lift_table``, with the s_j = +1 column negated for the one
-    profile ``ONE_POINT_ON_BOTH``.  Positivity reads that column only on
-    patterns that admit s_j = +1: the profile passes on (0, 1), whose only
-    sign vector is (-1,), and fails on (1, 0), whose only one is (1,)."""
+def positive_column(new):
+    """``Profile.lift_table``, with each entry of the s_j = +1 column mapped
+    through ``new`` for the one profile ``ONE_POINT_ON_BOTH``.  Positivity
+    reads that column only on patterns that admit s_j = +1: the profile
+    passes on (0, 1), whose only sign vector is (-1,), and fails on (1, 0),
+    whose only one is (1,), by a negative term or by a zero one."""
 
-    def broken(key, lin):
-        table = original(key, lin)
-        return [(neg, -pos) for neg, pos in table] if key == ONE_POINT_ON_BOTH else table
+    def broken_with(original):
+        def broken(key, lin):
+            table = original(key, lin)
+            return [(neg, new(pos)) for neg, pos in table] if key == ONE_POINT_ON_BOTH else table
 
-    return broken
+        return broken
+
+    return broken_with
 
 
 def refused_for_one_point_on_both(original):
@@ -295,7 +299,9 @@ def unit_slots_miss_the_first_cut(original):
         (verify.check_stability_equivalence, ungrouped_stability_equivalence, weights,
          "_levels_stable", refused_for_one_point_on_both),
         (verify.check_positivity, ungrouped_positivity, weights.Profile, "lift_table",
-         positive_column_negated),
+         positive_column(lambda pos: -pos)),
+        (verify.check_positivity, ungrouped_positivity, weights.Profile, "lift_table",
+         positive_column(lambda pos: 0)),
         (verify.check_bijection, ungrouped_bijection, verify, "is_lw_stable",
          lambda original: lambda cfg: original(cfg) and cfg.fibre.nf != NormalForm(3, (2,))),
         (verify.check_bijection, ungrouped_bijection, configurations, "occupied_bits",
@@ -303,8 +309,8 @@ def unit_slots_miss_the_first_cut(original):
         (verify.check_bijection, ungrouped_bijection, base.BaseTuple, "_levels",
          unit_slots_miss_the_first_cut),
     ],
-    ids=["stability-equivalence", "positivity", "bijection", "bijection-line-rules",
-         "bijection-unit-slot"],
+    ids=["stability-equivalence", "positivity", "positivity-zero-term", "bijection",
+         "bijection-line-rules", "bijection-unit-slot"],
 )
 def test_a_grouped_suite_fails_where_the_ungrouped_loop_does(monkeypatch, suite, reference, module,
                                                              name, broken):

@@ -8,24 +8,23 @@ into a temporary directory; it is measured in a fresh interpreter whose
 ``sys.path`` starts with the tree's ``src``.  From the repository root,
 
     PYTHONDONTWRITEBYTECODE=1 python tools/scaling.py \\
-        parent=bf2855a change=. --out BENCH_35.json
+        parent=e1883ea change=. --out BENCH_36.json
 
-regenerates ``BENCH_35.json``: ``bf2855a`` against the working tree.
+regenerates ``BENCH_36.json``: ``e1883ea`` beside the working tree.
 
-The trees are measured in alternation, one figure at a time: each tree has
-its own measuring interpreter, and every figure is taken over ``REPEAT``
-rounds, in each of which every tree gives one sample, in turn, the order
-reversed from one round to the next.  So a drift of the host's speed
-moves every tree's figure alike, not one tree's column.
+Every figure is taken by one rule.  Each tree has its own measuring
+interpreter, and a sample is seconds per call of a loop of calls, with
+garbage collection on, whose count ``timeit.Timer.autorange`` sizes once
+to take at least 0.2 s.  A figure is the best of ``REPEAT`` samples per
+tree, taken in alternation: in each round every tree gives one sample,
+in turn, the order reversed from one round to the next, so a drift of the
+host's speed moves every tree's figure alike, not one tree's column.  Only
+an error ends a figure early: it is the tree's answer.
 
-Inputs are drawn from ``random.Random(SEED)``.  A point of a series over a
-growing size is seconds per call: ``timeit.Timer.autorange`` sizes a loop
-of calls to take at least 0.2 s, and the figure is the best of ``REPEAT``
-such loops over their count.  A series stops after a size slower than
-``BUDGET_S`` per call, which is timed once: the sizes past it, and a size
-whose call raises (a refused height), are written as null, with the reason
-under ``skipped``.  Every other figure is the best of ``REPEAT`` calls, in
-seconds; a call slower than ``BUDGET_S`` is not repeated.  The measuring
+Inputs are drawn from ``random.Random(SEED)``.  A series over a growing
+size stops after the first size that is slower than ``BUDGET_S`` per call:
+the sizes past it, and a size whose call raises (a refused height), are
+written as null, with the reason under ``skipped``.  The measuring
 interpreter caps its own address space at ``MAX_MEMORY_BYTES``, so a size
 that would need more raises ``MemoryError`` and is written as null too.
 
@@ -35,9 +34,11 @@ that would need more raises ``MemoryError`` and is written as null too.
   a zero-free presentation (every sign vector admissible) with vanishing
   orders 1-3 and one point of multiplicity 1-3 on each level, so every
   level is occupied and the lift is built and re-checked;
-- each ``verify`` suite at the size of its acceptance criterion, with its
-  detail string, which must be the same on every tree;
-- the wall time of a fresh interpreter running each ``STARTUP`` command:
+- each ``verify`` suite at the size of its acceptance criterion, with the
+  detail string of one untimed run, which must be the same on every tree;
+- the wall time of a fresh interpreter running each ``STARTUP`` command,
+  a loop of runs like any other figure (``BENCH_35.json`` and earlier
+  kept the best single run, so compare these within one file):
   ``python -c pass``, ``python -c "import degenlab.cli"``, the command
   line's time before it reads its arguments, and four whole commands,
   interpreter start-up included: ``normalize`` and ``stability`` on
@@ -59,9 +60,7 @@ import tarfile
 import tempfile
 from contextlib import ExitStack
 from io import BytesIO
-from math import inf
 from pathlib import Path
-from time import perf_counter
 from timeit import Timer
 
 ORACLE_HEIGHTS = (6, 12, 30, 100)
@@ -88,33 +87,18 @@ SEED = 31
 MAX_MEMORY_BYTES = 1 << 30
 
 
-def loop_sampler(call):
-    """One sample per call of the result: seconds per call of a loop whose
-    count ``Timer.autorange`` sizes on the first call, or, when one call is
-    slower than ``BUDGET_S``, that one call, not to be repeated."""
-    timer = Timer(call)
+def sampler(call):
+    """One sample per call of the result: seconds per call of a loop of
+    ``call``, with garbage collection on, whose count ``Timer.autorange``
+    sizes on the first call."""
+    timer = Timer(call, "gc.enable()")
     number = None
 
-    def sample() -> dict:
+    def sample() -> float:
         nonlocal number
         if number is None:
-            number, elapsed = timer.autorange()
-            if number == 1 and elapsed > BUDGET_S:
-                return {"seconds": elapsed, "again": False}
-        return {"seconds": timer.timeit(number) / number, "again": True}
-
-    return sample
-
-
-def suite_sampler(check, kwargs: dict):
-    """One sample per call of the result: the seconds of one suite run, with
-    its detail; a run slower than ``BUDGET_S`` is not to be repeated."""
-
-    def sample() -> dict:
-        start = perf_counter()
-        detail = check(**kwargs).detail
-        elapsed = perf_counter() - start
-        return {"seconds": elapsed, "again": elapsed <= BUDGET_S, "detail": detail}
+            number, _ = timer.autorange()
+        return timer.timeit(number) / number
 
     return sample
 
@@ -151,13 +135,21 @@ def lift_input(rng: random.Random, n: int, degenlab):
     return (degenlab.place(degenlab.BaseTuple(tuple(exponents)), points),)
 
 
+def launch(name: str, argv: list[str]) -> None:
+    """One run of a fresh interpreter on ``argv``, which must exit 0 or 1."""
+    done = subprocess.run([sys.executable, *argv], stdin=subprocess.DEVNULL,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if done.returncode not in (0, 1):
+        raise RuntimeError(f"{name} exited {done.returncode}: {done.stderr}")
+
+
 def serve() -> None:
     """The measuring interpreter of the ``degenlab`` under the working
     directory: one sample per request, a JSON line on stdin, answered by a
-    JSON line on stdout.  A request is ``["series", function, size]`` or
-    ``["suite", name, arguments]``; a call that raises answers
-    ``{"error": ...}``.  Each series draws its inputs, size by size, from
-    its own ``random.Random(SEED)``."""
+    JSON line on stdout.  A request is ``["series", function, size]``,
+    ``["suite", name, arguments]`` or ``["startup", name, argv]``; a call
+    that raises answers ``{"error": ...}``.  Each series draws its inputs,
+    size by size, from its own ``random.Random(SEED)``."""
     import degenlab
     from degenlab import verify
 
@@ -168,18 +160,27 @@ def serve() -> None:
         "exists_stabilizing_linearization": lambda rng, n: lift_input(rng, n, degenlab),
     }
     rngs: dict[str, random.Random] = {}
+
+    def figure(kind: str, name: str, arg) -> tuple:
+        """The call that a request times, and what each reply to it carries:
+        a suite's detail, from one untimed run."""
+        if kind == "series":
+            args = inputs[name](rngs.setdefault(name, random.Random(SEED)), arg)
+            fn = getattr(degenlab, name)
+            return lambda: fn(*args), {}
+        if kind == "suite":
+            check = getattr(verify, f"check_{name}")
+            return lambda: check(**arg), {"detail": check(**arg).detail}
+        return lambda: launch(name, arg), {}
+
     samplers = {}
     for line in sys.stdin:
         try:
             if line not in samplers:
-                kind, name, arg = json.loads(line)
-                if kind == "series":
-                    args = inputs[name](rngs.setdefault(name, random.Random(SEED)), arg)
-                    fn = getattr(degenlab, name)
-                    samplers[line] = loop_sampler(lambda: fn(*args))
-                else:
-                    samplers[line] = suite_sampler(getattr(verify, f"check_{name}"), arg)
-            reply = samplers[line]()
+                call, carried = figure(*json.loads(line))
+                samplers[line] = sampler(call), carried
+            sample, carried = samplers[line]
+            reply = {"seconds": sample(), **carried}
         except Exception as exc:  # a refusal or MemoryError ends this figure only
             reply = {"error": f"{type(exc).__name__}: {exc}"}
         sys.stdout.write(json.dumps(reply) + "\n")
@@ -192,12 +193,12 @@ class Tree:
     path; a context manager that ends the interpreter."""
 
     def __init__(self, label: str, root: Path, source: str) -> None:
-        self.label, self.root, self.source = label, root, source
+        self.label, self.source = label, source
         path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-        self.env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         self.server = subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--serve"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=self.env, cwd=root,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, cwd=root,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         )
 
     def __enter__(self) -> Tree:
@@ -216,26 +217,17 @@ class Tree:
         return json.loads(line)
 
 
-def rounds(trees: list[Tree]):
-    """The trees in turn, ``REPEAT`` times, the order reversed each round."""
-    for r in range(REPEAT):
-        yield trees if r % 2 == 0 else trees[::-1]
-
-
 def best(trees: list[Tree], request: list) -> dict[str, dict]:
-    """Each tree's best sample of one figure, the trees in alternation; a
-    tree stops at a sample not to be repeated and at an error, which is
-    its answer."""
+    """Each tree's best of ``REPEAT`` samples of one figure, the trees in
+    turn, the order reversed each round; an error ends the tree's figure
+    and is its answer."""
     found: dict[str, dict] = {}
-    stopped = set()
-    for order in rounds(trees):
-        for tree in order:
-            if tree.label in stopped:
+    for r in range(REPEAT):
+        for tree in trees if r % 2 == 0 else trees[::-1]:
+            last = found.get(tree.label)
+            if last is not None and "error" in last:
                 continue
             reply = tree.sample(request)
-            if "error" in reply or not reply["again"]:
-                stopped.add(tree.label)
-            last = found.get(tree.label)
             if last is None or "error" in reply or reply["seconds"] < last["seconds"]:
                 found[tree.label] = reply
     return found
@@ -262,7 +254,7 @@ def series(trees: list[Tree], name: str, sizes, figures: dict) -> None:
 
 
 def suites(trees: list[Tree], figures: dict) -> None:
-    """Each suite's best time at its acceptance size, with its detail."""
+    """Each suite's time at its acceptance size, with its detail."""
     for name, kwargs in SUITES:
         for label, reply in best(trees, ["suite", name, kwargs]).items():
             if "error" in reply:
@@ -292,23 +284,14 @@ def write_scenarios(where: Path) -> None:
 
 
 def startup(trees: list[Tree], scenarios: Path, figures: dict) -> None:
-    """Best wall time of ``REPEAT`` fresh interpreters per ``STARTUP``
-    command, in seconds, in each tree's ``startup_s``: per round, each
-    command in each tree in turn.  A command must exit 0 or 1."""
-    for tree in trees:
-        figures[tree.label]["startup_s"] = {name: inf for name, _ in STARTUP}
-    for order in rounds(trees):
-        for name, arguments in STARTUP:
-            command = [sys.executable, *[a.format(scenarios) for a in arguments]]
-            for tree in order:
-                start = perf_counter()
-                done = subprocess.run(command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                      text=True, env=tree.env, cwd=tree.root)
-                elapsed = perf_counter() - start
-                if done.returncode not in (0, 1):
-                    raise SystemExit(f"{tree.label}: {name} exited {done.returncode}: {done.stderr}")
-                best_s = figures[tree.label]["startup_s"]
-                best_s[name] = min(best_s[name], elapsed)
+    """Seconds per run of a fresh interpreter for each ``STARTUP`` command,
+    in each tree's ``startup_s``."""
+    for name, arguments in STARTUP:
+        request = ["startup", name, [a.format(scenarios) for a in arguments]]
+        for label, reply in best(trees, request).items():
+            if "error" in reply:
+                raise SystemExit(f"{label}: {reply['error']}")
+            figures[label]["startup_s"][name] = reply["seconds"]
 
 
 def checkout(spec: str, scratch: Path) -> tuple[Path, str]:
@@ -372,6 +355,7 @@ def main(argv=None) -> int:
                 "exists_stabilizing_linearization_s": {},
                 "verify_suite_s": {},
                 "skipped": {},
+                "startup_s": {},
             }
         series(trees, "unique_stable_subdivision_oracle", ORACLE_HEIGHTS, figures)
         series(trees, "exists_stabilizing_linearization", LIFT_LEVELS, figures)
