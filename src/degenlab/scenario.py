@@ -9,7 +9,6 @@ consistent with an explicit height.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .base import (
@@ -354,11 +353,8 @@ def scenario_to_json(sc: Scenario) -> dict:
         out["s"] = list(sc.s)
     if sc.l is not None:
         out["l"] = sc.l
-    if sc.entries is not None:
+    if sc.entries is not None:  # a unit as its string: it parses to a label of the same value
         out["entries"] = [
-            {"zero": True}
-            if e is None
-            else {"unit": str(e) if isinstance(e, (int, Fraction)) else e}
-            for e in sc.entries.entries
+            {"zero": True} if e is None else {"unit": str(e)} for e in sc.entries.entries
         ]
     return out

@@ -25,9 +25,17 @@ presentation (``_at``).  What the presentation itself reads is kept on its
 level bits and the cuts of its normal form, from one pass, the vanishing
 pattern with its admissible sign vectors (read by the stability test and
 by positivity) and the zero-free tuple that ``normalize_pair`` and
-``stabilizer_rank`` read.  No cache outlives a suite call: each call
-enumerates its presentations afresh.  A ``PointConfiguration`` is built
-only where a library verdict takes one or a failure names one.
+``stabilizer_rank`` read.  The presentations alone outlive a suite call:
+the module keeps a table of the presentations of each height, each with
+its normal form (``_presented``), listed when a sweep first reaches that
+height and kept, with the facts cached on each ``BaseTuple``, for the life
+of the process.  It holds inputs only, and a stated number of them: after
+sweeps with caps up to K, exactly C(K + 5, 4) - 5 rows, 121 at K = 4 and
+205 at the command line's largest cap, 5.  Everything else a suite reads
+or decides, each ``_Placed``, lift and verdict, is built again by every
+call.  A
+``PointConfiguration`` is built only where a library verdict takes one or
+a failure names one.
 
 A verdict runs once per value of what it reads, at the first configuration
 in sweep order that has that value, and the later configurations read the
@@ -57,8 +65,8 @@ sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, groupby, repeat
-from operator import attrgetter, itemgetter
+from itertools import combinations, combinations_with_replacement, repeat
+from operator import itemgetter
 from typing import Iterator
 
 from .base import BaseTuple, NormalForm, normal_form, tau_move
@@ -196,18 +204,43 @@ def _weighted(k: int, max_m: int) -> tuple[list[SupportPoint], list[tuple[Suppor
 
 def presentations(max_k: int) -> Iterator[BaseTuple]:
     """All base tuples of height 1..max_k and length 1..MAX_LENGTH: by
-    height, then by length, the compositions in lexicographic order.
+    height, then by length, the compositions in lexicographic order."""
+    for k in range(1, max_k + 1):
+        yield from _of_height(k)
+
+
+def _of_height(k: int) -> Iterator[BaseTuple]:
+    """The base tuples of height k in ``presentations`` order.
 
     The compositions of k into n parts are, by stars and bars, the gaps
     around n - 1 bars placed among k + n - 1 slots, and ``combinations``
     lists the bars in the same order.  Each is valid by construction, so the
     tuple is built without ``make_base_tuple``'s checks.
     """
-    for k in range(1, max_k + 1):
-        for length in range(1, MAX_LENGTH + 1):
-            slots = k + length - 1
-            for bars in combinations(range(slots), length - 1):
-                yield BaseTuple(tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]))
+    for length in range(1, MAX_LENGTH + 1):
+        slots = k + length - 1
+        for bars in combinations(range(slots), length - 1):
+            yield BaseTuple(tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]))
+
+
+# entry k - 1: the (presentation, normal form) rows of height k
+_PRESENTED: list[tuple[tuple[BaseTuple, NormalForm], ...]] = []
+
+
+def _presented(max_k: int) -> list[tuple[tuple[BaseTuple, NormalForm], ...]]:
+    """The rows of heights 1..max_k, one tuple per height: each presentation
+    of ``presentations(max_k)`` with its normal form, in that order.
+
+    A height is listed by the first call that reaches it and kept for the
+    life of the process, so after calls with caps up to K the table holds
+    the C(K + 5, 4) - 5 presentations of height at most K: the compositions
+    of k into at most four parts number C(k + 4, 3).  A height is stored by
+    a slice, so that a thread that listed the same height first has its
+    equal rows replaced, not followed by a second copy.
+    """
+    for k in range(len(_PRESENTED) + 1, max_k + 1):
+        _PRESENTED[k - 1:k] = [tuple([(p, normal_form(p)) for p in _of_height(k)])]
+    return _PRESENTED[:max_k]
 
 
 def check_limit_oracle(max_k: int = 6, max_m: int = 3) -> SuiteResult:
@@ -290,15 +323,16 @@ class _Placed:
 def _sweep(max_k: int, max_m: int) -> Iterator[tuple[BaseTuple, _Placed]]:
     """Every presentation with its normal form's ``_Placed`` multisets.
 
-    Per height, the weighted multisets are listed once, and ``place``
-    locates the same multiplicity-one points that they share; per normal
-    form, one ``_Placed`` is built and shared by every presentation of it.
+    The presentations and their normal forms are the table's rows
+    (``_presented``).  Per height, the weighted multisets are listed once,
+    and ``place`` locates the same multiplicity-one points that they share;
+    per normal form, one ``_Placed`` is built and shared by every
+    presentation of it.
     """
-    for k, group in groupby(presentations(max_k), key=attrgetter("height")):
+    for k, rows in enumerate(_presented(max_k), 1):
         every_point, multisets = _weighted(k, max_m)
         placed: dict[NormalForm, _Placed] = {}
-        for presentation in group:
-            nf = normal_form(presentation)
+        for presentation, nf in rows:
             shared = placed.get(nf)
             if shared is None:
                 shared = placed[nf] = _Placed(nf, multisets, every_point)

@@ -8,9 +8,11 @@ kill the edited program, and a status.  A check is one or more of
 * ``"verify <suite>"``: it exits 1 and that suite's line reads ``[FAIL]``;
 * ``"<test module>::<test>"``, or ``"<test module>::<class>::<test>"``
   for a method of a test class: the test raises.  Its arguments are
-  ``monkeypatch``, given a fresh ``pytest.MonkeyPatch`` on each call, and
-  those of one ``pytest.mark.parametrize`` of argument tuples; it kills if
-  it raises on any of them.  A Hypothesis test kills only if it raises on
+  ``monkeypatch``, given a fresh ``pytest.MonkeyPatch`` on each call, a
+  generator fixture of its own module that takes no arguments, run to its
+  ``yield`` and resumed after the call, and those of one
+  ``pytest.mark.parametrize`` of argument tuples; it kills if it raises on
+  any of them.  A Hypothesis test kills only if it raises on
   each of the three ``SEEDS``, with the example database and shrinking off.
 
 and it kills the mutant when any of them does.  The status is ``"killed"``,
@@ -62,6 +64,8 @@ _LIFT = "lifts.append(new(LevelLift, (m * (m - lt), m * (lt + 1), 0, 1)))"
 _BOUNDED = ("weights.py", "(l * c_neg - d, l * c_pos + d)", "(l * c_neg, l * c_pos)")
 _C_SIDE = ("dual_complex.py", "if x % 2 and y % 2 and c:", "if x % 2 and y % 2:")
 _IMPORTS = ("test_exports::test_each_import_loads_only_the_layers_it_runs",)
+_TABLE = ("test_verify::test_the_table_of_presentations_holds_the_heights_of_the_largest_cap",)
+_DIGITS = ("test_base::test_unit_labels_are_refused_past_the_digit_limit_with_one_line",)
 _MULTISET = (
     "multisets.append(tuple([shared[i][combo.count(i) - 1] for i in dict.fromkeys(combo)]))"
 )
@@ -170,6 +174,24 @@ MUTANTS = [
     # positivity: a zero term fails as a negative one does
     Mutant("positivity-zero-term", "verify.py", "if term <= 0:", "if term < 0:",
            ("test_verify::test_a_grouped_suite_fails_where_the_ungrouped_loop_does",), "killed"),
+    # the table of presentations: every cap is served its own heights, all of them
+    Mutant("table-stops-a-height-short", "verify.py",
+           "for k in range(len(_PRESENTED) + 1, max_k + 1):",
+           "for k in range(len(_PRESENTED) + 1, max_k):", _TABLE, "killed"),
+    Mutant("table-serves-every-height", "verify.py", "return _PRESENTED[:max_k]",
+           "return _PRESENTED", _TABLE, "killed"),
+    # the digit limits of a unit label and of a unit product, at each boundary
+    Mutant("unit-product-limit-exclusive", "base.py", "numeric.denominator) >= 10**limit:",
+           "numeric.denominator) > 10**limit:", _DIGITS, "killed"),
+    Mutant("label-exponent-length-inclusive", "base.py", "len(exponent) > len(str(limit))",
+           "len(exponent) >= len(str(limit))", _DIGITS, "killed"),
+    Mutant("label-digits-inclusive", "base.py", "digits + int(exponent or 0) > limit",
+           "digits + int(exponent or 0) >= limit", _DIGITS, "killed"),
+    Mutant("shown-label-cut-at-19", "base.py", "len(label) <= 20", "len(label) < 20", _DIGITS,
+           "killed"),
+    # a closed point's units as the scenario writer writes them
+    Mutant("scenario-unit-unwritten", "scenario.py", '{"unit": str(e)}', '{"unit": e}',
+           ("test_cli::TestRoundTrips::test_closed_point_through_the_scenario_writer",), "killed"),
     # a checked value type: ``_replace`` and ``_make`` build through its checks
     Mutant("replace-skips-validation", "base.py",
            "def _make(cls, fields) -> NormalForm:  # checked, and so is ``_replace``\n"
@@ -258,15 +280,15 @@ def _test(entry: str) -> str | None:
     import pytest
 
     failed = (Exception, pytest.fail.Exception)  # ``pytest.raises`` fails by a BaseException
-    module, *classes, name = entry.split("::")
-    scope = importlib.import_module(module)
+    path, *classes, name = entry.split("::")
+    scope = module = importlib.import_module(path)
     for cls in classes:  # a test class, instantiated as pytest does
         scope = getattr(scope, cls)()
     test = getattr(scope, name)
     cases = _cases(test)
     fixtures = set(inspect.signature(test).parameters) - set(cases[0])
-    if fixtures - {"monkeypatch"}:  # any other fixture would raise
-        raise SystemExit(f"{entry} takes arguments that no parametrize mark gives")
+    if not all(f == "monkeypatch" or hasattr(module, f) for f in fixtures):  # it would raise
+        raise SystemExit(f"{entry} takes arguments that no parametrize mark or fixture gives")
     seeds = SEEDS if getattr(test, "is_hypothesis_test", False) else (None,)
     raised = []
     for value in seeds:
@@ -276,14 +298,25 @@ def _test(entry: str) -> str | None:
             seed(value)(test)
         for case in cases:
             try:
-                with pytest.MonkeyPatch.context() as monkeypatch:
-                    test(**case, **({"monkeypatch": monkeypatch} if fixtures else {}))
+                with contextlib.ExitStack() as stack:
+                    given = {f: stack.enter_context(_fixture(module, f)) for f in fixtures}
+                    test(**case, **given)
             except failed as exc:
                 raised.append(type(exc).__name__)
                 break
         else:
             return None
     return f"raised {', '.join(raised)}" + (f" on seeds {SEEDS}" if value is not None else "")
+
+
+def _fixture(module, name: str):
+    """The named fixture as a context manager: a fresh ``pytest.MonkeyPatch``,
+    or the module's generator fixture of that name, run as pytest runs it."""
+    import pytest
+
+    if name == "monkeypatch":
+        return pytest.MonkeyPatch.context()
+    return contextlib.contextmanager(getattr(module, name).__wrapped__)()
 
 
 def _cases(test) -> list[dict]:

@@ -1,6 +1,7 @@
 """Base tuples, normal forms, slot moves and equivalence."""
 
 import pickle
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -185,6 +186,51 @@ def test_a_checked_value_type_checks_every_way_it_is_built(cls, fields, bad, mes
                   lambda: cls._make(invalid.values())):
         with pytest.raises(InvalidInput) as info:
             build()
+        assert str(info.value) == message
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's limit on the digits of a str/int conversion at its least,
+    640, which the unit-label bounds read; the old limit is restored after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        # a label's digits plus its decimal exponent: 640 is kept, 641 refused
+        (["9" * 640], None),
+        (["9" * 641], "unit label '99999999999999999999...' needs more than 640 digits"),
+        (["1e639"], None),
+        (["1e640"], "unit label '1e640' needs more than 640 digits"),
+        # an exponent of four digits or more is refused before it is read
+        (["1e1000"], "unit label '1e1000' needs more than 640 digits"),
+        (["1e" + "1" * 641], "unit label '1e111111111111111111...' needs more than 640 digits"),
+        # the label is shown whole up to 20 characters
+        (["1e" + "0" * 15 + "700"], "unit label '1e000000000000000700' needs more than 640 digits"),
+        (["1e" + "0" * 16 + "700"],
+         "unit label '1e000000000000000070...' needs more than 640 digits"),
+        # the product: below 10^640 is kept, 10^640 refused, either side of the fraction
+        (["1e320", "1e319", "9"], None),
+        (["1e320", "1e320"], "the unit product has more than 640 digits"),
+        (["1/1" + "0" * 320, "1/1" + "0" * 319, "1/9"], None),
+        (["1/1" + "0" * 320] * 2, "the unit product has more than 640 digits"),
+    ],
+)
+def test_unit_labels_are_refused_past_the_digit_limit_with_one_line(digit_limit, entries,
+                                                                     message):
+    def product():
+        return make_closed_point(entries).unit_product()
+
+    if message is None:
+        assert product()[1] == ()
+    else:
+        with pytest.raises(InvalidInput) as info:
+            product()
         assert str(info.value) == message
 
 

@@ -18,6 +18,7 @@ from degenlab import (
     ValidationError,
     associated_pair,
     configurations,
+    equivalent,
     parse_scenario,
     place,
 )
@@ -588,6 +589,30 @@ class TestRoundTrips:
         )
         assert rebuilt_cfg == report.configuration
         assert payload["stability"] == stability_report_to_json(report.stability)
+
+    @pytest.mark.parametrize(
+        "entries,written",
+        [
+            ('{"zero":true},{"zero":true}', [{"zero": True}, {"zero": True}]),
+            ('{"zero":true},{"unit":2},{"unit":"3/4"},{"unit":"a"}',
+             [{"zero": True}, {"unit": "2"}, {"unit": "3/4"}, {"unit": "a"}]),
+            ('{"unit":-2},{"unit":"3/4"},{"unit":"a"},{"unit":"1"}',
+             [{"unit": "-2"}, {"unit": "3/4"}, {"unit": "a"}, {"unit": "1"}]),
+        ],
+        ids=["zeros", "mixed", "units"],
+    )
+    def test_closed_point_through_the_scenario_writer(self, entries, written):
+        """Parse, ``scenario_to_json`` and parse again keep a closed point's
+        zeros where they are and each unit's value: an integer unit is
+        written as its string, which parses to the same number."""
+        sc = parse(f'{{"entries":[{entries}]}}')
+        payload = scenario_to_json(sc)
+        assert payload == {"entries": written}
+        again = parse(dumps(payload))
+        assert scenario_to_json(again) == payload
+        assert [e is None for e in again.entries.entries] == [e is None for e in sc.entries.entries]
+        assert again.entries.unit_product() == sc.entries.unit_product()
+        assert equivalent(again.entries, sc.entries)
 
     def test_in_process_main_matches_subprocess(self, capsys):
         code = main(["stability", str(DATA / "s1_worked_pair.json")])

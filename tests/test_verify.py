@@ -2,6 +2,7 @@
 
 import re
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,45 @@ def test_presentations_are_the_compositions_in_lexicographic_order():
         swept = list(presentations(max_k))
         assert [p.exponents for p in swept] == expected
         assert swept == [make_base_tuple(exps) for exps in expected]
+
+
+# what a presentation of the table may keep: its ``base.cached`` facts
+PRESENTATION_FACTS = {"level_values", "level_coords", "level_bits", "cuts", "_vanishing_pattern"}
+CONFIGURATION_SUITES = [verify.check_stability_equivalence, verify.check_positivity,
+                        verify.check_bijection]
+
+
+def test_the_table_of_presentations_holds_the_heights_of_the_largest_cap(monkeypatch):
+    """After sweeps with caps up to K, for K = 1..5, the table holds the
+    C(K + 5, 4) - 5 presentations of height at most K, each a (presentation,
+    normal form) pair, in ``presentations`` order, and each sweep yields
+    its own cap's presentations.  A smaller cap afterwards adds nothing and
+    is served only its own heights; a configuration suite leaves nothing on
+    the table's presentations but their cached facts."""
+    table = []
+    monkeypatch.setattr(verify, "_PRESENTED", table)
+    for cap in range(1, 6):
+        assert [p for p, _ in verify._sweep(cap, 0)] == list(presentations(cap))
+        rows = [row for height in table for row in height]
+        assert len(table) == cap and len(rows) == comb(cap + 5, 4) - 5
+        assert rows == [(p, normal_form(p)) for p in presentations(cap)]
+        assert all(type(p) is BaseTuple and type(nf) is NormalForm for p, nf in rows)
+    kept = list(table)
+    for cap in range(1, 5):
+        assert [p for p, _ in verify._sweep(cap, 0)] == list(presentations(cap))
+        assert len(table) == len(kept) and all(a is b for a, b in zip(table, kept))
+    for suite in CONFIGURATION_SUITES:
+        assert suite(max_k=3, max_m=1).ok
+    assert all(vars(p).keys() <= PRESENTATION_FACTS for height in table for p, _ in height)
+
+
+@pytest.mark.parametrize("caps", [(3, 2), (4, 2)], ids=["3-2", "4-2"])
+def test_each_suite_reads_alike_from_an_empty_and_a_warm_table(monkeypatch, caps):
+    for suite in CONFIGURATION_SUITES:
+        monkeypatch.setattr(verify, "_PRESENTED", [])
+        cold = suite(*caps)
+        warm = suite(*caps)
+        assert cold.ok and (warm.ok, warm.detail) == (cold.ok, cold.detail), suite.__name__
 
 
 def test_weighted_configurations_are_the_sorted_multisets_with_counts():
@@ -318,7 +358,11 @@ def test_a_grouped_suite_fails_where_the_ungrouped_loop_does(monkeypatch, suite,
     profile) lift, a (normal form, multiset) Li–Wu verdict) at the group's
     first configuration in sweep order.  Broken for one group key that
     later presentations share, it fails with the detail of a loop that
-    computes every verdict at every configuration."""
+    computes every verdict at every configuration.  Each case starts from
+    an empty table of presentations, so that a broken fact kept on its
+    ``BaseTuple``s (``bijection-unit-slot``) reaches the suite and the loop
+    alike, and that table is thrown away with the patch."""
+    monkeypatch.setattr(verify, "_PRESENTED", [])
     monkeypatch.setattr(module, name, broken(getattr(module, name)))
     expected = reference(3, 2)
     assert expected is not None

@@ -35,6 +35,7 @@ from degenlab import (
     place,
     weight_rows,
 )
+from degenlab import verify
 from degenlab.cli import main
 from degenlab.verify import (
     check_bijection,
@@ -86,15 +87,18 @@ def test_sign_vectors_are_the_chain_rule_in_product_order():
                     assert admissible_1ps(pattern, s), (exponents, s)
 
 
-def test_stability_sweep_lists_sign_vectors_once_per_presentation():
+def test_stability_sweep_lists_sign_vectors_once_per_presentation(monkeypatch):
     """Each presentation keeps its vanishing pattern's sign vectors, so the
     sweeps list them at most once per presentation and no configuration
     evaluates the chain rule.  At k <= 3 the 65 presentations have 25
-    vanishing patterns: positivity lists each pattern's entries once;
-    stability-equivalence re-checks its lifts level by level and lists no
-    sign vector (36 listings when it re-checked them by the sign-vector
-    loop)."""
-    for suite, listings in [(check_positivity, 25), (check_stability_equivalence, 0)]:
+    vanishing patterns: on an empty table of presentations, positivity
+    lists each pattern's entries once, and a second call, on the table's
+    presentations, lists none; stability-equivalence re-checks its lifts
+    level by level and lists no sign vector (36 listings when it re-checked
+    them by the sign-vector loop)."""
+    monkeypatch.setattr(verify, "_PRESENTED", [])
+    runs = [(check_positivity, 25), (check_positivity, 0), (check_stability_equivalence, 0)]
+    for suite, listings in runs:
         with calls_by_name("sign_vectors", "admissible_1ps") as counts:
             assert suite(max_k=3, max_m=2).ok
         assert counts == Counter(sign_vectors=listings), suite.__name__
@@ -176,15 +180,23 @@ def test_bijection_decides_li_wu_once_per_normal_form_and_multiset():
     [check_stability_equivalence, check_positivity, check_bijection],
     ids=lambda suite: suite.__name__,
 )
-def test_sweeps_place_once_per_normal_form(suite):
+def test_sweeps_place_once_per_normal_form(monkeypatch, suite):
     """At k <= 3, m <= 2 each sweep places every triangle position once per
     normal form (7 normal forms of the 65 presentations, 55 positions in
     all) and reads each configuration's locations from that one placement.
-    The presentations are listed in one pass (66 generator resumes), each
-    taking its normal form once."""
-    with calls_by_name("presentations", "normal_form", "place", "locate") as counts:
+    On an empty table the presentations are listed in one pass, height by
+    height (68 generator resumes, one more than the presentations per
+    height), each taking its normal form once; a second call reads them
+    from the table, so it lists none and takes no normal form, but places
+    every position again."""
+    monkeypatch.setattr(verify, "_PRESENTED", [])
+    names = ("presentations", "_of_height", "normal_form", "place", "locate")
+    with calls_by_name(*names) as counts:
         assert suite(max_k=3, max_m=2).ok
-    assert counts == {"presentations": 66, "normal_form": 65, "place": 7, "locate": 55}
+    assert counts == {"_of_height": 68, "normal_form": 65, "place": 7, "locate": 55}
+    with calls_by_name(*names) as counts:
+        assert suite(max_k=3, max_m=2).ok
+    assert counts == {"place": 7, "locate": 55}
 
 
 def test_weights_command_lists_sign_vectors_once(monkeypatch, capsys):

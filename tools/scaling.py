@@ -8,9 +8,9 @@ into a temporary directory; it is measured in a fresh interpreter whose
 ``sys.path`` starts with the tree's ``src``.  From the repository root,
 
     PYTHONDONTWRITEBYTECODE=1 python tools/scaling.py \\
-        parent=e1883ea change=. --out BENCH_36.json
+        parent=c99db08 change=. --out BENCH_37.json
 
-regenerates ``BENCH_36.json``: ``e1883ea`` beside the working tree.
+regenerates ``BENCH_37.json``: ``c99db08`` beside the working tree.
 
 Every figure is taken by one rule.  Each tree has its own measuring
 interpreter, and a sample is seconds per call of a loop of calls, with
@@ -19,7 +19,9 @@ to take at least 0.2 s.  A figure is the best of ``REPEAT`` samples per
 tree, taken in alternation: in each round every tree gives one sample,
 in turn, the order reversed from one round to the next, so a drift of the
 host's speed moves every tree's figure alike, not one tree's column.  Only
-an error ends a figure early: it is the tree's answer.
+an error ends a figure early: it is the tree's answer.  Beside each best,
+the tree's ``second_s`` holds the figure's second-best sample, so that a
+reader can tell the noise of a figure from a change.
 
 Inputs are drawn from ``random.Random(SEED)``.  A series over a growing
 size stops after the first size that is slower than ``BUDGET_S`` per call:
@@ -36,15 +38,19 @@ that would need more raises ``MemoryError`` and is written as null too.
   level is occupied and the lift is built and re-checked;
 - each ``verify`` suite at the size of its acceptance criterion, with the
   detail string of one untimed run, which must be the same on every tree;
+  the timed calls follow that run, so they read whatever it left for the
+  process to keep (since ``BENCH_37.json``, the table of presentations);
 - the wall time of a fresh interpreter running each ``STARTUP`` command,
   a loop of runs like any other figure (``BENCH_35.json`` and earlier
   kept the best single run, so compare these within one file):
   ``python -c pass``, ``python -c "import degenlab.cli"``, the command
-  line's time before it reads its arguments, and four whole commands,
+  line's time before it reads its arguments, and five whole commands,
   interpreter start-up included: ``normalize`` and ``stability`` on
   scenarios of a three-level presentation (``normalize``'s with a unit
-  slot), ``limit`` on five points at height 6, and ``verify --max-k 1
-  --max-m 1``.  The scenarios are written once and read by every tree.
+  slot), ``limit`` on five points at height 6, ``verify --max-k 1
+  --max-m 1``, and ``verify`` at its defaults, ``--max-k 4 --max-m 2``,
+  whose suites run once each in a fresh process.  The scenarios are written
+  once and read by every tree.
 """
 
 from __future__ import annotations
@@ -80,6 +86,7 @@ STARTUP = (  # (name, the interpreter's arguments); {} is the scenario directory
     ("stability", ["-m", "degenlab.cli", "stability", "{}/stability.json"]),
     ("limit", ["-m", "degenlab.cli", "limit", "{}/limit.json"]),
     ("verify", ["-m", "degenlab.cli", "verify", "--max-k", "1", "--max-m", "1"]),
+    ("verify_defaults", ["-m", "degenlab.cli", "verify", "--max-k", "4", "--max-m", "2"]),
 )
 BUDGET_S = 0.25
 REPEAT = 5
@@ -218,18 +225,23 @@ class Tree:
 
 
 def best(trees: list[Tree], request: list) -> dict[str, dict]:
-    """Each tree's best of ``REPEAT`` samples of one figure, the trees in
-    turn, the order reversed each round; an error ends the tree's figure
-    and is its answer."""
-    found: dict[str, dict] = {}
+    """Each tree's best of ``REPEAT`` samples of one figure, with its
+    second-best sample under ``second``, the trees in turn, the order
+    reversed each round; an error ends the tree's figure and is its
+    answer."""
+    taken: dict[str, list[dict]] = {tree.label: [] for tree in trees}
     for r in range(REPEAT):
         for tree in trees if r % 2 == 0 else trees[::-1]:
-            last = found.get(tree.label)
-            if last is not None and "error" in last:
-                continue
-            reply = tree.sample(request)
-            if last is None or "error" in reply or reply["seconds"] < last["seconds"]:
-                found[tree.label] = reply
+            replies = taken[tree.label]
+            if not (replies and "error" in replies[-1]):
+                replies.append(tree.sample(request))
+    found: dict[str, dict] = {}
+    for label, replies in taken.items():
+        if "error" in replies[-1]:
+            found[label] = replies[-1]
+        else:
+            first, second, *_ = sorted(replies, key=lambda reply: reply["seconds"])
+            found[label] = {**first, "second": second["seconds"]}
     return found
 
 
@@ -242,11 +254,13 @@ def series(trees: list[Tree], name: str, sizes, figures: dict) -> None:
         for tree in trees:
             if tree.label in stop:
                 figures[tree.label][f"{name}_s"][str(size)] = None
+                figures[tree.label]["second_s"][f"{name} {size}"] = None
                 figures[tree.label]["skipped"][f"{name} {size}"] = stop[tree.label]
         live = [tree for tree in trees if tree.label not in stop]
         for label, reply in best(live, ["series", name, size]).items():
             seconds = reply.get("seconds")
             figures[label][f"{name}_s"][str(size)] = seconds
+            figures[label]["second_s"][f"{name} {size}"] = reply.get("second")
             if seconds is None:
                 figures[label]["skipped"][f"{name} {size}"] = reply["error"]
             elif seconds > BUDGET_S:
@@ -262,6 +276,7 @@ def suites(trees: list[Tree], figures: dict) -> None:
             figures[label]["verify_suite_s"][name] = {
                 "args": kwargs, "seconds": reply["seconds"], "detail": reply["detail"],
             }
+            figures[label]["second_s"][f"suite {name}"] = reply["second"]
 
 
 def write_scenarios(where: Path) -> None:
@@ -292,6 +307,7 @@ def startup(trees: list[Tree], scenarios: Path, figures: dict) -> None:
             if "error" in reply:
                 raise SystemExit(f"{label}: {reply['error']}")
             figures[label]["startup_s"][name] = reply["seconds"]
+            figures[label]["second_s"][f"startup {name}"] = reply["second"]
 
 
 def checkout(spec: str, scratch: Path) -> tuple[Path, str]:
@@ -356,6 +372,7 @@ def main(argv=None) -> int:
                 "verify_suite_s": {},
                 "skipped": {},
                 "startup_s": {},
+                "second_s": {},
             }
         series(trees, "unique_stable_subdivision_oracle", ORACLE_HEIGHTS, figures)
         series(trees, "exists_stabilizing_linearization", LIFT_LEVELS, figures)
