@@ -307,6 +307,8 @@ def make_closed_point(entries) -> ClosedPoint:
     """
     parsed: list[UnitLabel | None] = []
     for e in entries:
+        if isinstance(e, bool):  # an int to Python, but neither a zero marker nor a label
+            raise InvalidInput(f"entry {e!r} is neither zero nor a unit label")
         if e is None or e == 0:
             parsed.append(None)
         elif isinstance(e, (str, int, Fraction)):

@@ -228,9 +228,9 @@ def dumps(payload) -> str:
     """Canonical JSON text: two-space indent, stable key order, newline.
 
     The text is exactly ``json.dumps(payload, indent=2, ensure_ascii=False)``
-    and a newline.  ``json`` writes indented text in Python, one piece per
-    token; here each container is joined at its indentation and each leaf is
-    encoded in C.
+    and a newline; a key that is not a string raises ``TypeError``.  ``json``
+    writes indented text in Python, one piece per token; here each container
+    is joined at its indentation and each leaf is encoded in C.
     """
     return _indented(payload, "\n") + "\n"
 
@@ -252,11 +252,7 @@ def _indented(obj, newline: str) -> str:
         if not obj:
             return "{}"
         inner = newline + "  "
-        try:
-            items = [_encode_str(key) + ": " + _indented(value, inner)
-                     for key, value in obj.items()]
-        except TypeError:  # a key that is not a string, which json converts
-            return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", newline)
+        items = [_encode_str(key) + ": " + _indented(value, inner) for key, value in obj.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if type(obj) is int:
         return int.__repr__(obj)
@@ -353,8 +349,7 @@ def scenario_to_json(sc: Scenario) -> dict:
         out["s"] = list(sc.s)
     if sc.l is not None:
         out["l"] = sc.l
-    if sc.entries is not None:  # a unit as its string: it parses to a label of the same value
-        out["entries"] = [
-            {"zero": True} if e is None else {"unit": str(e)} for e in sc.entries.entries
-        ]
+    if sc.entries is not None:  # an integer unit as parsed, any other label as its string
+        out["entries"] = [{"zero": True} if e is None else {"unit": e if type(e) is int else str(e)}
+                          for e in sc.entries.entries]
     return out

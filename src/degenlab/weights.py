@@ -24,12 +24,13 @@ the limit positions (per unit of multiplicity: ``-a_j s_j`` at ``(1:0)`` and
 for the second), while the bounded part comes from the local monomial
 structure and satisfies ``|b_j| <= 2 m^2`` regardless of the lift.  Level j
 of the flow reads only the sign of ``s_j``, so ``total(s)`` is the sum of
-``s_j (b_j + l c_j)`` with both coefficients read at ``sign(s_j)``: the
-bounded one is ``b_j = sign(s_j) d_j`` for the scheme degree d_j of level
-j, so ``bounded(s) = sum |s_j| d_j``, and the combinatorial one is read
-from a per-level sign table at ``s_j = -1`` and ``s_j = +1``.  The flow
-itself is defined, on plain valuations, by the test oracle
-(``tests/oracles._limit_side`` and ``combinatorial_terms``).
+``s_j (b_j + l c_j)`` with both coefficients read at ``sign(s_j)`` from
+per-level sign tables at ``s_j = -1`` and ``s_j = +1``: the bounded one,
+``(-d_j, d_j)`` for the scheme degree d_j of level j, so ``bounded(s) =
+sum |s_j| d_j``, and the lift's.  Both stability tests read one list, the
+two tables added at scale l (``_combined``).  The flow itself is defined,
+on plain valuations, by the test oracle (``tests/oracles._limit_side``,
+``bounded_terms`` and ``combinatorial_terms``).
 
 As in the torus-factor form of the Hilbert–Mumford criterion of
 Gulbrandsen–Halle–Hulek, a configuration enters the combinatorial part only
@@ -39,7 +40,7 @@ once: ``a`` and ``k - b`` order against a level value exactly as the
 ``Location``'s half-level coordinates ``x`` and ``y`` order against the
 value's coordinate ``2p``.  The constructive lift (``Profile.lift``) and the
 sign table (``Profile.lift_table``) are arithmetic over the profile, which
-reads no scheme; ``_scheme_degrees`` alone reads the degrees d_j and
+reads no scheme; ``_bounded_table`` alone reads the degrees d_j and
 validates the schemes.  Each public function builds one profile, and equal
 profiles give equal lifts and tables.
 
@@ -292,13 +293,14 @@ def count_sides(
     return m, tuple(sides)
 
 
-def _scheme_degrees(cfg: PointConfiguration) -> list[int]:
-    """Per-level scheme degrees d_j; the one place schemes are validated.
+def _bounded_table(cfg: PointConfiguration) -> list[tuple[int, int]]:
+    """Bounded sign table ``(b_j at s_j = -1, b_j at s_j = +1)``, the one
+    place schemes are validated and b_j's sign is set.
 
     A nontrivial scheme sits at a vertex and uses only charts through its
     point, which flows to the side where the chart coordinate has weight
-    sign(s_j): each exponent at level j adds sign(s_j) to b_j, so
-    ``b_j = sign(s_j) d_j``.
+    sign(s_j): each exponent at level j adds sign(s_j) to b_j, so the entry
+    is ``(-d_j, d_j)`` for the scheme degree d_j of level j.
     """
     coords = cfg.presentation.level_coords
     degrees = [0] * len(coords)
@@ -333,7 +335,7 @@ def _scheme_degrees(cfg: PointConfiguration) -> list[int]:
                         f"point {p.valuations} is not on that component"
                     )
                 degrees[j] += exp
-    return degrees
+    return [(-d, d) for d in degrees]
 
 
 def bounded_weight(
@@ -345,14 +347,14 @@ def bounded_weight(
     zero where s_j is.
     """
     _check_limit(cfg, s)
-    coeffs = tuple(((s_j > 0) - (s_j < 0)) * d for d, s_j in zip(_scheme_degrees(cfg), s))
+    coeffs = tuple(pair[s_j > 0] if s_j else 0 for pair, s_j in zip(_bounded_table(cfg), s))
     return sum(b * s_j for b, s_j in zip(coeffs, s)), coeffs
 
 
 def weight_rows(
     cfg: PointConfiguration, lin: Linearization, subgroups: Sequence[Sequence[int]] | None = None
 ) -> list[tuple[Sequence[int], int, int]]:
-    """``(s, bounded, combinatorial)`` per subgroup, read from one sign table.
+    """``(s, bounded, combinatorial)`` per subgroup, read from two sign tables.
 
     Subgroups default to every admissible sign vector.  Checks run in order:
     the subgroups, the local schemes, the lift.
@@ -362,8 +364,8 @@ def weight_rows(
     else:
         for s in subgroups:
             _check_limit(cfg, s)
-    degrees, table = _scheme_degrees(cfg), profile(cfg).lift_table(lin)
-    return [(s, sum([abs(s_j) * d for d, s_j in zip(degrees, s)]),
+    bounded, table = _bounded_table(cfg), profile(cfg).lift_table(lin)
+    return [(s, sum([s_j * pair[s_j > 0] for pair, s_j in zip(bounded, s)]),
              sum([s_j * pair[s_j > 0] for pair, s_j in zip(table, s)])) for s in subgroups]
 
 
@@ -408,25 +410,29 @@ def is_git_stable(cfg: PointConfiguration, lin: Linearization, l: int) -> bool:
 
     Exact for all integer subgroups: the invariant is linear on each sign
     orthant of the admissible cone, whose extreme rays have entries in
-    {-1, 0, 1}.  The sign table is built (and the local schemes validated)
+    {-1, 0, 1}.  The combined table is built, and the schemes validated,
     once, even when no sign vector is admissible; the sign vectors are kept
     on the presentation's vanishing pattern.
     """
     if l < 1:
         raise InvalidInput(f"scale factor must be >= 1, got {l}")
-    return _stable(cfg, _scheme_degrees(cfg), profile(cfg).lift_table(lin), l)
+    return _stable(cfg, _combined(_bounded_table(cfg), profile(cfg).lift_table(lin), l))
 
 
-def _stable(
-    cfg: PointConfiguration, degrees: list[int], table: list[tuple[int, int]], l: int
-) -> bool:
-    """The sign-vector loop: is ``sum s_j (sign(s_j) d_j + l c_j)`` positive
-    at every admissible sign vector, for the scheme degrees d_j and the
-    lift's sign table of c_j?"""
-    coeffs = [(l * c_neg - d, l * c_pos + d) for d, (c_neg, c_pos) in zip(degrees, table)]
+def _combined(
+    bounded: list[tuple[int, int]], table: list[tuple[int, int]], l: int
+) -> list[tuple[int, int]]:
+    """``(b_neg + l c_neg, b_pos + l c_pos)``: s_j's coefficient at -1 and +1."""
+    return [(b_neg + l * c_neg, b_pos + l * c_pos)
+            for (b_neg, b_pos), (c_neg, c_pos) in zip(bounded, table)]
+
+
+def _stable(cfg: PointConfiguration, terms: list[tuple[int, int]]) -> bool:
+    """The sign-vector loop: is ``sum s_j t_j``, with t_j read from the
+    combined table at sign(s_j), positive at every admissible sign vector?"""
     for s in cfg.presentation.vanishing_pattern().sign_vectors:
         total = 0
-        for pair, s_j in zip(coeffs, s):
+        for pair, s_j in zip(terms, s):
             if s_j:
                 total += s_j * pair[s_j > 0]
         if total <= 0:
@@ -450,23 +456,19 @@ def exists_stabilizing_linearization(
         return None
     key = profile(cfg)
     lin = key.lift(cfg.presentation.level_values)
-    if not _levels_stable(_scheme_degrees(cfg), key.lift_table(lin), default_scale(key.m)):
+    terms = _combined(_bounded_table(cfg), key.lift_table(lin), default_scale(key.m))
+    if not _levels_stable(terms):
         raise DegenLabError(
             "internal error: constructive linearization failed verification"
         )
     return lin
 
 
-def _levels_stable(degrees: list[int], table: list[tuple[int, int]], l: int) -> bool:
-    """Is each level's term positive at both signs, ``l c_neg - d_j < 0 <
-    l c_pos + d_j``, for the scheme degrees d_j and the lift's sign table?
-
-    Then ``sum s_j (sign(s_j) d_j + l c_j)`` is a sum of positive terms at
-    every nonzero s, so the lift is stable at scale l.  The test is O(n),
-    and stricter than ``is_git_stable``, which asks for a positive sum at
-    the admissible sign vectors only.
-    """
-    for d, (c_neg, c_pos) in zip(degrees, table):
-        if l * c_neg - d >= 0 or l * c_pos + d <= 0:
+def _levels_stable(terms: list[tuple[int, int]]) -> bool:
+    """Is each level's combined term positive at both signs, ``t_neg < 0 <
+    t_pos``?  Then ``sum s_j t_j`` is a sum of positive terms at every
+    nonzero s: an O(n) test, stricter than ``is_git_stable``'s."""
+    for t_neg, t_pos in terms:
+        if t_neg >= 0 or t_pos <= 0:
             return False
     return True

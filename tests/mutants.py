@@ -61,7 +61,8 @@ class Mutant(NamedTuple):
 
 _OCCUPIED = ("configurations.py", "bits |= 1 << loc.x | 1 << loc.y", "bits |= 1 << loc.x")
 _LIFT = "lifts.append(new(LevelLift, (m * (m - lt), m * (lt + 1), 0, 1)))"
-_BOUNDED = ("weights.py", "(l * c_neg - d, l * c_pos + d)", "(l * c_neg, l * c_pos)")
+_BOUNDED = ("weights.py", "(b_neg + l * c_neg, b_pos + l * c_pos)", "(l * c_neg, l * c_pos)")
+_SIGN = ("weights.py", "return [(-d, d) for d in degrees]")
 _C_SIDE = ("dual_complex.py", "if x % 2 and y % 2 and c:", "if x % 2 and y % 2:")
 _IMPORTS = ("test_exports::test_each_import_loads_only_the_layers_it_runs",)
 _TABLE = ("test_verify::test_the_table_of_presentations_holds_the_heights_of_the_largest_cap",)
@@ -98,8 +99,8 @@ MUTANTS = [
            "    if not is_ws_stable(cfg):\n        return None\n", "",
            ("verify stability-equivalence",), "killed"),
     Mutant("levels-never-stable", "weights.py",
-           "l * c_pos + d <= 0:\n            return False\n    return True",
-           "l * c_pos + d <= 0:\n            return False\n    return False",
+           "t_pos <= 0:\n            return False\n    return True",
+           "t_pos <= 0:\n            return False\n    return False",
            ("verify stability-equivalence",), "killed"),
     Mutant("lift-table-negated", "weights.py", "        return table\n",
            "        return [(-neg, -pos) for neg, pos in table]\n",
@@ -107,8 +108,14 @@ MUTANTS = [
     Mutant("lw-never-stable", "configurations.py",
            "return is_admissible(cfg) and stabilizer_rank(cfg) == 0", "return False",
            ("verify bijection",), "killed"),
-    # the local-scheme term: only a pinned case sees it, and nothing sees
-    # the dominating scale but the tests that pin its value
+    # the local-scheme term: its sign, set at one site, is seen by the
+    # definition's property test; only a pinned case sees it dropped from
+    # the stability tests, and nothing sees the dominating scale but the
+    # tests that pin its value
+    Mutant("bounded-sign-flipped", *_SIGN, "return [(d, -d) for d in degrees]",
+           ("test_weights::test_weight_functions_match_the_definition",), "killed"),
+    Mutant("bounded-zeroed", *_SIGN, "return [(0, 0) for d in degrees]",
+           ("test_weights::test_weight_functions_match_the_definition",), "killed"),
     Mutant("bounded-part-dropped-pinned", *_BOUNDED,
            ("test_weights::test_a_local_scheme_decides_stability_in_item_three_s_shrunk_case",),
            "killed"),
@@ -190,8 +197,14 @@ MUTANTS = [
     Mutant("shown-label-cut-at-19", "base.py", "len(label) <= 20", "len(label) < 20", _DIGITS,
            "killed"),
     # a closed point's units as the scenario writer writes them
-    Mutant("scenario-unit-unwritten", "scenario.py", '{"unit": str(e)}', '{"unit": e}',
+    Mutant("scenario-unit-unwritten", "scenario.py", '{"unit": e if type(e) is int else str(e)}',
+           '{"unit": str(e)}',
            ("test_cli::TestRoundTrips::test_closed_point_through_the_scenario_writer",), "killed"),
+    # a boolean entry of a closed point, which equals 1 or 0
+    Mutant("closed-point-takes-booleans", "base.py",
+           "        if isinstance(e, bool):  # an int to Python, but neither a zero marker nor a label\n"
+           "            raise InvalidInput(f\"entry {e!r} is neither zero nor a unit label\")\n", "",
+           ("test_base::test_a_boolean_entry_is_neither_a_unit_nor_a_zero",), "killed"),
     # a checked value type: ``_replace`` and ``_make`` build through its checks
     Mutant("replace-skips-validation", "base.py",
            "def _make(cls, fields) -> NormalForm:  # checked, and so is ``_replace``\n"

@@ -234,6 +234,16 @@ def test_unit_labels_are_refused_past_the_digit_limit_with_one_line(digit_limit,
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("entries,shown", [([True, False], "True"), ([False], "False"),
+                                           (["2", None, True], "True")])
+def test_a_boolean_entry_is_neither_a_unit_nor_a_zero(entries, shown):
+    """``True`` and ``False`` equal 1 and 0, but ``make_closed_point``
+    refuses them, as ``parse_scenario`` refuses a boolean unit."""
+    with pytest.raises(InvalidInput) as info:
+        make_closed_point(entries)
+    assert str(info.value) == f"entry {shown} is neither zero nor a unit label"
+
+
 class TestEquivalence:
     def test_closed_zeros_move_and_units_rescale(self):
         p = make_closed_point([0, 5, 0])

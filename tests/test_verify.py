@@ -295,16 +295,19 @@ def positive_column(new):
 
 
 def refused_for_one_point_on_both(original):
-    """``weights._levels_stable``, refusing the sign table of the lift of
-    ``ONE_POINT_ON_BOTH``.  The re-check reads a configuration only through
-    its profile, so this breaks one profile on every vanishing pattern: it
-    is first lifted on (0, 1) at k = 1, not on the sweep's first
-    presentation, and met on every presentation of length 2 up to k = 3."""
+    """``weights._levels_stable``, refusing the combined table of the lift
+    of ``ONE_POINT_ON_BOTH`` at its dominating scale: the sweep's points
+    carry no scheme, so that is the lift's sign table times the scale.  The
+    re-check reads a configuration only through its profile, so this breaks
+    one profile on every vanishing pattern: it is first lifted on (0, 1) at
+    k = 1, not on the sweep's first presentation, and met on every
+    presentation of length 2 up to k = 3."""
     key = weights.Profile(*ONE_POINT_ON_BOTH)
-    refused = key.lift_table(key.lift([1]))
+    l = weights.default_scale(key.m)
+    refused = [(l * neg, l * pos) for neg, pos in key.lift_table(key.lift([1]))]
 
-    def broken(degrees, table, l):
-        return table != refused and original(degrees, table, l)
+    def broken(terms):
+        return terms != refused and original(terms)
 
     return broken
 
@@ -385,7 +388,7 @@ def test_a_raising_lift_fails_its_suites_and_verify_prints_every_line(monkeypatc
     result = verify.check_positivity(max_k=3, max_m=2)
     assert not result.ok
     assert re.fullmatch(r"presentation \([\d, ]*\) points \[.*\]: no lift", result.detail)
-    monkeypatch.setattr(weights, "_levels_stable", lambda degrees, table, l: False)
+    monkeypatch.setattr(weights, "_levels_stable", lambda terms: False)
     assert main(["verify", "--max-k", "3", "--max-m", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["[PASS]"] * 3 + ["[FAIL]"] * 2 + ["[PASS]"]
