@@ -36,7 +36,9 @@ def test_writes_the_text_of_json_dumps(value):
 @pytest.mark.parametrize("value", [
     [1, True, False, 0],
     {"a": [], "b": {}, "c": [[], [{}], {"d": []}]},
+    {"1": "int key", "null": [True], "2.5": {"x": -1}},  # the keys json.dumps makes of 1, None, 2.5
     ["\u2028", "\\\"", "\x00", "é"],
+    {"nested": {"1": [1, 2], "k": ()}},
 ])
 def test_examples_json_treats_specially(value):
     assert dumps(value) == reference(value)
