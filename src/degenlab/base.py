@@ -219,7 +219,7 @@ class VanishingPattern(
         return tuple(c[1:-1] for c in chains if any(c))
 
 
-UnitLabel = str | int | Fraction
+UnitLabel = str | int
 
 
 class ClosedPoint(NamedTuple):
@@ -302,8 +302,9 @@ def make_base_tuple(exponents: list[int] | tuple[int, ...]) -> BaseTuple:
 def make_closed_point(entries) -> ClosedPoint:
     """Build a closed base point from zero markers and unit labels.
 
-    A numeric label must denote a nonzero number: ``"0"`` and ``"1/0"`` are
-    not units.
+    A unit label is a ``str`` or an ``int``, as a scenario reads it back; a
+    numeric one must denote a nonzero number: ``"0"`` and ``"1/0"`` are not
+    units.
     """
     parsed: list[UnitLabel | None] = []
     for e in entries:
@@ -311,7 +312,7 @@ def make_closed_point(entries) -> ClosedPoint:
             raise InvalidInput(f"entry {e!r} is neither zero nor a unit label")
         if e is None or e == 0:
             parsed.append(None)
-        elif isinstance(e, (str, int, Fraction)):
+        elif isinstance(e, (str, int)):
             try:
                 value = _numeric_value(e)
             except ZeroDivisionError:

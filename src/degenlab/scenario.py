@@ -349,7 +349,6 @@ def scenario_to_json(sc: Scenario) -> dict:
         out["s"] = list(sc.s)
     if sc.l is not None:
         out["l"] = sc.l
-    if sc.entries is not None:  # an integer unit as parsed, any other label as its string
-        out["entries"] = [{"zero": True} if e is None else {"unit": e if type(e) is int else str(e)}
-                          for e in sc.entries.entries]
+    if sc.entries is not None:  # a unit label, a str or an int, as parsed
+        out["entries"] = [{"zero": True} if e is None else {"unit": e} for e in sc.entries.entries]
     return out

@@ -41,10 +41,10 @@ A verdict runs once per value of what it reads, at the first configuration
 in sweep order that has that value, and the later configurations read the
 stored result; so a verdict that fails, fails at the same configuration as
 when every configuration computed it.  The swept points carry no local
-scheme, so the constructive lift, its sign table and, in
-stability-equivalence, the per-level stability re-check read a
-configuration only through its profile: stability-equivalence runs them
-once per profile over the whole suite, whatever the presentation.
+scheme, so the constructive lift and its sign table, whose signs
+stability-equivalence checks level by level, read a configuration only
+through its profile: stability-equivalence runs them once per profile
+over the whole suite, whatever the presentation.
 Positivity also reads the admissible sign vectors of its presentation's
 vanishing pattern, so it runs them once per (vanishing pattern, profile).
 On an unoccupied configuration ``exists_stabilizing_linearization`` reads only
@@ -366,13 +366,14 @@ def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
     ``exists_stabilizing_linearization`` is called on the first occupied
     configuration of each profile over the whole sweep, whose lift every
     later occupied configuration with that profile reuses, on any
-    presentation: the swept points carry no scheme, so the lift and its
-    per-level re-check read nothing else.  On an unoccupied
-    configuration it reads only occupancy, so it is called once per
-    (presentation, occupied bits).  A lift that fails its re-verification
-    at the dominating scale, or any other ``DegenLabError``, fails the
-    suite at that configuration: the first of its group, so the first in
-    sweep order to fail.
+    presentation: the swept points carry no scheme, so the lift reads
+    nothing else.  There the lift's table, which reads only the profile,
+    must have ``neg < 0 < pos`` at every level (the lemma of
+    ``Profile.lift``).  On an unoccupied configuration the library reads
+    only occupancy, so it is called once per (presentation, occupied bits).
+    A table entry of the wrong sign, which the detail names by level, or
+    any ``DegenLabError`` fails the suite at that configuration: the first
+    of its group, so the first in sweep order to fail.
     """
     checked = 0
     lifts = {}  # profile -> its lift
@@ -389,6 +390,7 @@ def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                 cfg = placed.config(presentation, i)
                 try:
                     lin = exists_stabilizing_linearization(cfg)
+                    table = Profile(*key).lift_table(lin) if occupied and lin is not None else []
                 except DegenLabError as exc:
                     return _config_failure("stability-equivalence", cfg, str(exc))
                 if (lin is not None) != occupied:
@@ -397,6 +399,10 @@ def check_stability_equivalence(max_k: int = 5, max_m: int = 3) -> SuiteResult:
                         "stability-equivalence", cfg,
                         f"occupancy {occupied} but linearization {found}",
                     )
+                for j, (neg, pos) in enumerate(table):
+                    if neg >= 0 or pos <= 0:
+                        problem = f"level {j + 1} lift table ({neg}, {pos}) fails neg < 0 < pos"
+                        return _config_failure("stability-equivalence", cfg, problem)
                 known[key] = lin
             checked += 1
     return SuiteResult(

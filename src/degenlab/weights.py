@@ -27,7 +27,7 @@ of the flow reads only the sign of ``s_j``, so ``total(s)`` is the sum of
 ``s_j (b_j + l c_j)`` with both coefficients read at ``sign(s_j)`` from
 per-level sign tables at ``s_j = -1`` and ``s_j = +1``: the bounded one,
 ``(-d_j, d_j)`` for the scheme degree d_j of level j, so ``bounded(s) =
-sum |s_j| d_j``, and the lift's.  Both stability tests read one list, the
+sum |s_j| d_j``, and the lift's.  The stability test reads one list, the
 two tables added at scale l (``_combined``).  The flow itself is defined,
 on plain valuations, by the test oracle (``tests/oracles._limit_side``,
 ``bounded_terms`` and ``combinatorial_terms``).
@@ -59,7 +59,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .base import VanishingPattern
 from .configurations import PointConfiguration, SupportPoint, is_ws_stable
 from .dual_complex import Location
-from .errors import CriterionViolated, DegenLabError, InvalidInput, InvalidLocalScheme, NoLimit
+from .errors import CriterionViolated, InvalidInput, InvalidLocalScheme, NoLimit
 
 __all__ = [
     "Chart",
@@ -202,9 +202,9 @@ class Profile(NamedTuple):
         the eq2 >= 1 points at y = c have x < c, so lt >= 1, and m - gt >=
         eq2 >= 1.  So every nonzero s_j adds a positive combinatorial term,
         and with the bounded part's ``s_j b_j = |s_j| d_j >= 0`` the lift is
-        stable at every scale l >= 1 and every number of levels: the
-        per-level re-check of ``exists_stabilizing_linearization`` never
-        fails on valid input.
+        stable at every scale l >= 1 and every number of levels.  Criterion 4
+        (``verify.check_stability_equivalence``) checks these signs over its
+        sweep.
         """
         m = self.m
         new = tuple.__new__  # as ``LevelLift._make``, minus its checks
@@ -446,29 +446,19 @@ def exists_stabilizing_linearization(
     """The constructive lift when every level is occupied, else None.
 
     Occupancy is tested first, by ``is_ws_stable``, so an unoccupied
-    configuration builds no lift and raises nothing.  The returned lift is
-    re-verified at the dominating scale factor level by level
-    (``_levels_stable``), which implies stability and lists no sign vector;
-    by the lemma of ``Profile.lift`` it never fails on valid input.  The
-    lift and the re-check read one profile.
+    configuration builds no lift and raises nothing; then the lift is built
+    from one profile, and the schemes are validated (``_bounded_table``).
+    The lift is stable at ``default_scale(m)``, so it is not checked here.
+    A valid scheme has ``mult_p`` monomials of degree at most ``mult_p``, so
+    ``d_j <= sum mult_p^2 <= m^2 < 2 m^2 + 1``, and by the lemma of
+    ``Profile.lift`` each c_j has its stabilizing sign and ``|c_j| >= 1``:
+    each level's term ``+-d_j + l c_j`` has c_j's sign under either sign of
+    b_j.  Criterion 4 (``verify.check_stability_equivalence``) checks the
+    table's signs over its sweep, and a property test checks stability
+    with schemes.
     """
     if not is_ws_stable(cfg):
         return None
-    key = profile(cfg)
-    lin = key.lift(cfg.presentation.level_values)
-    terms = _combined(_bounded_table(cfg), key.lift_table(lin), default_scale(key.m))
-    if not _levels_stable(terms):
-        raise DegenLabError(
-            "internal error: constructive linearization failed verification"
-        )
+    lin = profile(cfg).lift(cfg.presentation.level_values)
+    _bounded_table(cfg)
     return lin
-
-
-def _levels_stable(terms: list[tuple[int, int]]) -> bool:
-    """Is each level's combined term positive at both signs, ``t_neg < 0 <
-    t_pos``?  Then ``sum s_j t_j`` is a sum of positive terms at every
-    nonzero s: an O(n) test, stricter than ``is_git_stable``'s."""
-    for t_neg, t_pos in terms:
-        if t_neg >= 0 or t_pos <= 0:
-            return False
-    return True

@@ -66,6 +66,8 @@ _SIGN = ("weights.py", "return [(-d, d) for d in degrees]")
 _C_SIDE = ("dual_complex.py", "if x % 2 and y % 2 and c:", "if x % 2 and y % 2:")
 _IMPORTS = ("test_exports::test_each_import_loads_only_the_layers_it_runs",)
 _TABLE = ("test_verify::test_the_table_of_presentations_holds_the_heights_of_the_largest_cap",)
+_GROUPED = ("test_verify::test_a_grouped_suite_fails_where_the_ungrouped_loop_does",)
+_LIFT_CHECK = "if neg >= 0 or pos <= 0:"
 _DIGITS = ("test_base::test_unit_labels_are_refused_past_the_digit_limit_with_one_line",)
 _MULTISET = (
     "multisets.append(tuple([shared[i][combo.count(i) - 1] for i in dict.fromkeys(combo)]))"
@@ -88,7 +90,7 @@ MUTANTS = [
     # the limit oracle's line rule
     Mutant("line-rule-one-line", "limits.py", "(k - b in levels) < 2:", "(k - b in levels) < 1:",
            ("verify limit-oracle",), "killed"),
-    # the constructive lift and its re-check
+    # the constructive lift, and the signs of its table that stability-equivalence checks
     Mutant("lift-first-branch-swapped", "weights.py", _LIFT,
            _LIFT.replace("(m * (m - lt), m * (lt + 1),", "(m * (lt + 1), m * (m - lt),"),
            ("verify stability-equivalence",), "killed"),
@@ -98,10 +100,10 @@ MUTANTS = [
     Mutant("existence-skips-occupancy", "weights.py",
            "    if not is_ws_stable(cfg):\n        return None\n", "",
            ("verify stability-equivalence",), "killed"),
-    Mutant("levels-never-stable", "weights.py",
-           "t_pos <= 0:\n            return False\n    return True",
-           "t_pos <= 0:\n            return False\n    return False",
-           ("verify stability-equivalence",), "killed"),
+    Mutant("lift-check-zero-pos", "verify.py", _LIFT_CHECK, "if neg >= 0 or pos < 0:",
+           _GROUPED, "killed"),
+    Mutant("lift-check-zero-neg", "verify.py", _LIFT_CHECK, "if neg > 0 or pos <= 0:",
+           _GROUPED, "killed"),
     Mutant("lift-table-negated", "weights.py", "        return table\n",
            "        return [(-neg, -pos) for neg, pos in table]\n",
            ("verify positivity",), "killed"),
@@ -180,7 +182,7 @@ MUTANTS = [
            ("test_cli::TestExitCodes::test_verify_runs_at_its_largest_caps",), "killed"),
     # positivity: a zero term fails as a negative one does
     Mutant("positivity-zero-term", "verify.py", "if term <= 0:", "if term < 0:",
-           ("test_verify::test_a_grouped_suite_fails_where_the_ungrouped_loop_does",), "killed"),
+           _GROUPED, "killed"),
     # the table of presentations: every cap is served its own heights, all of them
     Mutant("table-stops-a-height-short", "verify.py",
            "for k in range(len(_PRESENTED) + 1, max_k + 1):",
@@ -197,8 +199,7 @@ MUTANTS = [
     Mutant("shown-label-cut-at-19", "base.py", "len(label) <= 20", "len(label) < 20", _DIGITS,
            "killed"),
     # a closed point's units as the scenario writer writes them
-    Mutant("scenario-unit-unwritten", "scenario.py", '{"unit": e if type(e) is int else str(e)}',
-           '{"unit": str(e)}',
+    Mutant("scenario-unit-unwritten", "scenario.py", '{"unit": e}', '{"unit": str(e)}',
            ("test_cli::TestRoundTrips::test_closed_point_through_the_scenario_writer",), "killed"),
     # a boolean entry of a closed point, which equals 1 or 0
     Mutant("closed-point-takes-booleans", "base.py",

@@ -2,6 +2,7 @@
 
 import pickle
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -242,6 +243,19 @@ def test_a_boolean_entry_is_neither_a_unit_nor_a_zero(entries, shown):
     with pytest.raises(InvalidInput) as info:
         make_closed_point(entries)
     assert str(info.value) == f"entry {shown} is neither zero nor a unit label"
+
+
+@pytest.mark.parametrize("entry,shown", [(Fraction(3, 4), "Fraction(3, 4)"), (2.5, "2.5"),
+                                         (("a",), "('a',)")])
+def test_a_unit_label_is_a_str_or_an_int(entry, shown):
+    """``make_closed_point`` takes a ``str`` or an ``int`` as a unit label,
+    the two that the scenario writer writes and ``parse_scenario`` reads
+    back; it refuses any other value, such as a ``Fraction``, which would
+    come back from a scenario as its string."""
+    with pytest.raises(InvalidInput) as info:
+        make_closed_point([None, entry])
+    assert str(info.value) == f"entry {shown} is neither zero nor a unit label"
+    assert make_closed_point([None, "3/4", 2]).entries == (None, "3/4", 2)
 
 
 class TestEquivalence:

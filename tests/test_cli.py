@@ -120,6 +120,27 @@ class TestParseScenario:
         again = parse(dumps(scenario_to_json(sc)))
         assert sc == again
 
+    EVERY_FIELD = json.dumps({
+        "height": 2, "tuple": [1, 0, 1], "cuts": [1],
+        "points": [{"val": [1, 0, 1], "mult": 2, "scheme": [[], [[1, "delta1", 1]]]},
+                   {"val": [0, 0, 2], "mult": 1}],
+        "lin": [[1, 1, 1, 1], [2, 0, 0, 1]], "s": [-1, 0], "l": 3,
+        "entries": [{"zero": True}, {"unit": 2}, {"unit": "a"}],
+    })
+
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param(path.read_text(), id=path.stem) for path in sorted(DATA.glob("*.json"))]
+        + [pytest.param(EVERY_FIELD, id="every-field")],
+    )
+    def test_every_scenario_field_round_trips(self, text):
+        """Parse, ``scenario_to_json`` and parse again give an equal
+        scenario: on the five data scenarios, and on one text that sets
+        every field, a tuple, a point with a local scheme, a lift, a
+        subgroup, a scale and closed-point entries among them."""
+        sc = parse(text)
+        assert parse(dumps(scenario_to_json(sc))) == sc
+
 
 class TestExitCodes:
     def test_limit_success(self):

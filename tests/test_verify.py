@@ -224,7 +224,8 @@ def named(cfg, problem, at=""):
 
 
 def ungrouped_stability_equivalence(max_k, max_m):
-    """The first FAIL detail when every configuration is lifted, or None."""
+    """The first FAIL detail when every configuration is lifted and every
+    occupied configuration's lift table is checked, or None."""
     for presentation, placed in verify._sweep(max_k, max_m):
         for cfg in placed.configs(presentation):
             occupied = is_ws_stable(cfg)
@@ -235,6 +236,10 @@ def ungrouped_stability_equivalence(max_k, max_m):
             if (lin is not None) != occupied:
                 found = "found" if lin else "missing"
                 return named(cfg, f"occupancy {occupied} but linearization {found}")
+            table = weights.profile(cfg).lift_table(lin) if lin else []
+            for j, (neg, pos) in enumerate(table):
+                if not neg < 0 < pos:
+                    return named(cfg, f"level {j + 1} lift table ({neg}, {pos}) fails neg < 0 < pos")
     return None
 
 
@@ -277,39 +282,30 @@ def ungrouped_bijection(max_k, max_m):
 ONE_POINT_ON_BOTH = (1, ((0, 1, 0, 1),))  # a profile of (0, 1) and of (1, 0) at k = 1
 
 
-def positive_column(new):
-    """``Profile.lift_table``, with each entry of the s_j = +1 column mapped
-    through ``new`` for the one profile ``ONE_POINT_ON_BOTH``.  Positivity
-    reads that column only on patterns that admit s_j = +1: the profile
-    passes on (0, 1), whose only sign vector is (-1,), and fails on (1, 0),
-    whose only one is (1,), by a negative term or by a zero one."""
+def table_entries(new):
+    """``Profile.lift_table``, with each entry ``(neg, pos)`` mapped through
+    ``new`` for the one profile ``ONE_POINT_ON_BOTH``.  Stability-equivalence
+    checks both entries of every level, so it fails where that profile is
+    first lifted: on (0, 1) at k = 1, not on the sweep's first presentation,
+    and the profile is met again on every presentation of length 2 up to
+    k = 3."""
 
     def broken_with(original):
         def broken(key, lin):
             table = original(key, lin)
-            return [(neg, new(pos)) for neg, pos in table] if key == ONE_POINT_ON_BOTH else table
+            return [new(neg, pos) for neg, pos in table] if key == ONE_POINT_ON_BOTH else table
 
         return broken
 
     return broken_with
 
 
-def refused_for_one_point_on_both(original):
-    """``weights._levels_stable``, refusing the combined table of the lift
-    of ``ONE_POINT_ON_BOTH`` at its dominating scale: the sweep's points
-    carry no scheme, so that is the lift's sign table times the scale.  The
-    re-check reads a configuration only through its profile, so this breaks
-    one profile on every vanishing pattern: it is first lifted on (0, 1) at
-    k = 1, not on the sweep's first presentation, and met on every
-    presentation of length 2 up to k = 3."""
-    key = weights.Profile(*ONE_POINT_ON_BOTH)
-    l = weights.default_scale(key.m)
-    refused = [(l * neg, l * pos) for neg, pos in key.lift_table(key.lift([1]))]
-
-    def broken(terms):
-        return terms != refused and original(terms)
-
-    return broken
+def positive_column(new):
+    """``table_entries`` with the s_j = +1 column mapped through ``new``.
+    Positivity reads that column only on patterns that admit s_j = +1: the
+    profile passes on (0, 1), whose only sign vector is (-1,), and fails on
+    (1, 0), whose only one is (1,), by a negative term or by a zero one."""
+    return table_entries(lambda neg, pos: (neg, new(pos)))
 
 
 def first_family_only(original):
@@ -339,8 +335,12 @@ def unit_slots_miss_the_first_cut(original):
 @pytest.mark.parametrize(
     "suite,reference,module,name,broken",
     [
-        (verify.check_stability_equivalence, ungrouped_stability_equivalence, weights,
-         "_levels_stable", refused_for_one_point_on_both),
+        (verify.check_stability_equivalence, ungrouped_stability_equivalence, weights.Profile,
+         "lift_table", positive_column(lambda pos: -pos)),
+        (verify.check_stability_equivalence, ungrouped_stability_equivalence, weights.Profile,
+         "lift_table", positive_column(lambda pos: 0)),
+        (verify.check_stability_equivalence, ungrouped_stability_equivalence, weights.Profile,
+         "lift_table", table_entries(lambda neg, pos: (0, pos))),
         (verify.check_positivity, ungrouped_positivity, weights.Profile, "lift_table",
          positive_column(lambda pos: -pos)),
         (verify.check_positivity, ungrouped_positivity, weights.Profile, "lift_table",
@@ -352,16 +352,18 @@ def unit_slots_miss_the_first_cut(original):
         (verify.check_bijection, ungrouped_bijection, base.BaseTuple, "_levels",
          unit_slots_miss_the_first_cut),
     ],
-    ids=["stability-equivalence", "positivity", "positivity-zero-term", "bijection",
+    ids=["stability-equivalence", "stability-equivalence-zero-pos",
+         "stability-equivalence-zero-neg", "positivity", "positivity-zero-term", "bijection",
          "bijection-line-rules", "bijection-unit-slot"],
 )
 def test_a_grouped_suite_fails_where_the_ungrouped_loop_does(monkeypatch, suite, reference, module,
                                                              name, broken):
-    """Each suite runs a verdict once per group (a (vanishing pattern,
-    profile) lift, a (normal form, multiset) Li–Wu verdict) at the group's
-    first configuration in sweep order.  Broken for one group key that
-    later presentations share, it fails with the detail of a loop that
-    computes every verdict at every configuration.  Each case starts from
+    """Each suite runs a verdict once per group (a profile's lift and the
+    signs of its table, a (vanishing pattern, profile) lift, a (normal form,
+    multiset) Li–Wu verdict) at the group's first configuration in sweep
+    order.  Broken for one group key that later presentations share, it
+    fails with the detail of a loop that computes every verdict at every
+    configuration.  Each case starts from
     an empty table of presentations, so that a broken fact kept on its
     ``BaseTuple``s (``bijection-unit-slot``) reaches the suite and the loop
     alike, and that table is thrown away with the patch."""
@@ -378,21 +380,19 @@ def test_a_raising_lift_fails_its_suites_and_verify_prints_every_line(monkeypatc
     """An error raised for one configuration fails its suite with a detail
     naming that configuration; ``verify`` still prints all six lines."""
 
-    class Refusing(weights.Profile):
-        def lift(self, level_values):
-            raise CriterionViolated("no lift")
+    def refusing(key, level_values):
+        raise CriterionViolated("no lift")
 
-    # only ``verify``'s own profiles refuse to lift, so stability-equivalence
-    # still lifts through ``exists_stabilizing_linearization``
-    monkeypatch.setattr(verify, "Profile", Refusing)
+    # positivity lifts the profiles that ``verify`` builds, and
+    # stability-equivalence those of ``exists_stabilizing_linearization``
+    monkeypatch.setattr(weights.Profile, "lift", refusing)
     result = verify.check_positivity(max_k=3, max_m=2)
     assert not result.ok
     assert re.fullmatch(r"presentation \([\d, ]*\) points \[.*\]: no lift", result.detail)
-    monkeypatch.setattr(weights, "_levels_stable", lambda terms: False)
     assert main(["verify", "--max-k", "3", "--max-m", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["[PASS]"] * 3 + ["[FAIL]"] * 2 + ["[PASS]"]
-    assert lines[3].endswith(": internal error: constructive linearization failed verification")
+    assert lines[3] == "[FAIL] stability-equivalence: presentation (1,) points []: no lift"
     assert lines[4].endswith(": no lift")
 
 

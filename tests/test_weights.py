@@ -93,9 +93,9 @@ def test_stability_sweep_lists_sign_vectors_once_per_presentation(monkeypatch):
     evaluates the chain rule.  At k <= 3 the 65 presentations have 25
     vanishing patterns: on an empty table of presentations, positivity
     lists each pattern's entries once, and a second call, on the table's
-    presentations, lists none; stability-equivalence re-checks its lifts
-    level by level and lists no sign vector (36 listings when it re-checked
-    them by the sign-vector loop)."""
+    presentations, lists none; stability-equivalence checks its lifts'
+    tables level by level and lists no sign vector (36 listings when it
+    re-checked them by the sign-vector loop)."""
     monkeypatch.setattr(verify, "_PRESENTED", [])
     runs = [(check_positivity, 25), (check_positivity, 0), (check_stability_equivalence, 0)]
     for suite, listings in runs:
@@ -119,8 +119,8 @@ def test_sweeps_count_sides_once_per_occupied_configuration(suite, counts):
     profile from those counts; no configuration builds a ``profile``.
     Stability-equivalence lifts the first configuration of each of the 145
     profiles through ``exists_stabilizing_linearization``, which builds one
-    profile, so counts once more, for the lift, its table and the stability
-    re-check."""
+    profile, so counts once more, for the lift; the suite builds the lift's
+    table from the selected counts."""
     with calls_by_name("count_sides", "profile") as calls:
         assert suite(max_k=3, max_m=2).ok
     assert calls == counts
@@ -140,7 +140,7 @@ def test_stability_equivalence_asks_once_per_presentation_and_occupied_bits():
     "suite,counts",
     [
         (check_positivity, {"lift": 302, "lift_table": 302}),
-        (check_stability_equivalence, {"lift": 145, "lift_table": 145, "_levels_stable": 145}),
+        (check_stability_equivalence, {"lift": 145, "lift_table": 145}),
     ],
     ids=["check_positivity", "check_stability_equivalence"],
 )
@@ -148,11 +148,11 @@ def test_sweeps_lift_once_per_side_count_profile(suite, counts):
     """The 1,280 occupied configurations at k <= 3, m <= 2 have 145
     distinct profiles and 302 distinct (vanishing pattern, profile) groups
     over the whole sweep (669 (presentation, profile) groups).
-    Stability-equivalence's lift and per-level re-check read only the
-    profile, so it builds the lift and its table, and re-checks them, once
-    per profile; positivity also reads the pattern's sign vectors, so it
-    builds them once per group.  Neither runs the sign-vector loop."""
-    with calls_by_name("lift", "lift_table", "_levels_stable", "_stable") as calls:
+    Stability-equivalence's lift and the table whose signs it checks read
+    only the profile, so it builds them once per profile; positivity also
+    reads the pattern's sign vectors, so it builds them once per group.
+    Neither runs the sign-vector loop."""
+    with calls_by_name("lift", "lift_table", "_stable") as calls:
         assert suite(max_k=3, max_m=2).ok
     assert calls == counts
 
@@ -622,11 +622,31 @@ def test_existence_is_the_valuation_oracle(case):
 
 
 @settings(max_examples=200)
+@given(presented_points(6, 4, 4, at_vertices=True, schemes="valid", min_levels=1))
+def test_the_lift_is_stable_with_schemes_at_the_default_scale(case):
+    """Criterion 4 where its sweep does not reach: on presentations with unit
+    slots and up to four points at vertices or anywhere, with valid local
+    schemes, wherever ``exists_stabilizing_linearization`` returns a lift
+    (in about two draws in five) it stabilizes at ``default_scale(m)``:
+    ``is_git_stable`` holds, and the reference invariant is positive at
+    every nonzero admissible sign vector."""
+    exponents, points = case
+    cfg = place(BaseTuple(exponents), support_points(points))
+    lin = exists_stabilizing_linearization(cfg)
+    if lin is None:
+        return
+    l = default_scale(cfg.m)
+    assert is_git_stable(cfg, lin, l)
+    for s in oracles.sign_vectors(exponents):
+        assert oracles.invariant(exponents, points, s, list(lin.levels), l) > 0, s
+
+
+@settings(max_examples=200)
 @given(side_twins(6, 3, 4), st.data())
 def test_equal_side_counts_give_equal_lifts_and_verdicts(case, data):
     """Equal profiles give equal lifts, tables and verdicts, which lets
     positivity lift once per (vanishing pattern, profile), and
-    stability-equivalence, whose per-level re-check reads only the table,
+    stability-equivalence, whose per-level check reads only the table,
     once per profile: two scheme-free configurations with equal
     ``profile``, on presentations with one vanishing pattern and the same or
     other vanishing orders, get the same constructive lift (or the refusal
@@ -735,16 +755,16 @@ def test_one_level_configurations_are_stable_by_the_oracle():
 
 def test_existence_lists_no_sign_vector_at_thirty_levels():
     """At n = 30, where the sign-vector loop would visit up to 3^30
-    vectors, ``exists_stabilizing_linearization`` re-checks its lift level
-    by level: it lists no sign vector and runs no sign-vector loop, only
-    the O(n) re-check.  Its time at n = 30 is measured by
-    ``tools/scaling.py`` (``BENCH_31.json``), not here."""
+    vectors, ``exists_stabilizing_linearization`` lists no sign vector and
+    runs no sign-vector loop: it builds the lift and validates the schemes,
+    in O(n).  Its time at n = 30 is measured by ``tools/scaling.py``
+    (``BENCH_31.json``), not here."""
     exponents = (1,) * 31
     points = [((s, 31 - s, 0), 1) for s in range(1, 31)]
     cfg = place(BaseTuple(exponents), points)
-    with calls_by_name("sign_vectors", "_stable", "_levels_stable") as calls:
+    with calls_by_name("sign_vectors", "_stable") as calls:
         lin = exists_stabilizing_linearization(cfg)
-    assert calls == {"_levels_stable": 1}
+    assert calls == {}
     assert list(lin.levels) == oracles.constructive_lifts(exponents, points)
 
 

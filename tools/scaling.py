@@ -1,7 +1,7 @@
-"""Scaling curves of the limit oracle and of the constructive lift's
-re-check, the time of each ``verify`` suite at its acceptance size, and
-the start-up cost of the command line, for one or more source trees side
-by side.
+"""Scaling curves of the limit oracle and of the existence test of a
+stabilizing lift, the time of each ``verify`` suite at its acceptance
+size, and the start-up cost of the command line, for one or more source
+trees side by side.
 
 Stdlib only.  Each tree is a directory, or a git revision that is archived
 into a temporary directory; it is measured in a fresh interpreter whose
@@ -35,7 +35,7 @@ that would need more raises ``MemoryError`` and is written as null too.
 - ``exists_stabilizing_linearization`` at ``LIFT_LEVELS`` torus levels, on
   a zero-free presentation (every sign vector admissible) with vanishing
   orders 1-3 and one point of multiplicity 1-3 on each level, so every
-  level is occupied and the lift is built and re-checked;
+  level is occupied and the lift is built and its schemes validated;
 - each ``verify`` suite at the size of its acceptance criterion, with the
   detail string of one untimed run, which must be the same on every tree;
   the timed calls follow that run, so they read whatever it left for the
